@@ -1,13 +1,18 @@
 """Monte-Carlo verification that normalized powered maxima converge to Gumbel.
 
 Reproducibility contract: rep i draws from the Philox substream
-``Philox(key=seed).jumped(i)``, so any partitioning of reps across workers
-produces exactly the serial results, and identical configs produce
-bit-identical output on the same build.
+``Philox(key=seed).jumped(i)``, which is ``Philox(key=seed)`` with its 256-bit
+counter set to i * 2**128, i.e. counter words ``(0, 0, i, 0)`` for i < 2**64.
+Any partitioning of reps across workers therefore produces exactly the serial
+results, and identical configs produce bit-identical output on the same build.
+`simulate_powered_maxima` reaches each substream by repositioning one
+generator to that counter rather than jumping a fresh one; the bytes are the
+same either way.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,19 +38,32 @@ class SimulationConfig:
     scheme: Scheme = Scheme.GENERAL_POWER
 
     def __post_init__(self):
+        for name in ("n", "reps", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
         if self.n < 3:
             raise ConfigurationError(f"sample size n must be >= 3, got {self.n}")
         if self.reps < 1:
             raise ConfigurationError(f"reps must be >= 1, got {self.reps}")
+        if not 0 <= self.seed < 2**128:
+            raise ConfigurationError(f"seed must be in [0, 2**128), got {self.seed}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         validate_scheme(self.t, self.scheme)
 
 
+def _counter(rep: int) -> list[int]:
+    """Philox counter words of substream `rep`: the counter ``rep * 2**128``."""
+    return [0, 0, rep & (2**64 - 1), rep >> 64]
+
+
 def substream(seed: int, rep: int) -> np.random.Generator:
     """The documented substream rule: rep i uses Philox(key=seed) jumped i times."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(rep))
+    return np.random.Generator(np.random.Philox(key=seed, counter=_counter(rep)))
 
 
 def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
@@ -53,10 +71,16 @@ def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
     base = solve_bn(cfg.n, cfg.sigma)
     pn = powered_constants(base, cfg.t, cfg.scheme)
     p = MaxwellParams(cfg.sigma)
-    root = np.random.Philox(key=cfg.seed)
+    bits = np.random.Philox(key=cfg.seed)
+    rng = np.random.Generator(bits)
+    # A fresh state also carries an empty output buffer, so assigning it
+    # before each rep starts that rep exactly where substream(seed, i) would.
+    start = bits.state
+    counter = start["state"]["counter"]
     out = np.empty(cfg.reps)
     for i in range(cfg.reps):
-        rng = np.random.Generator(root.jumped(i))
+        counter[:] = _counter(i)
+        bits.state = start
         m = maxwell.sample(rng, p, size=cfg.n).max()
         out[i] = (m**cfg.t - pn.d_n) / pn.c_n
     return out
@@ -69,6 +93,6 @@ def ks_distance(samples: Sequence[float], reference: Callable[[float], float]) -
         raise DomainError("ks_distance: empty sample")
     if np.isnan(xs).any():
         raise DomainError("ks_distance: NaN in sample")
-    ref = np.fromiter((reference(float(v)) for v in xs), dtype=float, count=xs.size)
+    ref = np.fromiter(map(reference, xs.tolist()), dtype=float, count=xs.size)
     grid = np.arange(xs.size + 1) / xs.size
     return float(max((grid[1:] - ref).max(), (ref - grid[:-1]).max()))

@@ -82,6 +82,10 @@ def test_domain_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "constants", "--n", "50", "--t", "2",
                              "--scheme", "general-power")
     assert code == 2
+    for seed in ("-1", str(2**128)):
+        code, out, err = run_cli(capsys, "simulate", "--n", "10", "--reps", "2", "--seed", seed)
+        assert code == 2 and out == ""
+        assert err == f"maxext simulate: seed must be in [0, 2**128), got {seed}\n"
 
 
 def test_help_exits_0(capsys):

@@ -35,6 +35,67 @@ def test_config_validation():
                          scheme=Scheme.SQUARE_OPTIMAL)
 
 
+def test_config_accepts_numpy_integers():
+    cfg = SimulationConfig(n=np.int64(10), t=1.0, sigma=1.0, reps=np.int32(4),
+                           seed=np.uint64(2**64 - 1))
+    assert (cfg.n, cfg.reps, cfg.seed) == (10, 4, 2**64 - 1)
+    assert all(type(v) is int for v in (cfg.n, cfg.reps, cfg.seed))
+    assert np.array_equal(simulate_powered_maxima(cfg), simulate_powered_maxima(
+        SimulationConfig(n=10, t=1.0, sigma=1.0, reps=4, seed=2**64 - 1)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 100.0), ("n", "100"), ("reps", 2.5), ("reps", np.float64(4.0)),
+    ("seed", 1.0), ("seed", -1), ("seed", 2**128),
+])
+def test_config_rejects_bad_integer_fields(field, value):
+    kwargs = dict(n=10, t=1.0, sigma=1.0, reps=10, seed=0)
+    kwargs[field] = value
+    with pytest.raises(ConfigurationError, match=field):
+        SimulationConfig(**kwargs)
+
+
+def test_config_seed_bounds_inclusive():
+    SimulationConfig(n=10, t=1.0, sigma=1.0, reps=1, seed=0)
+    SimulationConfig(n=10, t=1.0, sigma=1.0, reps=1, seed=2**128 - 1)
+
+
+def _jumped_oracle(cfg):
+    # the substream rule as numpy states it: one jumped copy of the root per rep
+    base = solve_bn(cfg.n, cfg.sigma)
+    pn = powered_constants(base, cfg.t, cfg.scheme)
+    p = MaxwellParams(cfg.sigma)
+    root = np.random.Philox(key=cfg.seed)
+    out = np.empty(cfg.reps)
+    for i in range(cfg.reps):
+        m = sample(np.random.Generator(root.jumped(i)), p, size=cfg.n).max()
+        out[i] = (m**cfg.t - pn.d_n) / pn.c_n
+    return out
+
+
+@pytest.mark.parametrize("n, reps, t, scheme, seed", [
+    (3, 1, 1.0, Scheme.GENERAL_POWER, 0),
+    (3, 1, 2.0, Scheme.SQUARE_OPTIMAL, 2**128 - 1),
+    (3, 1, 3.0, Scheme.GENERAL_POWER, 2**128 - 1),
+    (3, 9, 2.0, Scheme.SQUARE_ALTERNATIVE, 0),
+    (50, 300, 1.0, Scheme.GENERAL_POWER, 2**63 + 5),
+    (1000, 20, 3.0, Scheme.GENERAL_POWER, 2**128 - 1),
+])
+def test_simulate_matches_jumped_oracle(n, reps, t, scheme, seed):
+    cfg = SimulationConfig(n=n, t=t, sigma=1.0, reps=reps, seed=seed, scheme=scheme)
+    assert np.array_equal(simulate_powered_maxima(cfg), _jumped_oracle(cfg))
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**128 - 1])
+@pytest.mark.parametrize("rep", [0, 1, 7, 2**64 + 3])
+def test_substream_is_jumped_root(seed, rep):
+    oracle = np.random.Generator(np.random.Philox(key=seed).jumped(rep))
+    rng = substream(seed, rep)
+    assert np.array_equal(rng.random(7), oracle.random(7))
+    assert np.array_equal(rng.chisquare(3.0, size=5), oracle.chisquare(3.0, size=5))
+    assert rng.integers(2**32, size=3).tolist() == oracle.integers(2**32, size=3).tolist()
+
+
 def test_single_rep_finite():
     cfg = SimulationConfig(n=10, t=1.0, sigma=1.0, reps=1, seed=3)
     out = simulate_powered_maxima(cfg)
