@@ -10,9 +10,9 @@ Exit codes: 0 success, 1 usage error, 2 domain/configuration error.
 from __future__ import annotations
 
 import argparse
+import math
+import numbers
 import sys
-
-import numpy as np
 
 from . import exact, montecarlo
 from .errors import MaxextError
@@ -26,7 +26,7 @@ _SCHEMES = [s.value for s in Scheme]
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, numbers.Integral):
         return str(int(v))
     return format(float(v), ".12g")
 
@@ -40,8 +40,31 @@ def _emit(lines, output):
         sys.stdout.write(text)
 
 
-def _parse_n_grid(text: str) -> list[int]:
-    return [int(float(part)) for part in text.split(",") if part.strip()]
+# argparse type= converters: bad values become one-line usage errors (exit 1)
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _n_grid(text: str) -> list[int]:
+    try:
+        return [int(_finite_float(part)) for part in text.split(",") if part.strip()]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite numbers, got {text!r}") from None
 
 
 def _scheme_for(t: float, name: str | None) -> Scheme:
@@ -94,8 +117,7 @@ def _cmd_table(args) -> list[str]:
 
 
 def _cmd_rate(args) -> list[str]:
-    diag = exact.rate_diagnostic(args.kind, args.t, args.x, args.sigma,
-                                 _parse_n_grid(args.n_grid))
+    diag = exact.rate_diagnostic(args.kind, args.t, args.x, args.sigma, args.n_grid)
     lines = ["n,b_n,err1,err1_scaled,slope,scaled_limit_prediction"]
     for i, n in enumerate(diag.ns):
         lines.append(",".join([_fmt(n), _fmt(diag.b_values[i]), _fmt(diag.errors[i]),
@@ -105,7 +127,7 @@ def _cmd_rate(args) -> list[str]:
 
 
 def _cmd_compare_schemes(args) -> list[str]:
-    cmp = exact.compare_schemes(args.x, args.sigma, _parse_n_grid(args.n_grid))
+    cmp = exact.compare_schemes(args.x, args.sigma, args.n_grid)
     cross = "" if cmp.crossover_n is None else _fmt(cmp.crossover_n)
     lines = ["n,optimal_err2,alternative_err2,ratio,crossover_n"]
     for i, n in enumerate(cmp.ns):
@@ -116,7 +138,7 @@ def _cmd_compare_schemes(args) -> list[str]:
 
 
 def _cmd_compare_hall(args) -> list[str]:
-    chk = exact.hall_rate_check(args.x, args.sigma, _parse_n_grid(args.n_grid))
+    chk = exact.hall_rate_check(args.x, args.sigma, args.n_grid)
     lines = ["n,gap,leading,ratio,powered_err1"]
     for i, n in enumerate(chk.ns):
         lines.append(",".join([_fmt(n), _fmt(chk.gaps[i]), _fmt(chk.leading[i]),
@@ -127,7 +149,7 @@ def _cmd_compare_hall(args) -> list[str]:
 def _cmd_adjudicate(args) -> list[str]:
     report = exact.adjudicate_density_coeffs(
         args.t, _x_grid(args.x_min, args.x_max, args.x_step), args.sigma,
-        _parse_n_grid(args.n_grid))
+        args.n_grid)
     return report.summary().splitlines()
 
 
@@ -209,31 +231,31 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=["cdf", "pdf"], default="cdf")
     _add_common(sp)
     sp.add_argument("--n-grid", default="1e4,1e6,1e8,1e10,1e12",
-                    help="comma-separated sample sizes")
+                    type=_n_grid, help="comma-separated sample sizes")
     sp.set_defaults(func=_cmd_rate)
 
     sp = sub.add_parser("compare-schemes",
                         help="order-2 errors: optimal vs alternative square norming")
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--x", type=float, default=0.7)
-    sp.add_argument("--n-grid", default="1e3,1e4,1e5,1e6,1e8,1e10")
+    sp.add_argument("--n-grid", type=_n_grid, default="1e3,1e4,1e5,1e6,1e8,1e10")
     sp.set_defaults(func=_cmd_compare_schemes)
 
     sp = sub.add_parser("compare-hall",
                         help="non-powered maximum vs its leading error term and vs t = 2")
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--x", type=float, default=0.7)
-    sp.add_argument("--n-grid", default="1e3,1e4,1e6,1e8,1e10")
+    sp.add_argument("--n-grid", type=_n_grid, default="1e3,1e4,1e6,1e8,1e10")
     sp.set_defaults(func=_cmd_compare_hall)
 
     sp = sub.add_parser("adjudicate",
                         help="report which first-density-coefficient variant is correct")
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--x-min", type=float, default=-1.0)
-    sp.add_argument("--x-max", type=float, default=3.0)
-    sp.add_argument("--x-step", type=float, default=0.25)
-    sp.add_argument("--n-grid", default="1e6,1e8,1e10")
+    sp.add_argument("--x-min", type=_finite_float, default=-1.0)
+    sp.add_argument("--x-max", type=_finite_float, default=3.0)
+    sp.add_argument("--x-step", type=_positive_float, default=0.25)
+    sp.add_argument("--n-grid", type=_n_grid, default="1e6,1e8,1e10")
     sp.set_defaults(func=_cmd_adjudicate)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo powered maxima + KS summary")
@@ -251,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     _add_common(sp)
     sp.add_argument("--scheme", choices=_SCHEMES + ["auto"], default="auto")
-    sp.add_argument("--x-min", type=float, default=-3.0)
-    sp.add_argument("--x-max", type=float, default=8.0)
-    sp.add_argument("--x-step", type=float, default=0.05)
+    sp.add_argument("--x-min", type=_finite_float, default=-3.0)
+    sp.add_argument("--x-max", type=_finite_float, default=8.0)
+    sp.add_argument("--x-step", type=_positive_float, default=0.05)
     sp.set_defaults(func=_cmd_plot_data)
 
     for name, subparser in sub.choices.items():

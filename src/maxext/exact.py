@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-import numpy as np
-
 from . import maxwell
 from .errors import ConfigurationError, DiagnosticsError, DomainError
 from .expansions import (
@@ -212,6 +210,8 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
     under the optimal scheme; the scaled sequence err1 * b_n^k approaches
     |first coefficient| * Lambda(x) (cdf) or * Lambda'(x) (pdf).
     """
+    import numpy as np
+
     ns = _check_grid(n_grid)
     t = float(t)
     p = MaxwellParams(sigma)
@@ -270,6 +270,9 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
         fn = exact_unpowered_cdf(n, hc.a_hat * x + hc.b_hat, p)
         gap = fn - lam
         lead = hall_error_leading(n, x, sigma)
+        if lead == 0.0:
+            raise DomainError(f"leading error term underflows to 0 at x = {x}; "
+                              "the ratio gap / leading is undefined")
         base = solve_bn(n, sigma)
         pn = powered_constants(base, 2.0, Scheme.SQUARE_OPTIMAL)
         e1 = abs(exact_powered_cdf(n, 2.0, x, pn, p) - lam)
@@ -378,6 +381,8 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
     sup-norm (and both per-n deviation sequences are reported so the
     "tends to zero" trend is visible).
     """
+    import numpy as np
+
     t = float(t)
     if t == 2.0:
         raise ConfigurationError(

@@ -24,6 +24,10 @@ tables exactly; they combine the classic second-order coefficients with
 sign conventions and closed-form norming inherited from the original
 tabulation (see exact.error_table).
 
+Where the Gumbel factor underflows to 0.0 the approximations return it
+as is, before evaluating any exp(-x) coefficient: far below the mode those
+coefficients overflow, while the true approximation underflows.
+
 All functions are scalar and pure.
 """
 from __future__ import annotations
@@ -220,7 +224,7 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
     scheme = Scheme(scheme)
     t = validate_scheme(t, scheme)
     lam = gumbel_cdf(x)
-    if order == 1:
+    if order == 1 or lam == 0.0:
         return lam
     u = 1.0 / (base.b_n * base.b_n)
     emx = math.exp(-x)
@@ -250,7 +254,7 @@ def pdf_approx(order: int, t: float, x: float, base: NormingBase,
     scheme = Scheme(scheme)
     t = validate_scheme(t, scheme)
     lamp = gumbel_pdf(x)
-    if order == 1:
+    if order == 1 or lamp == 0.0:
         return lamp
     u = 1.0 / (base.b_n * base.b_n)
     if scheme is Scheme.GENERAL_POWER:
@@ -279,7 +283,7 @@ def cdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
     """
     _check_order(order)
     lam = gumbel_cdf(x)
-    if order == 1:
+    if order == 1 or lam == 0.0:
         return lam
     emx = math.exp(-x)
     u2 = 1.0 / base.b_n ** 4
@@ -294,7 +298,7 @@ def pdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
     """Square-power density approximation in the golden-table convention."""
     _check_order(order)
     lamp = gumbel_pdf(x)
-    if order == 1:
+    if order == 1 or lamp == 0.0:
         return lamp
     u2 = 1.0 / base.b_n ** 4
     bracket = 1.0 + pdf_coeff1_square(x, base.sigma) * u2
@@ -316,8 +320,11 @@ def hall_error_leading(n: int, x: float, sigma: float = 1.0) -> float:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
+    lam = gumbel_cdf(x)
+    if lam == 0.0:
+        return lam
     log_n = math.log(n)
-    return gumbel_cdf(x) * math.exp(-x) * math.log(2.0 * log_n) ** 2 / (16.0 * log_n)
+    return lam * math.exp(-x) * math.log(2.0 * log_n) ** 2 / (16.0 * log_n)
 
 
 def tail_rep_components(t: float, x: float, sigma: float) -> tuple[float, float]:

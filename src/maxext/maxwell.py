@@ -2,17 +2,23 @@
 
 The survival function is always evaluated through erfc so that it keeps
 relative accuracy deep into the tail; it is never computed as 1 - cdf.
+
+Importing this module loads neither numpy nor scipy: `tail_remainder`
+imports `scipy.special.erfcx` when first called, and `sample` works on
+whatever the caller's numpy generator returns.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.special import erfcx
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .special import erf, erfc
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 __all__ = [
     "MaxwellParams",
@@ -40,7 +46,7 @@ class MaxwellParams:
 
     def __post_init__(self):
         s = self.sigma
-        if not (isinstance(s, (int, float)) and math.isfinite(s) and s > 0):
+        if not (isinstance(s, numbers.Real) and math.isfinite(s) and s > 0):
             raise DomainError(f"sigma must be a positive finite real, got {s!r}")
         object.__setattr__(self, "sigma", float(s))
 
@@ -119,6 +125,8 @@ def tail_remainder(x: float, p: MaxwellParams) -> float:
     meaningful even where survival itself underflows double precision
     (x beyond roughly 37 sigma). Scaled by (x/sigma)^8 it tends to -15.
     """
+    from scipy.special import erfcx
+
     x = _check_x(x, "tail_remainder")
     if x <= 0.0:
         raise DomainError(f"tail_remainder requires x > 0, got {x}")
@@ -128,7 +136,7 @@ def tail_remainder(x: float, p: MaxwellParams) -> float:
     return ratio - _tail_partial_sum(x, p, 4)
 
 
-def sample(rng: np.random.Generator, p: MaxwellParams, size=None):
+def sample(rng: Generator, p: MaxwellParams, size=None):
     """Draw Maxwell variates as sigma * chi(3 d.f.).
 
     A Maxwell variate is the length of a 3-vector of independent standard
@@ -137,7 +145,8 @@ def sample(rng: np.random.Generator, p: MaxwellParams, size=None):
     concurrent sampling must use independently seeded substreams.
     """
     q = rng.chisquare(3.0, size=size)
-    out = p.sigma * np.sqrt(q)
     if size is None:
-        return float(out)
-    return out
+        return p.sigma * math.sqrt(q)
+    # numpy evaluates ``array ** 0.5`` with its sqrt loop: the same bits as
+    # np.sqrt, without importing numpy here on every call.
+    return p.sigma * q ** 0.5

@@ -8,20 +8,25 @@ results, and identical configs produce bit-identical output on the same build.
 `simulate_powered_maxima` reaches each substream by repositioning one
 generator to that counter rather than jumping a fresh one; the bytes are the
 same either way.
+
+numpy is imported inside `substream`, `simulate_powered_maxima` and
+`ks_distance`, once per call, so importing this module (and the CLI's
+analytic subcommands) does not load it.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import maxwell
 from .errors import ConfigurationError, DomainError
 from .maxwell import MaxwellParams
 from .norming import Scheme, powered_constants, solve_bn, validate_scheme
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SimulationConfig", "simulate_powered_maxima", "ks_distance", "substream"]
 
@@ -63,11 +68,15 @@ def _counter(rep: int) -> list[int]:
 
 def substream(seed: int, rep: int) -> np.random.Generator:
     """The documented substream rule: rep i uses Philox(key=seed) jumped i times."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=seed, counter=_counter(rep)))
 
 
 def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
     """reps values of (M_n^t - d_n) / c_n, one per substream, in rep order."""
+    import numpy as np
+
     base = solve_bn(cfg.n, cfg.sigma)
     pn = powered_constants(base, cfg.t, cfg.scheme)
     p = MaxwellParams(cfg.sigma)
@@ -88,6 +97,8 @@ def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
 
 def ks_distance(samples: Sequence[float], reference: Callable[[float], float]) -> float:
     """One-sample Kolmogorov-Smirnov distance to a reference cdf."""
+    import numpy as np
+
     xs = np.sort(np.asarray(samples, dtype=float))
     if xs.size == 0:
         raise DomainError("ks_distance: empty sample")

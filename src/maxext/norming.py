@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, DegenerateError, DomainError, NoRootError
@@ -75,12 +77,19 @@ class HallConstants:
     b_hat: float
 
 
+def _check_n(n) -> int:
+    # operator.index and numbers.Real also admit numpy scalars without numpy
+    if not isinstance(n, bool):
+        try:
+            return operator.index(n)
+        except TypeError:
+            if isinstance(n, numbers.Real) and float(n).is_integer():
+                return int(n)
+    raise DomainError(f"n must be an integer, got {n!r}")
+
+
 def _check_n_sigma(n, sigma, minimum=_MIN_N):
-    if not isinstance(n, (int,)) or isinstance(n, bool):
-        if isinstance(n, float) and n.is_integer():
-            n = int(n)
-        else:
-            raise DomainError(f"n must be an integer, got {n!r}")
+    n = _check_n(n)
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0):
         raise DomainError(f"sigma must be a positive finite real, got {sigma!r}")

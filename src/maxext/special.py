@@ -1,7 +1,8 @@
 """Scalar special functions: error function pair and the Gumbel law.
 
 All functions reject NaN and are otherwise pure; they are safe for
-unrestricted concurrent use.
+unrestricted concurrent use. The Gumbel functions return 0.0 far below the
+mode, where exp(-x) overflows and the true value underflows to zero.
 """
 from __future__ import annotations
 
@@ -33,12 +34,23 @@ def erfc(x: float) -> float:
     return math.erfc(_reject_nan(x, "erfc"))
 
 
+def _exp_neg(x: float) -> float:
+    """exp(-x), saturating to inf instead of raising OverflowError."""
+    try:
+        return math.exp(-x)
+    except OverflowError:
+        return math.inf
+
+
 def gumbel_cdf(x: float) -> float:
     """Gumbel distribution function exp(-exp(-x))."""
-    return math.exp(-math.exp(-_reject_nan(x, "gumbel_cdf")))
+    return math.exp(-_exp_neg(_reject_nan(x, "gumbel_cdf")))
 
 
 def gumbel_pdf(x: float) -> float:
     """Gumbel density exp(-x - exp(-x))."""
     x = _reject_nan(x, "gumbel_pdf")
-    return math.exp(-x - math.exp(-x))
+    emx = _exp_neg(x)
+    if emx == math.inf:
+        return 0.0
+    return math.exp(-x - emx)

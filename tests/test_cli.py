@@ -174,3 +174,37 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert main(["bn", "--n", "100", "--output", str(path)]) == 0
     capsys.readouterr()
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["plot-data", "--n", "500", "--x-step", "0"], "--x-step"),
+    (["plot-data", "--n", "500", "--x-step", "-0.1"], "--x-step"),
+    (["adjudicate", "--x-step", "0"], "--x-step"),
+    (["plot-data", "--n", "500", "--x-max", "inf"], "--x-max"),
+    (["rate", "--n-grid", "abc"], "--n-grid"),
+    (["rate", "--n-grid", "1e4,1e400"], "--n-grid"),
+])
+def test_bad_option_values_are_usage_errors(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith(f"maxext {argv[0]}: error: argument {option}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["cdf", "pdf"])
+@pytest.mark.parametrize("scheme", ["auto", "square-alternative"])
+def test_plot_data_far_below_mode(capsys, kind, scheme):
+    code, out, err = run_cli(capsys, "plot-data", "--kind", kind, "--scheme", scheme,
+                             "--n", "500", "--x-min", "-900", "--x-max", "-890",
+                             "--x-step", "5")
+    assert code == 0 and err == ""
+    rows = parse_csv(out)
+    assert [row[0] for row in rows[1:]] == ["-900", "-895", "-890"]
+    assert all(value == "0" for row in rows[1:] for value in row[1:])
+
+
+def test_compare_hall_underflowing_leading_term_is_domain_error(capsys):
+    for x in ("-7", "-800"):
+        code, out, err = run_cli(capsys, "compare-hall", "--x", x)
+        assert code == 2 and out == ""
+        assert err.startswith("maxext compare-hall: leading error term underflows")

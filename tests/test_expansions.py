@@ -279,6 +279,21 @@ def test_tabulated_approximations_structure():
     assert cdf_approx_tabulated(2, x, base) == pytest.approx(expected, rel=1e-15)
 
 
+@pytest.mark.parametrize("x", [-10.0, -400.0, -800.0, -1e300])
+def test_approximations_vanish_where_gumbel_underflows(x):
+    # the exp(-x) coefficients would overflow here (or give 0 * inf = nan)
+    base = solve_bn(500, 1.0)
+    for order in (1, 2, 3):
+        assert cdf_approx(order, 1.0, x, base) == 0.0
+        assert pdf_approx(order, 1.0, x, base) == 0.0
+        for scheme in (Scheme.SQUARE_OPTIMAL, Scheme.SQUARE_ALTERNATIVE):
+            assert cdf_approx(order, 2.0, x, base, scheme) == 0.0
+            assert pdf_approx(order, 2.0, x, base, scheme) == 0.0
+        assert cdf_approx_tabulated(order, x, base) == 0.0
+        assert pdf_approx_tabulated(order, x, base) == 0.0
+    assert hall_error_leading(10**6, x) == 0.0
+
+
 def test_hall_error_leading():
     # at n = e^{e/2} the squared log factor is exactly 1
     n = math.exp(math.e / 2.0)

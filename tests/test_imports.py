@@ -1,0 +1,50 @@
+"""Import contract: the analytic layers and CLI paths load neither numpy nor scipy.
+
+numpy is needed only for sampling, ks_distance and the two polynomial fits,
+and scipy only for `maxwell.tail_remainder`; each is imported on first use.
+The check runs in a fresh interpreter, because this test process has both
+packages loaded already.
+"""
+import os
+import pathlib
+import subprocess
+import sys
+
+import maxext
+
+SCRIPT = r'''
+import contextlib
+import io
+import sys
+
+import maxext
+from maxext import cli, maxwell
+from maxext.montecarlo import SimulationConfig, simulate_powered_maxima
+
+
+def loaded():
+    return sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+
+
+assert loaded() == [], loaded()
+for argv in (["table", "--kind", "cdf"], ["bn", "--n", "25"], ["constants", "--n", "25"],
+             ["compare-schemes"], ["compare-hall"], ["plot-data", "--n", "500"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert loaded() == [], (argv, loaded())
+simulate_powered_maxima(SimulationConfig(n=10, t=1.0, sigma=1.0, reps=2, seed=1))
+assert loaded() == ["numpy"], loaded()
+maxwell.tail_remainder(10.0, maxwell.MaxwellParams(1.0))
+assert loaded() == ["numpy", "scipy"], loaded()
+print("ok")
+'''
+
+
+def test_numpy_and_scipy_load_only_on_demand():
+    src = str(pathlib.Path(maxext.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -43,6 +43,15 @@ def test_params_validation():
         MaxwellParams(float("nan"))
 
 
+def test_params_accept_numpy_scalars():
+    for s in (np.float32(1.0), np.float64(1.0), np.int64(1), np.int8(1)):
+        p = MaxwellParams(s)
+        assert p == MaxwellParams(1.0) and type(p.sigma) is float
+    for bad in (np.float32("nan"), np.float32(-1.0), np.int64(0), "1.0"):
+        with pytest.raises(DomainError):
+            MaxwellParams(bad)
+
+
 def test_pdf_values():
     p = MaxwellParams(1.0)
     assert pdf(0.0, p) == 0.0

@@ -79,6 +79,17 @@ def test_no_root_below_three():
         solve_bn(10, -1.0)
 
 
+def test_numpy_scalar_n_accepted():
+    ref = solve_bn(1000, 2.0)
+    for n in (np.int64(1000), np.int32(1000), np.uint16(1000), np.float32(1000.0)):
+        base = solve_bn(n, np.float32(2.0))
+        assert base == ref and type(base.n) is int
+    assert hall_constants(np.int64(1000)) == hall_constants(1000)
+    for bad in (True, np.True_, 1000.5, np.float64(1000.5), "1000"):
+        with pytest.raises(DomainError):
+            solve_bn(bad)
+
+
 def test_hall_constants_values():
     hc = hall_constants(100, 1.0)
     assert hc.a_hat == pytest.approx(A_HAT_100_S1, rel=1e-14)

@@ -102,6 +102,15 @@ def test_gumbel_pdf_values():
     assert gumbel_pdf(0.0) >= gumbel_pdf(-0.1)
 
 
+@pytest.mark.parametrize("x", [-709.0, -710.0, -800.0, -1e300, -math.inf])
+def test_gumbel_underflows_to_zero_far_below_mode(x):
+    # exp(-x) overflows below about -709.78; the true values are far below
+    # the smallest subnormal there
+    assert gumbel_cdf(x) == 0.0
+    assert gumbel_pdf(x) == 0.0
+    assert gumbel_cdf(-x) == 1.0
+
+
 def test_gumbel_pdf_is_cdf_derivative():
     h = 1e-5
     for x in np.linspace(-3.0, 10.0, 131):
