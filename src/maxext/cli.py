@@ -5,7 +5,8 @@ library modules. Output is plain CSV (or a plain-text report for
 `adjudicate`) with LF line endings and 12 significant digits; no color or
 other decoration is ever emitted, so NO_COLOR is honored trivially.
 
-Exit codes: 0 success, 1 usage error, 2 domain/configuration error.
+Exit codes: 0 success, 1 usage error, 2 domain/configuration error. An x
+grid (`plot-data`, `adjudicate`) of more than 10**6 steps is a usage error.
 """
 from __future__ import annotations
 
@@ -73,9 +74,19 @@ def _scheme_for(t: float, name: str | None) -> Scheme:
     return Scheme(name)
 
 
+class _UsageError(Exception):
+    """A bad combination of option values, found after parsing (exit 1)."""
+
+
+_MAX_X_STEPS = 10**6
+
+
 def _x_grid(x_min: float, x_max: float, x_step: float) -> list[float]:
-    count = int(round((x_max - x_min) / x_step))
-    return [x_min + k * x_step for k in range(count + 1)]
+    steps = (x_max - x_min) / x_step
+    if not steps <= _MAX_X_STEPS:  # also inf, when the bounds are far apart
+        raise _UsageError(
+            f"--x-min, --x-max and --x-step give more than {_MAX_X_STEPS} x steps")
+    return [x_min + k * x_step for k in range(int(round(steps)) + 1)]
 
 
 def _cmd_bn(args) -> list[str]:
@@ -167,12 +178,13 @@ def _cmd_simulate(args) -> list[str]:
 
 
 def _cmd_plot_data(args) -> list[str]:
+    xs = _x_grid(args.x_min, args.x_max, args.x_step)
     scheme = _scheme_for(args.t, args.scheme)
     base = solve_bn(args.n, args.sigma)
     pn = powered_constants(base, args.t, scheme)
     p = MaxwellParams(args.sigma)
     lines = ["x,exact,order1,order2,order3"]
-    for x in _x_grid(args.x_min, args.x_max, args.x_step):
+    for x in xs:
         if args.kind == "cdf":
             ex = exact.exact_powered_cdf(args.n, args.t, x, pn, p, below_support="zero")
             approx = [cdf_approx(k, args.t, x, base, scheme) for k in (1, 2, 3)]
@@ -292,6 +304,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         lines = args.func(args)
+    except _UsageError as exc:
+        print(f"maxext {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     except MaxextError as exc:
         print(f"maxext {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,14 @@ The survival function is always evaluated through erfc so that it keeps
 relative accuracy deep into the tail; it is never computed as 1 - cdf.
 
 Importing this module loads neither numpy nor scipy: `tail_remainder`
-imports `scipy.special.erfcx` when first called, and `sample` works on
-whatever the caller's numpy generator returns.
+imports `scipy.special.erfcx` when first called, and `sample` and
+`sample_max` work on whatever the caller's numpy generator returns.
+
+`sample_max` takes the largest chi-square draw before the square root and
+the sigma scaling. sqrt is correctly rounded and multiplication by sigma
+rounds monotonically, so sigma * sqrt(q) never decreases as q grows: the
+root of the largest draw has exactly the bits of the largest root, and one
+scalar root replaces two passes over all n draws.
 """
 from __future__ import annotations
 
@@ -28,6 +34,7 @@ __all__ = [
     "tail_expansion",
     "tail_remainder",
     "sample",
+    "sample_max",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -150,3 +157,12 @@ def sample(rng: Generator, p: MaxwellParams, size=None):
     # numpy evaluates ``array ** 0.5`` with its sqrt loop: the same bits as
     # np.sqrt, without importing numpy here on every call.
     return p.sigma * q ** 0.5
+
+
+def sample_max(rng: Generator, p: MaxwellParams, n: int) -> float:
+    """The largest of n Maxwell variates, bit for bit ``sample(rng, p, n).max()``.
+
+    Draws the same n chi-square(3) variates from the same stream as `sample`,
+    then roots and scales only their maximum (see the module docstring).
+    """
+    return p.sigma * math.sqrt(rng.chisquare(3.0, size=n).max())

@@ -7,7 +7,11 @@ Any partitioning of reps across workers therefore produces exactly the serial
 results, and identical configs produce bit-identical output on the same build.
 `simulate_powered_maxima` reaches each substream by repositioning one
 generator to that counter rather than jumping a fresh one; the bytes are the
-same either way.
+same either way. Each rep keeps only the maximum of its n draws
+(`maxwell.sample_max`, which roots the largest chi-square draw instead of
+every draw: the same bits, since the root is monotone) and applies the
+power and the norming to that one Python float; numpy's array power over
+all reps does not round like the scalar power for t != 1 (numpy 2.4).
 
 numpy is imported inside `substream`, `simulate_powered_maxima` and
 `ks_distance`, once per call, so importing this module (and the CLI's
@@ -86,13 +90,13 @@ def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
     # before each rep starts that rep exactly where substream(seed, i) would.
     start = bits.state
     counter = start["state"]["counter"]
-    out = np.empty(cfg.reps)
+    n, t, d, c = cfg.n, cfg.t, pn.d_n, pn.c_n
+    out = []
     for i in range(cfg.reps):
         counter[:] = _counter(i)
         bits.state = start
-        m = maxwell.sample(rng, p, size=cfg.n).max()
-        out[i] = (m**cfg.t - pn.d_n) / pn.c_n
-    return out
+        out.append((maxwell.sample_max(rng, p, n) ** t - d) / c)
+    return np.array(out)
 
 
 def ks_distance(samples: Sequence[float], reference: Callable[[float], float]) -> float:

@@ -15,6 +15,7 @@ import enum
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, DegenerateError, DomainError, NoRootError
@@ -88,11 +89,17 @@ def _check_n(n) -> int:
     raise DomainError(f"n must be an integer, got {n!r}")
 
 
-def _check_n_sigma(n, sigma, minimum=_MIN_N):
+def _check_n_sigma(n, sigma):
     n = _check_n(n)
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0):
         raise DomainError(f"sigma must be a positive finite real, got {sigma!r}")
+    # the norming equation works with sigma^2; a subnormal or overflowing
+    # square would silently wreck the root, so such sigma is out of domain
+    if not sys.float_info.min <= sigma * sigma < math.inf:
+        raise DomainError(
+            f"sigma^2 must be a normal finite float, got sigma = {sigma!r}"
+        )
     return n, sigma
 
 
@@ -117,7 +124,9 @@ def solve_bn(n: int, sigma: float = 1.0) -> NormingBase:
 
     Newton iteration on the log-form residual, seeded with the closed-form
     constant and safeguarded by bisection on [sigma, 4 sigma sqrt(log n)].
-    The returned root satisfies |relative residual| <= 1e-13.
+    The returned root satisfies |relative residual| <= 1e-13. Raises
+    DomainError where sigma^2 is not a normal finite float, or where b_n^2
+    overflows before the root is reached (sigma of order 1e153 and above).
     """
     n, sigma = _check_n_sigma(n, sigma)
     if n < _MIN_N:
@@ -155,6 +164,8 @@ def solve_bn(n: int, sigma: float = 1.0) -> NormingBase:
         if b_new == b:
             break
         b = b_new
+    if not abs(val) < 1e-9:  # b^2 overflows before the root is reached
+        raise DomainError(f"b_n^2 overflows for n = {n}, sigma = {sigma!r}")
     return NormingBase(n=n, sigma=sigma, b_n=b, a_n=s2 / b)
 
 
@@ -178,8 +189,9 @@ def hall_base(n: int, sigma: float = 1.0) -> NormingBase:
     This is the convention behind the golden reference error tables; it does
     not satisfy the norming-equation residual contract of solve_bn.
     """
+    n, sigma = _check_n_sigma(n, sigma)
     hc = hall_constants(n, sigma)
-    return NormingBase(n=n, sigma=float(sigma), b_n=hc.b_hat, a_n=sigma * sigma / hc.b_hat)
+    return NormingBase(n=n, sigma=sigma, b_n=hc.b_hat, a_n=sigma * sigma / hc.b_hat)
 
 
 def validate_scheme(t: float, scheme: Scheme) -> float:

@@ -208,3 +208,28 @@ def test_compare_hall_underflowing_leading_term_is_domain_error(capsys):
         code, out, err = run_cli(capsys, "compare-hall", "--x", x)
         assert code == 2 and out == ""
         assert err.startswith("maxext compare-hall: leading error term underflows")
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot-data", "--n", "500", "--x-min=-1e300", "--x-max", "1e300", "--x-step", "1e-300"],
+    ["plot-data", "--n", "500", "--x-min=-1e12", "--x-max", "1e12", "--x-step", "1e-3"],
+    ["adjudicate", "--x-min=-1e300", "--x-max", "1e300", "--x-step", "1e-300"],
+    ["adjudicate", "--x-min", "0", "--x-max", "1", "--x-step", "9.9e-7"],
+])
+def test_oversized_x_grid_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == (f"maxext {argv[0]}: error: --x-min, --x-max and --x-step "
+                   "give more than 1000000 x steps\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bn", "--n", "1000", "--sigma", "1e-300"],
+    ["bn", "--n", "1000", "--sigma", "1e160"],
+    ["constants", "--n", "1000", "--sigma", "1e154"],
+    ["simulate", "--n", "100", "--reps", "3", "--sigma", "1e-300"],
+])
+def test_extreme_sigma_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"maxext {argv[0]}: ") and len(err.splitlines()) == 1

@@ -12,6 +12,7 @@ from maxext.maxwell import (
     cdf,
     pdf,
     sample,
+    sample_max,
     survival,
     tail_expansion,
     tail_remainder,
@@ -192,3 +193,14 @@ def test_sample_ks_against_cdf():
     draws = sample(rng, p, size=100_000)
     stat = kstest(draws, lambda v: np.vectorize(lambda q: cdf(q, p))(v)).statistic
     assert stat <= 1.95 / math.sqrt(draws.size)
+
+
+@pytest.mark.parametrize("sigma", [0.7, 1.0, 2.5, 1e-3])
+@pytest.mark.parametrize("n", [3, 50, 10_000])
+def test_sample_max_is_max_of_sample(n, sigma):
+    # the root is taken after the maximum: same stream, same bits
+    p = MaxwellParams(sigma)
+    for seed in (0, 7, 2**64 + 3):
+        m = sample_max(np.random.default_rng(seed), p, n)
+        assert type(m) is float
+        assert m == sample(np.random.default_rng(seed), p, size=n).max()

@@ -86,6 +86,19 @@ def test_simulate_matches_jumped_oracle(n, reps, t, scheme, seed):
     assert np.array_equal(simulate_powered_maxima(cfg), _jumped_oracle(cfg))
 
 
+@pytest.mark.parametrize("sigma", [1.7, 1e-3])
+@pytest.mark.parametrize("n, reps, t, scheme, seed", [
+    (3, 9, 2.0, Scheme.SQUARE_ALTERNATIVE, 2**128 - 1),
+    (50, 300, 2.0, Scheme.SQUARE_OPTIMAL, 7),
+    (50, 300, 2.5, Scheme.GENERAL_POWER, 2**64 + 3),
+    (1000, 20, 3.0, Scheme.GENERAL_POWER, 0),
+])
+def test_simulate_matches_jumped_oracle_sigma(n, reps, t, scheme, seed, sigma):
+    # sigma scales each root after the maximum is taken; the oracle scales every draw
+    cfg = SimulationConfig(n=n, t=t, sigma=sigma, reps=reps, seed=seed, scheme=scheme)
+    assert np.array_equal(simulate_powered_maxima(cfg), _jumped_oracle(cfg))
+
+
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**128 - 1])
 @pytest.mark.parametrize("rep", [0, 1, 7, 2**64 + 3])
 def test_substream_is_jumped_root(seed, rep):

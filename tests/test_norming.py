@@ -79,6 +79,31 @@ def test_no_root_below_three():
         solve_bn(10, -1.0)
 
 
+@pytest.mark.parametrize("n, sigma", [
+    (1000, 1e-300), (1000, 1e-160), (1000, 5e-324),  # sigma^2 zero or subnormal
+    (1000, 1e160), (1000, 1e300),  # sigma^2 overflows
+    (1000, 1e154), (10**300, 1e153),  # b_n^2 overflows
+])
+def test_extreme_sigma_is_domain_error(n, sigma):
+    with pytest.raises(DomainError):
+        solve_bn(n, sigma)
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e160])
+def test_closed_form_constants_reject_unsquarable_sigma(sigma):
+    for fn in (hall_constants, hall_base):
+        with pytest.raises(DomainError):
+            fn(1000, sigma)
+
+
+@pytest.mark.parametrize("n, sigma", [(1000, 1e-150), (1000, 1e150), (10**12, 1e153)])
+def test_sigma_near_square_limits_still_solves(n, sigma):
+    base = solve_bn(n, sigma)
+    assert abs(equation_residual(base.b_n, n, sigma)) <= 1e-13
+    assert base.b_n / sigma == pytest.approx(solve_bn(n, 1.0).b_n, rel=1e-12)
+    assert math.isfinite(base.a_n) and base.a_n > 0
+
+
 def test_numpy_scalar_n_accepted():
     ref = solve_bn(1000, 2.0)
     for n in (np.int64(1000), np.int32(1000), np.uint16(1000), np.float32(1000.0)):
@@ -120,6 +145,12 @@ def test_hall_base_mirrors_constants():
     hc = hall_constants(50, 2.0)
     assert base.b_n == hc.b_hat
     assert base.a_n == 4.0 / hc.b_hat
+
+
+def test_hall_base_normalises_n_and_sigma():
+    base = hall_base(np.int64(25), np.float32(2.0))
+    assert base == hall_base(25, 2.0)
+    assert type(base.n) is int and type(base.sigma) is float
 
 
 def test_powered_general_t1_collapse():
