@@ -24,6 +24,9 @@ tables exactly; they combine the classic second-order coefficients with
 sign conventions and closed-form norming inherited from the original
 tabulation (see exact.error_table).
 
+Public functions validate their (t, scheme) once, through
+norming.validate_scheme; the private kernels they call run unchecked.
+
 Where the Gumbel factor underflows to 0.0 the approximations return it
 as is, before evaluating any exp(-x) coefficient: far below the mode those
 coefficients overflow, while the true approximation underflows.
@@ -59,17 +62,6 @@ __all__ = [
 ]
 
 
-def _check_general_t(t: float) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t > 0):
-        raise DomainError(f"power index t must be positive and finite, got {t}")
-    if t == 2.0:
-        raise ConfigurationError(
-            "general-power coefficients are undefined at t = 2; use the square ones"
-        )
-    return t
-
-
 def _check_order(order: int) -> int:
     if order not in (1, 2, 3):
         raise ConfigurationError(f"expansion order must be 1, 2 or 3, got {order!r}")
@@ -80,13 +72,21 @@ def _check_order(order: int) -> int:
 
 def cdf_coeff1_general(t: float, x: float, sigma: float) -> float:
     """First distribution coefficient sigma^2 [1 + x + (t-2) x^2 / 2]."""
-    t = _check_general_t(t)
+    t, _ = validate_scheme(t, Scheme.GENERAL_POWER)
+    return _cdf_coeff1_general(t, x, sigma)
+
+
+def _cdf_coeff1_general(t, x, sigma):
     return sigma * sigma * (1.0 + x * (1.0 + 0.5 * (t - 2.0) * x))
 
 
 def cdf_coeff2_general(t: float, x: float, sigma: float) -> float:
     """Second distribution coefficient (quartic polynomial in x)."""
-    t = _check_general_t(t)
+    t, _ = validate_scheme(t, Scheme.GENERAL_POWER)
+    return _cdf_coeff2_general(t, x, sigma)
+
+
+def _cdf_coeff2_general(t, x, sigma):
     s2 = sigma * sigma
     c4 = (t - 2.0) ** 2 / 8.0
     c3 = (t - 2.0) * (5.0 - 2.0 * t) / 6.0
@@ -112,8 +112,12 @@ def pdf_coeff1_general(t: float, x: float, sigma: float, consistent: bool = True
     distribution coefficient; the classic form carries (t-2) x^2 in place of
     (t-2) x^2 / 2 in the polynomial part.
     """
-    t = _check_general_t(t)
-    a1 = cdf_coeff1_general(t, x, sigma)
+    t, _ = validate_scheme(t, Scheme.GENERAL_POWER)
+    return _pdf_coeff1_general(t, x, sigma, consistent)
+
+
+def _pdf_coeff1_general(t, x, sigma, consistent):
+    a1 = _cdf_coeff1_general(t, x, sigma)
     s2 = sigma * sigma
     if consistent:
         return -math.exp(-x) * a1 + s2 * x * (0.5 * (t - 2.0) * x + 3.0 - t)
@@ -122,10 +126,14 @@ def pdf_coeff1_general(t: float, x: float, sigma: float, consistent: bool = True
 
 def pdf_coeff2_general(t: float, x: float, sigma: float, consistent: bool = True) -> float:
     """Second density coefficient for general power index."""
-    t = _check_general_t(t)
+    t, _ = validate_scheme(t, Scheme.GENERAL_POWER)
+    return _pdf_coeff2_general(t, x, sigma, consistent)
+
+
+def _pdf_coeff2_general(t, x, sigma, consistent):
     if consistent:
-        a1 = cdf_coeff1_general(t, x, sigma)
-        a2 = cdf_coeff2_general(t, x, sigma)
+        a1 = _cdf_coeff1_general(t, x, sigma)
+        a2 = _cdf_coeff2_general(t, x, sigma)
         d1 = _d_cdf_coeff1_general(t, x, sigma)
         d2 = _d_cdf_coeff2_general(t, x, sigma)
         emx = math.exp(-x)
@@ -221,18 +229,17 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
     first k-1 correction terms of the scheme's expansion.
     """
     _check_order(order)
-    scheme = Scheme(scheme)
-    t = validate_scheme(t, scheme)
+    t, scheme = validate_scheme(t, scheme)
     lam = gumbel_cdf(x)
     if order == 1 or lam == 0.0:
         return lam
     u = 1.0 / (base.b_n * base.b_n)
     emx = math.exp(-x)
     if scheme is Scheme.GENERAL_POWER:
-        bracket = 1.0 - emx * cdf_coeff1_general(t, x, base.sigma) * u
+        a1 = _cdf_coeff1_general(t, x, base.sigma)
+        bracket = 1.0 - emx * a1 * u
         if order == 3:
-            a1 = cdf_coeff1_general(t, x, base.sigma)
-            a2 = cdf_coeff2_general(t, x, base.sigma)
+            a2 = _cdf_coeff2_general(t, x, base.sigma)
             bracket += emx * (0.5 * emx * a1 * a1 - a2) * u * u
     elif scheme is Scheme.SQUARE_OPTIMAL:
         u2 = u * u
@@ -251,16 +258,15 @@ def pdf_approx(order: int, t: float, x: float, base: NormingBase,
                scheme: Scheme = Scheme.GENERAL_POWER, consistent: bool = True) -> float:
     """Order-1/2/3 approximation of the density of (|M_n|^t - d_n)/c_n."""
     _check_order(order)
-    scheme = Scheme(scheme)
-    t = validate_scheme(t, scheme)
+    t, scheme = validate_scheme(t, scheme)
     lamp = gumbel_pdf(x)
     if order == 1 or lamp == 0.0:
         return lamp
     u = 1.0 / (base.b_n * base.b_n)
     if scheme is Scheme.GENERAL_POWER:
-        bracket = 1.0 + pdf_coeff1_general(t, x, base.sigma, consistent) * u
+        bracket = 1.0 + _pdf_coeff1_general(t, x, base.sigma, consistent) * u
         if order == 3:
-            bracket += pdf_coeff2_general(t, x, base.sigma, consistent) * u * u
+            bracket += _pdf_coeff2_general(t, x, base.sigma, consistent) * u * u
     elif scheme is Scheme.SQUARE_OPTIMAL:
         u2 = u * u
         bracket = 1.0 + pdf_coeff1_square(x, base.sigma) * u2

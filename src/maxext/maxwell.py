@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .special import erf, erfc
+from .special import _reject_nan, erf, erfc
 
 if TYPE_CHECKING:
     from numpy.random import Generator
@@ -58,16 +58,9 @@ class MaxwellParams:
         object.__setattr__(self, "sigma", float(s))
 
 
-def _check_x(x: float, name: str) -> float:
-    x = float(x)
-    if math.isnan(x):
-        raise DomainError(f"{name}: NaN input")
-    return x
-
-
 def pdf(x: float, p: MaxwellParams) -> float:
     """Density sqrt(2/pi) x^2 sigma^-3 exp(-x^2 / 2 sigma^2); zero for x <= 0."""
-    x = _check_x(x, "pdf")
+    x = _reject_nan(x, "pdf")
     if x <= 0.0:
         return 0.0
     s = p.sigma
@@ -77,7 +70,7 @@ def pdf(x: float, p: MaxwellParams) -> float:
 
 def cdf(x: float, p: MaxwellParams) -> float:
     """Distribution function erf(x / sigma sqrt(2)) - sqrt(2/pi)(x/sigma) e^{-x^2/2s^2}."""
-    x = _check_x(x, "cdf")
+    x = _reject_nan(x, "cdf")
     if x <= 0.0:
         return 0.0
     z = x / p.sigma
@@ -90,7 +83,7 @@ def survival(x: float, p: MaxwellParams) -> float:
     Both summands of the erfc-based form are nonnegative, so the result can
     never go negative through cancellation.
     """
-    x = _check_x(x, "survival")
+    x = _reject_nan(x, "survival")
     if x <= 0.0:
         return 1.0
     z = x / p.sigma
@@ -117,7 +110,7 @@ def tail_expansion(x: float, p: MaxwellParams, terms: int = 4) -> float:
     `terms` truncates the bracketed series after 1..4 terms; the remainder of
     the full 4-term form is O((sigma/x)^8).
     """
-    x = _check_x(x, "tail_expansion")
+    x = _reject_nan(x, "tail_expansion")
     if x <= 0.0:
         raise DomainError(f"tail_expansion requires x > 0, got {x}")
     if terms not in (1, 2, 3, 4):
@@ -134,7 +127,7 @@ def tail_remainder(x: float, p: MaxwellParams) -> float:
     """
     from scipy.special import erfcx
 
-    x = _check_x(x, "tail_remainder")
+    x = _reject_nan(x, "tail_remainder")
     if x <= 0.0:
         raise DomainError(f"tail_remainder requires x > 0, got {x}")
     z = x / (p.sigma * _SQRT2)

@@ -61,8 +61,7 @@ class SimulationConfig:
             raise ConfigurationError(f"seed must be in [0, 2**128), got {self.seed}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
-        validate_scheme(self.t, self.scheme)
+        object.__setattr__(self, "scheme", validate_scheme(self.t, self.scheme)[1])
 
 
 def _counter(rep: int) -> list[int]:

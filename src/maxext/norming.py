@@ -124,9 +124,12 @@ def solve_bn(n: int, sigma: float = 1.0) -> NormingBase:
 
     Newton iteration on the log-form residual, seeded with the closed-form
     constant and safeguarded by bisection on [sigma, 4 sigma sqrt(log n)].
-    The returned root satisfies |relative residual| <= 1e-13. Raises
-    DomainError where sigma^2 is not a normal finite float, or where b_n^2
-    overflows before the root is reached (sigma of order 1e153 and above).
+    The returned root satisfies |relative residual| <= max(1e-13,
+    4 eps log n), with eps the double-precision machine epsilon: the log
+    residual is a sum of terms of size log n, so above n ~ 1e120 its rounding
+    alone exceeds 1e-13. Raises DomainError where sigma^2 is not a normal
+    finite float, or where b_n^2 overflows before the root is reached (sigma
+    of order 1e153 and above).
     """
     n, sigma = _check_n_sigma(n, sigma)
     if n < _MIN_N:
@@ -194,25 +197,39 @@ def hall_base(n: int, sigma: float = 1.0) -> NormingBase:
     return NormingBase(n=n, sigma=sigma, b_n=hc.b_hat, a_n=sigma * sigma / hc.b_hat)
 
 
-def validate_scheme(t: float, scheme: Scheme) -> float:
-    """Check scheme/power compatibility; returns t as float."""
+_SCHEMES = {s.value: s for s in Scheme}
+
+
+def validate_scheme(t: float, scheme: Scheme) -> tuple[float, Scheme]:
+    """Check scheme/power compatibility; returns the pair (t as float, Scheme member).
+
+    `scheme` is a Scheme member or its string value; a str-enum member hashes
+    and compares equal to its value, so one dict lookup resolves both. Raises
+    DomainError for a t that is not positive and finite, and
+    ConfigurationError for an unknown or unhashable scheme or a scheme that
+    does not fit t.
+    """
     t = float(t)
     if not (math.isfinite(t) and t > 0):
         raise DomainError(f"power index t must be positive and finite, got {t}")
-    scheme = Scheme(scheme)
+    try:
+        scheme = _SCHEMES[scheme]
+    except (KeyError, TypeError):
+        raise ConfigurationError(
+            f"unknown scheme {scheme!r}; expected one of {', '.join(_SCHEMES)}"
+        ) from None
     if scheme is Scheme.GENERAL_POWER and t == 2.0:
         raise ConfigurationError(
             "general-power constants are undefined at t = 2; use a square scheme"
         )
     if scheme is not Scheme.GENERAL_POWER and t != 2.0:
         raise ConfigurationError(f"scheme {scheme.value} requires t = 2, got t = {t}")
-    return t
+    return t, scheme
 
 
 def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNorming:
     """Construct (c_n, d_n) for |M_n|^t from solved base constants."""
-    scheme = Scheme(scheme)
-    t = validate_scheme(t, scheme)
+    t, scheme = validate_scheme(t, scheme)
     b = base.b_n
     s2 = base.sigma * base.sigma
     if scheme is Scheme.GENERAL_POWER:

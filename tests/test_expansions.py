@@ -1,4 +1,5 @@
 """Expansion coefficients and approximations against frozen symbolic values."""
+import csv
 import math
 
 import numpy as np
@@ -292,6 +293,35 @@ def test_approximations_vanish_where_gumbel_underflows(x):
         assert cdf_approx_tabulated(order, x, base) == 0.0
         assert pdf_approx_tabulated(order, x, base) == 0.0
     assert hall_error_leading(10**6, x) == 0.0
+
+
+def test_outputs_match_recorded_bits(data_dir):
+    # approx_bits.csv holds float.hex values recorded before each public
+    # function was split into one validation and an unchecked kernel; the
+    # split must not move a single bit
+    general = {
+        "cdf_coeff1_general": cdf_coeff1_general,
+        "cdf_coeff2_general": cdf_coeff2_general,
+        "pdf_coeff1_general": pdf_coeff1_general,
+        "pdf_coeff2_general": pdf_coeff2_general,
+    }
+    approx = {"cdf_approx": cdf_approx, "pdf_approx": pdf_approx}
+    with open(data_dir / "approx_bits.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2808
+    for row in rows:
+        t, sigma, x = float(row["t"]), float(row["sigma"]), float(row["x"])
+        if row["function"] in general:
+            args = (t, x, sigma)
+            if row["consistent"]:
+                args += (row["consistent"] == "1",)
+            got = [general[row["function"]](*args)]
+        else:
+            base = solve_bn(int(row["n"]), sigma)
+            fn = approx[row["function"]]
+            got = [fn(int(row["order"]), t, x, base, scheme, row["consistent"] == "1")
+                   for scheme in (Scheme(row["scheme"]), row["scheme"])]
+        assert [v.hex() for v in got] == [row["value"]] * len(got), row
 
 
 def test_hall_error_leading():

@@ -167,6 +167,12 @@ def test_tail_expansion_domain():
         survival(float("nan"), p)
 
 
+@pytest.mark.parametrize("fn", [pdf, cdf, survival, tail_expansion, tail_remainder])
+def test_nan_rejected_by_name(fn):
+    with pytest.raises(DomainError, match=f"^{fn.__name__}: NaN input$"):
+        fn(float("nan"), MaxwellParams(1.0))
+
+
 def test_sample_positive_and_scales():
     p = MaxwellParams(0.7)
     rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 """Norming constants: solver contract, closed forms, powered schemes."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from maxext.errors import (
     ConfigurationError,
     DegenerateError,
     DomainError,
+    MaxextError,
     NoRootError,
 )
+from maxext.expansions import cdf_approx, pdf_approx
+from maxext.montecarlo import SimulationConfig
 from maxext.norming import (
     NormingBase,
     Scheme,
@@ -19,6 +23,7 @@ from maxext.norming import (
     hall_constants,
     powered_constants,
     solve_bn,
+    validate_scheme,
 )
 
 # frozen 20-digit roots from an arbitrary-precision solve
@@ -44,6 +49,15 @@ def test_residual_contract_on_grid():
             assert base.b_n > s
             assert abs(equation_residual(base.b_n, n, s)) <= 1e-13
             assert base.a_n == s * s / base.b_n
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.5, 1.0, 2.0, 1e3])
+def test_residual_contract_at_astronomical_n(sigma):
+    # the log residual sums terms of size log n, so its rounding grows with it
+    for k in range(20, 308):
+        n = 10**k
+        bound = max(1e-13, 4.0 * sys.float_info.epsilon * math.log(n))
+        assert abs(equation_residual(solve_bn(n, sigma).b_n, n, sigma)) <= bound, k
 
 
 def test_against_independent_bracketing_solver():
@@ -195,6 +209,31 @@ def test_scheme_power_mismatch():
         powered_constants(base, 1.0, Scheme.SQUARE_ALTERNATIVE)
     with pytest.raises(DomainError):
         powered_constants(base, -1.0, Scheme.GENERAL_POWER)
+
+
+def test_validate_scheme_returns_float_t_and_member():
+    for scheme in Scheme:
+        t = 1 if scheme is Scheme.GENERAL_POWER else 2
+        for given in (scheme, scheme.value):
+            got = validate_scheme(t, given)
+            assert got == (float(t), scheme)
+            assert type(got[0]) is float and got[1] is scheme
+
+
+@pytest.mark.parametrize("scheme", ["bogus", None, []])
+def test_unknown_scheme_is_configuration_error(scheme):
+    base = solve_bn(25, 1.0)
+    calls = [
+        lambda: validate_scheme(1.0, scheme),
+        lambda: powered_constants(base, 1.0, scheme),
+        lambda: cdf_approx(2, 1.0, 0.5, base, scheme),
+        lambda: pdf_approx(2, 1.0, 0.5, base, scheme),
+        lambda: SimulationConfig(n=10, t=1.0, sigma=1.0, reps=1, seed=0, scheme=scheme),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match="unknown scheme") as info:
+            call()
+        assert isinstance(info.value, MaxextError)
 
 
 def test_alternative_degenerates_below_sigma():
