@@ -5,13 +5,15 @@ relative accuracy deep into the tail; it is never computed as 1 - cdf.
 
 Importing this module loads neither numpy nor scipy: `tail_remainder`
 imports `scipy.special.erfcx` when first called, and `sample` and
-`sample_max` work on whatever the caller's numpy generator returns.
+`row_maxima` work on whatever numpy arrays or generator the caller passes.
 
-`sample_max` takes the largest chi-square draw before the square root and
-the sigma scaling. sqrt is correctly rounded and multiplication by sigma
-rounds monotonically, so sigma * sqrt(q) never decreases as q grows: the
-root of the largest draw has exactly the bits of the largest root, and one
-scalar root replaces two passes over all n draws.
+`row_maxima` turns a block of Gamma(3/2) draws into the maxima of Maxwell
+variates: a chi-square(3) variate is twice a Gamma(3/2) variate (numpy draws
+``chisquare(3)`` as ``2.0 * standard_gamma(1.5)``), so a Maxwell variate is
+sigma * sqrt(2 g). Doubling is exact, sqrt is correctly rounded and the
+multiplication by sigma rounds monotonically, so sigma * sqrt(2 max g) has
+exactly the bits of the largest of the n variates, and one root per row
+replaces two passes over all n draws.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .errors import DomainError
 from .special import _reject_nan, erf, erfc
 
 if TYPE_CHECKING:
+    import numpy as np
     from numpy.random import Generator
 
 __all__ = [
@@ -34,7 +37,7 @@ __all__ = [
     "tail_expansion",
     "tail_remainder",
     "sample",
-    "sample_max",
+    "row_maxima",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -152,10 +155,12 @@ def sample(rng: Generator, p: MaxwellParams, size=None):
     return p.sigma * q ** 0.5
 
 
-def sample_max(rng: Generator, p: MaxwellParams, n: int) -> float:
-    """The largest of n Maxwell variates, bit for bit ``sample(rng, p, n).max()``.
+def row_maxima(gamma: np.ndarray, p: MaxwellParams) -> np.ndarray:
+    """Per row of a 2-D array of Gamma(3/2) draws, the largest Maxwell variate.
 
-    Draws the same n chi-square(3) variates from the same stream as `sample`,
-    then roots and scales only their maximum (see the module docstring).
+    Bit for bit ``sample(rng, p, n).max()`` for each row drawn with
+    ``rng.standard_gamma(1.5, size=n)`` from the stream `sample` would use
+    (see the module docstring).
     """
-    return p.sigma * math.sqrt(rng.chisquare(3.0, size=n).max())
+    # ``** 0.5`` runs numpy's sqrt loop, as in `sample`
+    return p.sigma * (2.0 * gamma.max(axis=1)) ** 0.5

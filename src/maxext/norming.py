@@ -205,11 +205,14 @@ def validate_scheme(t: float, scheme: Scheme) -> tuple[float, Scheme]:
 
     `scheme` is a Scheme member or its string value; a str-enum member hashes
     and compares equal to its value, so one dict lookup resolves both. Raises
-    DomainError for a t that is not positive and finite, and
-    ConfigurationError for an unknown or unhashable scheme or a scheme that
-    does not fit t.
+    DomainError for a t that `float` cannot convert or that is not positive
+    and finite, and ConfigurationError for an unknown or unhashable scheme or
+    a scheme that does not fit t.
     """
-    t = float(t)
+    try:
+        t = float(t)
+    except (TypeError, ValueError):
+        raise DomainError(f"power index t must be a real number, got {t!r}") from None
     if not (math.isfinite(t) and t > 0):
         raise DomainError(f"power index t must be positive and finite, got {t}")
     try:

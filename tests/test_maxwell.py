@@ -11,8 +11,8 @@ from maxext.maxwell import (
     MaxwellParams,
     cdf,
     pdf,
+    row_maxima,
     sample,
-    sample_max,
     survival,
     tail_expansion,
     tail_remainder,
@@ -204,9 +204,11 @@ def test_sample_ks_against_cdf():
 @pytest.mark.parametrize("sigma", [0.7, 1.0, 2.5, 1e-3])
 @pytest.mark.parametrize("n", [3, 50, 10_000])
 def test_sample_max_is_max_of_sample(n, sigma):
-    # the root is taken after the maximum: same stream, same bits
+    # chi-square(3) is twice Gamma(3/2) on the same stream, and the root is
+    # taken after the maximum: same bits as the maximum of `sample`
     p = MaxwellParams(sigma)
-    for seed in (0, 7, 2**64 + 3):
-        m = sample_max(np.random.default_rng(seed), p, n)
-        assert type(m) is float
-        assert m == sample(np.random.default_rng(seed), p, size=n).max()
+    seeds = (0, 7, 2**64 + 3)
+    gamma = np.array([np.random.default_rng(s).standard_gamma(1.5, size=n) for s in seeds])
+    got = row_maxima(gamma, p).tolist()
+    assert got == [sample(np.random.default_rng(s), p, size=n).max() for s in seeds]
+    assert all(type(m) is float for m in got)

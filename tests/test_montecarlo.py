@@ -1,5 +1,6 @@
 """Simulation determinism, substream independence, and KS machinery."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,12 @@ def test_config_rejects_bad_integer_fields(field, value):
         SimulationConfig(**kwargs)
 
 
+@pytest.mark.parametrize("sigma", ["1", True, None, 1j])
+def test_config_rejects_non_real_sigma(sigma):
+    with pytest.raises(ConfigurationError, match="sigma"):
+        SimulationConfig(n=10, t=1.0, sigma=sigma, reps=1, seed=0)
+
+
 def test_config_seed_bounds_inclusive():
     SimulationConfig(n=10, t=1.0, sigma=1.0, reps=1, seed=0)
     SimulationConfig(n=10, t=1.0, sigma=1.0, reps=1, seed=2**128 - 1)
@@ -80,6 +87,12 @@ def _jumped_oracle(cfg):
     (3, 9, 2.0, Scheme.SQUARE_ALTERNATIVE, 0),
     (50, 300, 1.0, Scheme.GENERAL_POWER, 2**63 + 5),
     (1000, 20, 3.0, Scheme.GENERAL_POWER, 2**128 - 1),
+    # blocks of 65 rows: 65 + 65 + 20
+    (1000, 150, 1.0, Scheme.GENERAL_POWER, 11),
+    (10_000, 13, 2.0, Scheme.SQUARE_OPTIMAL, 2**64 + 3),
+    # one row per block
+    (2**16, 2, 3.0, Scheme.GENERAL_POWER, 0),
+    (70_000, 3, 2.0, Scheme.SQUARE_ALTERNATIVE, 2**128 - 1),
 ])
 def test_simulate_matches_jumped_oracle(n, reps, t, scheme, seed):
     cfg = SimulationConfig(n=n, t=t, sigma=1.0, reps=reps, seed=seed, scheme=scheme)
@@ -92,11 +105,41 @@ def test_simulate_matches_jumped_oracle(n, reps, t, scheme, seed):
     (50, 300, 2.0, Scheme.SQUARE_OPTIMAL, 7),
     (50, 300, 2.5, Scheme.GENERAL_POWER, 2**64 + 3),
     (1000, 20, 3.0, Scheme.GENERAL_POWER, 0),
+    (1000, 150, 2.0, Scheme.SQUARE_OPTIMAL, 2**128 - 1),
+    (10_000, 13, 2.5, Scheme.GENERAL_POWER, 5),
+    (2**16, 2, 1.0, Scheme.GENERAL_POWER, 2**63 + 5),
+    (70_000, 3, 3.0, Scheme.GENERAL_POWER, 7),
 ])
 def test_simulate_matches_jumped_oracle_sigma(n, reps, t, scheme, seed, sigma):
     # sigma scales each root after the maximum is taken; the oracle scales every draw
     cfg = SimulationConfig(n=n, t=t, sigma=sigma, reps=reps, seed=seed, scheme=scheme)
     assert np.array_equal(simulate_powered_maxima(cfg), _jumped_oracle(cfg))
+
+
+@pytest.mark.parametrize("t, scheme", [
+    (3, Scheme.GENERAL_POWER),
+    (2, Scheme.SQUARE_OPTIMAL),
+    (np.float64(2.5), Scheme.GENERAL_POWER),
+])
+def test_config_stores_float_t_and_sigma(t, scheme):
+    cfg = SimulationConfig(n=50, t=t, sigma=np.float32(1.5), reps=40, seed=3, scheme=scheme)
+    assert type(cfg.t) is float and cfg.t == t
+    assert type(cfg.sigma) is float and cfg.sigma == 1.5
+    assert np.array_equal(simulate_powered_maxima(cfg), _jumped_oracle(cfg))
+
+
+def test_simulate_peak_memory_is_one_block():
+    # the draws live in one reused block (at most 2**16 float64s), never in
+    # a (reps, n) matrix, which here would take 20 MB
+    cfg = SimulationConfig(n=10_000, t=1.0, sigma=1.0, reps=250, seed=1)
+    simulate_powered_maxima(SimulationConfig(n=10, t=1.0, sigma=1.0, reps=2, seed=1))
+    tracemalloc.start()
+    try:
+        simulate_powered_maxima(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**128 - 1])

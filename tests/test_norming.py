@@ -236,6 +236,23 @@ def test_unknown_scheme_is_configuration_error(scheme):
         assert isinstance(info.value, MaxextError)
 
 
+@pytest.mark.parametrize("t", [None, "abc", 1j, [2.0], object()])
+def test_non_numeric_power_is_domain_error(t):
+    base = solve_bn(25, 1.0)
+    calls = [
+        lambda: validate_scheme(t, Scheme.GENERAL_POWER),
+        lambda: powered_constants(base, t, Scheme.GENERAL_POWER),
+        lambda: cdf_approx(2, t, 0.5, base, Scheme.GENERAL_POWER),
+        lambda: pdf_approx(2, t, 0.5, base, Scheme.GENERAL_POWER),
+        lambda: SimulationConfig(n=10, t=t, sigma=1.0, reps=1, seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="power index t must be a real number") as info:
+            call()
+        assert isinstance(info.value, MaxextError)
+        assert "\n" not in str(info.value)
+
+
 def test_alternative_degenerates_below_sigma():
     fake = NormingBase(n=10, sigma=2.0, b_n=1.0, a_n=4.0)
     with pytest.raises(DegenerateError):
