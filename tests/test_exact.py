@@ -13,9 +13,11 @@ from maxext.exact import (
     abs_error_pdf,
     adjudicate_density_coeffs,
     compare_schemes,
+    default_scheme,
     error_table,
     exact_powered_cdf,
     exact_powered_pdf,
+    exact_unpowered_cdf,
     hall_rate_check,
     rate_diagnostic,
 )
@@ -253,3 +255,90 @@ def test_adjudication_x0_matches_both_variants():
     assert report.sup_dev_consistent[-1] == pytest.approx(
         report.sup_dev_classic[-1], rel=1e-12)
     assert report.sup_dev_consistent[-1] < 0.2
+
+
+# ------------------------------------------------------------ pinned bits
+# Each evaluator maps one grid call to {(n or "", field): value}, floats as
+# float.hex, so exact_bits.csv pins every bit of the exact layer.
+
+def _bits_error_table(kind, convention, t, sigma, x, ns):
+    rows = error_table(kind, t, x, sigma, ns, convention=convention)
+    return {(str(r.n), f): getattr(r, f).hex()
+            for r in rows for f in ("err1", "err2", "err3")}
+
+
+def _bits_per_n(result, fields):
+    return {(str(n), f): getattr(result, f)[i].hex()
+            for i, n in enumerate(result.ns) for f in fields}
+
+
+def _bits_rate(kind, convention, t, sigma, x, ns):
+    diag = rate_diagnostic(kind, t, x, sigma, ns)
+    out = _bits_per_n(diag, ("b_values", "errors", "scaled"))
+    out["", "slope"] = diag.slope.hex()
+    out["", "scaled_limit_prediction"] = diag.scaled_limit_prediction.hex()
+    return out
+
+
+def _bits_hall(kind, convention, t, sigma, x, ns):
+    chk = hall_rate_check(x, sigma, ns)
+    return _bits_per_n(chk, ("gaps", "leading", "ratios", "powered_err1"))
+
+
+def _bits_schemes(kind, convention, t, sigma, x, ns):
+    cmp = compare_schemes(x, sigma, ns)
+    out = _bits_per_n(cmp, ("optimal", "alternative"))
+    out["", "crossover_n"] = str(cmp.crossover_n)
+    return out
+
+
+def _bits_law(law):
+    def bits(kind, convention, t, sigma, x, ns):
+        out = {}
+        for n in ns:
+            pn = powered_constants(solve_bn(n, sigma), t, default_scheme(t))
+            value = law(n, t, x, pn, MaxwellParams(sigma), below_support="zero")
+            out[str(n), "value"] = value.hex()
+        return out
+    return bits
+
+
+def _bits_unpowered(kind, convention, t, sigma, x, ns):
+    return {(str(n), "value"): exact_unpowered_cdf(n, x, MaxwellParams(sigma)).hex()
+            for n in ns}
+
+
+EXACT_BITS = {
+    "error_table": _bits_error_table,
+    "rate_diagnostic": _bits_rate,
+    "hall_rate_check": _bits_hall,
+    "compare_schemes": _bits_schemes,
+    "exact_powered_cdf": _bits_law(exact_powered_cdf),
+    "exact_powered_pdf": _bits_law(exact_powered_pdf),
+    "exact_unpowered_cdf": _bits_unpowered,
+}
+
+
+def exact_bits_groups(rows):
+    """Group csv rows into one call each: (function, kind, convention, t, sigma, x)."""
+    groups = {}
+    for row in rows:
+        key = tuple(row[k] for k in ("function", "kind", "convention", "t", "sigma", "x"))
+        groups.setdefault(key, []).append(row)
+    for (function, kind, convention, t, sigma, x), group in groups.items():
+        ns = list(dict.fromkeys(int(r["n"]) for r in group if r["n"]))
+        yield group, EXACT_BITS[function](kind, convention, float(t), float(sigma),
+                                          float(x), ns)
+
+
+def test_exact_layer_bits_pinned(data_dir):
+    # exact_bits.csv holds float.hex values of error tables in both
+    # conventions, the grid diagnostics and the three exact laws (including
+    # points where the survival function rounds to 1), recorded before the
+    # exact layer was consolidated; the consolidation must not move a bit
+    with open(data_dir / "exact_bits.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 816
+    for group, got in exact_bits_groups(rows):
+        for row in group:
+            assert got[row["n"], row["field"]] == row["value"], row
