@@ -26,8 +26,6 @@ from .expansions import (
     hall_error_leading,
     pdf_approx,
     pdf_approx_tabulated,
-    tail_rep_components,
-    tail_rep_limit_constant,
 )
 from .maxwell import MaxwellParams
 from .montecarlo import SimulationConfig, ks_distance, simulate_powered_maxima
@@ -53,7 +51,7 @@ __all__ = [
     "Scheme", "NormingBase", "PoweredNorming", "HallConstants",
     "solve_bn", "powered_constants", "hall_constants", "hall_base",
     "cdf_approx", "pdf_approx", "cdf_approx_tabulated", "pdf_approx_tabulated",
-    "hall_error_leading", "tail_rep_components", "tail_rep_limit_constant",
+    "hall_error_leading",
     "ErrorRow", "exact_powered_cdf", "exact_powered_pdf",
     "abs_error_cdf", "abs_error_pdf", "error_table", "rate_diagnostic",
     "hall_rate_check", "compare_schemes", "adjudicate_density_coeffs",

@@ -1,14 +1,22 @@
 """Exact finite-n laws of powered maxima, error tables, and rate diagnostics.
 
-F^n is evaluated as exp(n * log1p(-survival)) so the result keeps full
-precision when the Maxwell cdf is within 1e-8 of one, which is the normal
-regime for every tabulated n.
+Every power F^m of the Maxwell cdf (m = n for the distribution laws, n - 1
+in the density) goes through one helper, `_cdf_power`, as
+exp(m * log1p(-survival)), so the result keeps full precision when the
+Maxwell cdf is within 1e-8 of one, which is the normal regime for every
+tabulated n.
+
+The two kinds, "cdf" and "pdf", differ only in which exact law,
+approximations and first-order coefficients they use. `_KINDS` maps each kind
+to those, and `error_table` and `rate_diagnostic` take them from it; any
+other kind is a ConfigurationError. The grid diagnostics convert their n
+grid through one check, `_check_grid`, so a non-integral n is a DomainError.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 from . import maxwell
 from .errors import ConfigurationError, DiagnosticsError, DomainError
@@ -28,6 +36,7 @@ from .norming import (
     NormingBase,
     PoweredNorming,
     Scheme,
+    _check_n,
     hall_base,
     hall_constants,
     powered_constants,
@@ -77,7 +86,7 @@ def default_scheme(t: float) -> Scheme:
     return Scheme.SQUARE_OPTIMAL if float(t) == 2.0 else Scheme.GENERAL_POWER
 
 
-def _powered_argument(t: float, x: float, pn: PoweredNorming, below_support: str):
+def _powered_argument(x: float, pn: PoweredNorming, below_support: str):
     y = pn.c_n * x + pn.d_n
     if y <= 0.0:
         if below_support == "zero":
@@ -88,6 +97,13 @@ def _powered_argument(t: float, x: float, pn: PoweredNorming, below_support: str
     return y
 
 
+def _cdf_power(sf: float, m) -> float:
+    """F^m = (1 - sf)^m through log1p; 0.0 where the survival sf rounds to 1."""
+    if sf >= 1.0:
+        return 0.0
+    return math.exp(m * math.log1p(-sf))
+
+
 def exact_powered_cdf(n: int, t: float, x: float, pn: PoweredNorming,
                       p: MaxwellParams, below_support: str = "error") -> float:
     """P(|M_n|^t <= c_n x + d_n) = F((c_n x + d_n)^{1/t})^n, evaluated stably.
@@ -95,27 +111,22 @@ def exact_powered_cdf(n: int, t: float, x: float, pn: PoweredNorming,
     Below the support edge (c_n x + d_n <= 0) the probability is raised as a
     domain error by default; pass below_support="zero" to map it to 0.
     """
-    y = _powered_argument(t, x, pn, below_support)
+    y = _powered_argument(x, pn, below_support)
     if y is None:
         return 0.0
-    delta = y ** (1.0 / t)
-    sf = maxwell.survival(delta, p)
-    if sf >= 1.0:
-        return 0.0
-    return math.exp(n * math.log1p(-sf))
+    return _cdf_power(maxwell.survival(y ** (1.0 / t), p), n)
 
 
 def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
                       p: MaxwellParams, below_support: str = "error") -> float:
     """Density of (|M_n|^t - d_n)/c_n at x: (n c_n / t) y^{1/t-1} F^{n-1}(y^{1/t}) f(y^{1/t})."""
-    y = _powered_argument(t, x, pn, below_support)
+    y = _powered_argument(x, pn, below_support)
     if y is None:
         return 0.0
     delta = y ** (1.0 / t)
-    sf = maxwell.survival(delta, p)
-    if sf >= 1.0:
+    f_pow = _cdf_power(maxwell.survival(delta, p), n - 1)
+    if f_pow == 0.0:  # also skips y^{1/t-1}, which can overflow where sf rounds to 1
         return 0.0
-    f_pow = math.exp((n - 1) * math.log1p(-sf))
     return n * pn.c_n / t * y ** (1.0 / t - 1.0) * f_pow * maxwell.pdf(delta, p)
 
 
@@ -133,6 +144,32 @@ def abs_error_pdf(order: int, n: int, t: float, x: float, pn: PoweredNorming,
     return abs(exact - pdf_approx(order, t, x, base, pn.scheme, consistent))
 
 
+class _KindLaws(NamedTuple):
+    exact: Callable[..., float]           # exact law of the normalized maximum
+    approx: Callable[..., float]          # order-k approximation, any scheme
+    tabulated: Callable[..., float]       # order-k approximation, golden tables
+    coeff1_square: Callable[..., float]   # first coefficient at t = 2
+    coeff1_general: Callable[..., float]  # first coefficient for general t
+    weight: Callable[[float], float]      # limit of err1 * b_n^k / |coefficient|
+
+
+_KINDS = {
+    "cdf": _KindLaws(exact_powered_cdf, cdf_approx, cdf_approx_tabulated, cdf_coeff1_square,
+                     cdf_coeff1_general, lambda x: math.exp(-x) * gumbel_cdf(x)),
+    "pdf": _KindLaws(exact_powered_pdf, pdf_approx, pdf_approx_tabulated, pdf_coeff1_square,
+                     pdf_coeff1_general, gumbel_pdf),
+}
+
+
+def _kind_laws(kind) -> _KindLaws:
+    try:
+        return _KINDS[kind]
+    except (KeyError, TypeError):
+        raise ConfigurationError(
+            f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}"
+        ) from None
+
+
 def error_table(kind: Kind, t: float, x: float, sigma: float,
                 n_grid: Sequence[int],
                 convention: str = "tabulated") -> list[ErrorRow]:
@@ -146,35 +183,24 @@ def error_table(kind: Kind, t: float, x: float, sigma: float,
     """
     if convention not in ("tabulated", "asymptotic"):
         raise ConfigurationError(f"unknown convention {convention!r}")
+    law = _kind_laws(kind)
     t = float(t)
     p = MaxwellParams(sigma)
     scheme = default_scheme(t)
-    if convention == "tabulated" and scheme is not Scheme.SQUARE_OPTIMAL:
-        raise ConfigurationError(
-            "the tabulated convention exists only for t = 2; use convention='asymptotic'"
-        )
+    if convention == "tabulated":
+        if scheme is not Scheme.SQUARE_OPTIMAL:
+            raise ConfigurationError(
+                "the tabulated convention exists only for t = 2; use convention='asymptotic'"
+            )
+        make_base, approx = hall_base, lambda k, base: law.tabulated(k, x, base)
+    else:
+        make_base, approx = solve_bn, lambda k, base: law.approx(k, t, x, base, scheme)
     rows = []
     for n in n_grid:
-        if convention == "tabulated":
-            base = hall_base(n, sigma)
-            pn = powered_constants(base, t, scheme)
-            exact = exact_powered_cdf(n, t, x, pn, p) if kind == "cdf" \
-                else exact_powered_pdf(n, t, x, pn, p)
-            if kind == "cdf":
-                approx = [cdf_approx_tabulated(k, x, base) for k in (1, 2, 3)]
-            else:
-                approx = [pdf_approx_tabulated(k, x, base) for k in (1, 2, 3)]
-        else:
-            base = solve_bn(n, sigma)
-            pn = powered_constants(base, t, scheme)
-            exact = exact_powered_cdf(n, t, x, pn, p) if kind == "cdf" \
-                else exact_powered_pdf(n, t, x, pn, p)
-            if kind == "cdf":
-                approx = [cdf_approx(k, t, x, base, scheme) for k in (1, 2, 3)]
-            else:
-                approx = [pdf_approx(k, t, x, base, scheme) for k in (1, 2, 3)]
-        rows.append(ErrorRow(n=int(n), err1=abs(exact - approx[0]),
-                             err2=abs(exact - approx[1]), err3=abs(exact - approx[2])))
+        base = make_base(n, sigma)
+        exact = law.exact(n, t, x, powered_constants(base, t, scheme), p)
+        err1, err2, err3 = [abs(exact - approx(k, base)) for k in (1, 2, 3)]
+        rows.append(ErrorRow(n=base.n, err1=err1, err2=err2, err3=err3))
     return rows
 
 
@@ -191,11 +217,12 @@ class RateDiagnostic:
     scaled_limit_prediction: float
 
 
-def _check_grid(n_grid: Sequence[int], decades: float = 3.0) -> list[int]:
-    ns = [int(n) for n in n_grid]
-    if len(ns) < 2 or min(ns) < 3:
-        raise DiagnosticsError("need at least two sample sizes, all >= 3")
-    if max(ns) / min(ns) < 10.0 ** decades:
+def _check_grid(n_grid: Sequence[int], min_len: int = 2, decades: float = 0.0) -> list[int]:
+    """The grid as ints: at least `min_len` (>= 1) integers >= 3 spanning `decades`."""
+    ns = [_check_n(n) for n in n_grid]
+    if len(ns) < min_len or min(ns) < 3:
+        raise DiagnosticsError(f"need {min_len} or more sample sizes, all >= 3")
+    if decades > 0 and max(ns) / min(ns) < 10.0 ** decades:
         raise DiagnosticsError(
             f"n grid must span at least {decades:g} decades, got {min(ns)}..{max(ns)}"
         )
@@ -212,7 +239,8 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
     """
     import numpy as np
 
-    ns = _check_grid(n_grid)
+    law = _kind_laws(kind)
+    ns = _check_grid(n_grid, decades=3.0)
     t = float(t)
     p = MaxwellParams(sigma)
     scheme = default_scheme(t)
@@ -221,21 +249,17 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
     for n in ns:
         base = solve_bn(n, sigma)
         pn = powered_constants(base, t, scheme)
-        if kind == "cdf":
-            err = abs(exact_powered_cdf(n, t, x, pn, p) - gumbel_cdf(x))
-        else:
-            err = abs(exact_powered_pdf(n, t, x, pn, p) - gumbel_pdf(x))
+        # the order-1 approximation is the Gumbel limit
+        err = abs(law.exact(n, t, x, pn, p) - law.approx(1, t, x, base, scheme))
         bs.append(base.b_n)
         errs.append(err)
         scaled.append(err * base.b_n ** power)
     slope = float(np.polyfit(np.log(bs), np.log(errs), 1)[0])
     if scheme is Scheme.SQUARE_OPTIMAL:
-        coeff = cdf_coeff1_square(x, sigma) if kind == "cdf" else pdf_coeff1_square(x, sigma)
+        coeff = law.coeff1_square(x, sigma)
     else:
-        coeff = cdf_coeff1_general(t, x, sigma) if kind == "cdf" \
-            else pdf_coeff1_general(t, x, sigma)
-    weight = math.exp(-x) * gumbel_cdf(x) if kind == "cdf" else gumbel_pdf(x)
-    prediction = abs(coeff) * weight
+        coeff = law.coeff1_general(t, x, sigma)
+    prediction = abs(coeff) * law.weight(x)
     return RateDiagnostic(ns=tuple(ns), b_values=tuple(bs), errors=tuple(errs),
                           scaled=tuple(scaled), slope=slope, scale_power=power,
                           scaled_limit_prediction=prediction)
@@ -259,9 +283,7 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
     so its first-order error must undercut the non-powered one, whose decay
     is only log(2 log n)^2 / (16 log n).
     """
-    ns = [int(n) for n in n_grid]
-    if not ns or min(ns) < 3:
-        raise DiagnosticsError("need sample sizes >= 3")
+    ns = _check_grid(n_grid, min_len=1)
     p = MaxwellParams(sigma)
     lam = gumbel_cdf(x)
     gaps, leads, ratios, powered = [], [], [], []
@@ -269,7 +291,7 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
         hc = hall_constants(n, sigma)
         fn = exact_unpowered_cdf(n, hc.a_hat * x + hc.b_hat, p)
         gap = fn - lam
-        lead = hall_error_leading(n, x, sigma)
+        lead = hall_error_leading(n, x)
         if lead == 0.0:
             raise DomainError(f"leading error term underflows to 0 at x = {x}; "
                               "the ratio gap / leading is undefined")
@@ -286,10 +308,7 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
 
 def exact_unpowered_cdf(n: int, y: float, p: MaxwellParams) -> float:
     """P(M_n <= y) = F(y)^n via the stable log1p route."""
-    sf = maxwell.survival(y, p)
-    if sf >= 1.0:
-        return 0.0
-    return math.exp(n * math.log1p(-sf))
+    return _cdf_power(maxwell.survival(y, p), n)
 
 
 @dataclass(frozen=True)
@@ -309,9 +328,7 @@ def compare_schemes(x: float, sigma: float, n_grid: Sequence[int]) -> SchemeComp
     overtakes the optimal scheme's (order b_n^-6 residual after the order-2
     correction) with a ratio growing like b_n^2.
     """
-    ns = [int(n) for n in n_grid]
-    if not ns or min(ns) < 3:
-        raise DiagnosticsError("need sample sizes >= 3")
+    ns = _check_grid(n_grid, min_len=1)
     p = MaxwellParams(sigma)
     opt, alt = [], []
     for n in ns:
@@ -388,9 +405,7 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
         raise ConfigurationError(
             "no adjudication exists at t = 2; the square-branch coefficient is unique"
         )
-    ns = [int(n) for n in n_grid]
-    if len(ns) < 2 or min(ns) < 3:
-        raise DiagnosticsError("need at least two sample sizes >= 3 for extrapolation")
+    ns = _check_grid(n_grid)
     xs = [float(v) for v in x_grid]
     if not xs:
         raise DiagnosticsError("empty x grid")

@@ -57,8 +57,6 @@ __all__ = [
     "cdf_approx_tabulated",
     "pdf_approx_tabulated",
     "hall_error_leading",
-    "tail_rep_components",
-    "tail_rep_limit_constant",
 ]
 
 
@@ -316,14 +314,12 @@ def pdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
 
 # ------------------------------------------------------------- diagnostics
 
-def hall_error_leading(n: int, x: float, sigma: float = 1.0) -> float:
+def hall_error_leading(n: int, x: float) -> float:
     """Leading error term Lambda(x) e^{-x} log(2 log n)^2 / (16 log n).
 
-    Describes the non-powered maximum under the closed-form constants; it is
-    scale-free (sigma only validates the parameter set).
+    Describes the non-powered maximum under the closed-form constants. It is
+    scale-free, so it takes no sigma.
     """
-    if sigma <= 0 or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be positive, got {sigma}")
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
     lam = gumbel_cdf(x)
@@ -331,28 +327,3 @@ def hall_error_leading(n: int, x: float, sigma: float = 1.0) -> float:
         return lam
     log_n = math.log(n)
     return lam * math.exp(-x) * math.log(2.0 * log_n) ** 2 / (16.0 * log_n)
-
-
-def tail_rep_components(t: float, x: float, sigma: float) -> tuple[float, float]:
-    """Auxiliary functions (g, f_aux) of the von Mises tail representation of X^t.
-
-    g -> 1 and f_aux' -> 0 as x -> infinity, certifying Gumbel domain
-    membership for every power index.
-    """
-    t = float(t)
-    if not (math.isfinite(t) and t > 0):
-        raise DomainError(f"power index t must be positive, got {t}")
-    x = float(x)
-    if math.isnan(x) or x <= 0.0:
-        raise DomainError(f"tail representation needs x > 0, got {x}")
-    s2 = sigma * sigma
-    if t == 2.0:
-        return 1.0 + s2 * s2 / (x * x), 2.0 * s2 * (1.0 + s2 / x)
-    return 1.0 - s2 * x ** (-2.0 / t), s2 * t * x ** (1.0 - 2.0 / t)
-
-
-def tail_rep_limit_constant(sigma: float) -> float:
-    """Limit of the tail-representation prefactor: (2/sigma) sqrt(2/pi) e^{-1/2sigma^2}."""
-    if sigma <= 0 or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    return 2.0 / sigma * math.sqrt(2.0 / math.pi) * math.exp(-0.5 / (sigma * sigma))

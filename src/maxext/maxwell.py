@@ -48,6 +48,16 @@ _SQRT2 = math.sqrt(2.0)
 _TAIL_COEFFS = (1.0, 1.0, -1.0, 3.0)
 
 
+def _check_sigma(s) -> float:
+    """sigma as a float; DomainError unless it is a positive finite real, not a bool."""
+    # numbers.Real also admits numpy scalars; testing for a float first skips
+    # its abstract-class lookup, which costs more than the rest of the check
+    real = type(s) is float or (not isinstance(s, bool) and isinstance(s, numbers.Real))
+    if not (real and math.isfinite(s) and s > 0):
+        raise DomainError(f"sigma must be a positive finite real, got {s!r}")
+    return float(s)
+
+
 @dataclass(frozen=True)
 class MaxwellParams:
     """Scale parameter of the Maxwell law."""
@@ -55,10 +65,7 @@ class MaxwellParams:
     sigma: float
 
     def __post_init__(self):
-        s = self.sigma
-        if not (isinstance(s, numbers.Real) and math.isfinite(s) and s > 0):
-            raise DomainError(f"sigma must be a positive finite real, got {s!r}")
-        object.__setattr__(self, "sigma", float(s))
+        object.__setattr__(self, "sigma", _check_sigma(self.sigma))
 
 
 def pdf(x: float, p: MaxwellParams) -> float:

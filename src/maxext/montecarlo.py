@@ -25,15 +25,13 @@ analytic subcommands) does not load it.
 """
 from __future__ import annotations
 
-import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import maxwell
 from .errors import ConfigurationError, DomainError
-from .maxwell import MaxwellParams
+from .maxwell import MaxwellParams, _check_sigma
 from .norming import Scheme, powered_constants, solve_bn, validate_scheme
 
 if TYPE_CHECKING:
@@ -70,12 +68,10 @@ class SimulationConfig:
             raise ConfigurationError(f"reps must be >= 1, got {self.reps}")
         if not 0 <= self.seed < 2**128:
             raise ConfigurationError(f"seed must be in [0, 2**128), got {self.seed}")
-        sigma = self.sigma
-        if isinstance(sigma, bool) or not isinstance(sigma, numbers.Real):
-            raise ConfigurationError(f"sigma must be a real number, got {sigma!r}")
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ConfigurationError(f"sigma must be positive, got {sigma}")
-        object.__setattr__(self, "sigma", float(sigma))
+        try:
+            object.__setattr__(self, "sigma", _check_sigma(self.sigma))
+        except DomainError as exc:
+            raise ConfigurationError(str(exc)) from None
         t, scheme = validate_scheme(self.t, self.scheme)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "scheme", scheme)

@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, DegenerateError, DomainError, NoRootError
+from .maxwell import _check_sigma
 
 __all__ = [
     "Scheme",
@@ -91,9 +92,7 @@ def _check_n(n) -> int:
 
 def _check_n_sigma(n, sigma):
     n = _check_n(n)
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise DomainError(f"sigma must be a positive finite real, got {sigma!r}")
+    sigma = _check_sigma(sigma)
     # the norming equation works with sigma^2; a subnormal or overflowing
     # square would silently wreck the root, so such sigma is out of domain
     if not sys.float_info.min <= sigma * sigma < math.inf:

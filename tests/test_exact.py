@@ -195,6 +195,28 @@ def test_rate_diagnostic_grid_validation():
         rate_diagnostic("cdf", 2.0, 0.7, 2.0, [10**6])
 
 
+@pytest.mark.parametrize("kind", ["CDF", "bogus", None, []])
+def test_unknown_kind_is_configuration_error(kind):
+    with pytest.raises(ConfigurationError, match="unknown kind"):
+        error_table(kind, 2.0, 0.7, 2.0, [25, 50])
+    with pytest.raises(ConfigurationError, match="unknown kind"):
+        rate_diagnostic(kind, 1.0, 0.7, 1.0, [10**4, 10**8])
+
+
+def test_non_integral_grid_point_is_domain_error():
+    grid = [10**4 + 0.5, 10**8]
+    for call in (lambda: rate_diagnostic("cdf", 1.0, 0.7, 1.0, grid),
+                 lambda: hall_rate_check(0.7, 1.0, grid),
+                 lambda: compare_schemes(0.7, 1.0, grid),
+                 lambda: adjudicate_density_coeffs(1.0, [0.0], 1.0, grid),
+                 lambda: error_table("cdf", 1.0, 0.7, 1.0, grid, convention="asymptotic")):
+        with pytest.raises(DomainError):
+            call()
+    # integral floats and numpy integers are still read as ints
+    diag = rate_diagnostic("cdf", 1.0, 0.7, 1.0, [1e4, np.int64(10**8)])
+    assert diag.ns == (10**4, 10**8) and all(type(n) is int for n in diag.ns)
+
+
 def test_hall_rate_check_behaviour():
     chk = hall_rate_check(0.7, 1.0, [10**3, 10**4, 10**6, 10**8, 10**10])
     # finite-n reality: the gap is negative while the leading term is positive,

@@ -23,8 +23,6 @@ from maxext.expansions import (
     pdf_coeff2_square,
     square_alt_cdf_corrections,
     square_alt_pdf_corrections,
-    tail_rep_components,
-    tail_rep_limit_constant,
 )
 from maxext.norming import Scheme, solve_bn
 from maxext.special import gumbel_cdf, gumbel_pdf
@@ -331,37 +329,8 @@ def test_hall_error_leading():
         ref = gumbel_cdf(x) * math.exp(-x) / (8.0 * math.e)
         assert hall_error_leading(n, x) == pytest.approx(ref, rel=1e-13)
     assert hall_error_leading(10**6, 50.0) < 1e-22
-    assert hall_error_leading(10**6, 0.7, 1.0) == pytest.approx(
+    assert hall_error_leading(10**6, 0.7) == pytest.approx(
         gumbel_cdf(0.7) * math.exp(-0.7) * math.log(2 * math.log(10**6)) ** 2
         / (16 * math.log(10**6)), rel=1e-14)
     with pytest.raises(DomainError):
         hall_error_leading(2, 0.7)
-
-
-def test_tail_rep_components():
-    g, f_aux = tail_rep_components(2.0, 1.0, 1.0)
-    assert g == pytest.approx(2.0, abs=1e-15)
-    assert f_aux == pytest.approx(2.0 * (1.0 + 1.0), rel=1e-15)
-    g, f_aux = tail_rep_components(1.0, 9.0, 2.0)
-    assert g == pytest.approx(1.0 - 4.0 / 81.0, rel=1e-15)
-    assert f_aux == pytest.approx(4.0 / 9.0, rel=1e-15)
-    for t in (1.0, 2.0, 3.0):
-        g_far, _ = tail_rep_components(t, 1e9, 1.3)
-        assert abs(g_far - 1.0) < 1e-5
-        # von Mises condition: the auxiliary slope decays to zero
-        h = 1.0
-        d1 = (tail_rep_components(t, 1e3 + h, 1.3)[1]
-              - tail_rep_components(t, 1e3 - h, 1.3)[1]) / (2 * h)
-        d2 = (tail_rep_components(t, 1e8 + h, 1.3)[1]
-              - tail_rep_components(t, 1e8 - h, 1.3)[1]) / (2 * h)
-        assert abs(d2) < abs(d1) * 1e-2 or abs(d2) < 1e-12
-    with pytest.raises(DomainError):
-        tail_rep_components(2.0, -1.0, 1.0)
-    with pytest.raises(DomainError):
-        tail_rep_components(0.0, 1.0, 1.0)
-
-
-def test_tail_rep_limit_constant():
-    s = 1.7
-    ref = 2.0 / s * math.sqrt(2.0 / math.pi) * math.exp(-1.0 / (2.0 * s * s))
-    assert tail_rep_limit_constant(s) == pytest.approx(ref, rel=1e-15)

@@ -14,6 +14,7 @@ from maxext.errors import (
     NoRootError,
 )
 from maxext.expansions import cdf_approx, pdf_approx
+from maxext.maxwell import MaxwellParams
 from maxext.montecarlo import SimulationConfig
 from maxext.norming import (
     NormingBase,
@@ -110,6 +111,16 @@ def test_closed_form_constants_reject_unsquarable_sigma(sigma):
             fn(1000, sigma)
 
 
+@pytest.mark.parametrize("sigma", [None, "1", True, 1j, float("nan")])
+@pytest.mark.parametrize("fn", [
+    solve_bn, hall_constants, hall_base,
+    pytest.param(lambda n, sigma: MaxwellParams(sigma), id="MaxwellParams"),
+])
+def test_non_real_or_bool_sigma_is_domain_error(fn, sigma):
+    with pytest.raises(DomainError, match="sigma"):
+        fn(25, sigma)
+
+
 @pytest.mark.parametrize("n, sigma", [(1000, 1e-150), (1000, 1e150), (10**12, 1e153)])
 def test_sigma_near_square_limits_still_solves(n, sigma):
     base = solve_bn(n, sigma)
@@ -123,6 +134,7 @@ def test_numpy_scalar_n_accepted():
     for n in (np.int64(1000), np.int32(1000), np.uint16(1000), np.float32(1000.0)):
         base = solve_bn(n, np.float32(2.0))
         assert base == ref and type(base.n) is int
+    assert solve_bn(1000, np.int64(2)) == ref
     assert hall_constants(np.int64(1000)) == hall_constants(1000)
     for bad in (True, np.True_, 1000.5, np.float64(1000.5), "1000"):
         with pytest.raises(DomainError):
