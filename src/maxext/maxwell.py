@@ -53,7 +53,11 @@ def _check_sigma(s) -> float:
     # numbers.Real also admits numpy scalars; testing for a float first skips
     # its abstract-class lookup, which costs more than the rest of the check
     real = type(s) is float or (not isinstance(s, bool) and isinstance(s, numbers.Real))
-    if not (real and math.isfinite(s) and s > 0):
+    try:
+        ok = real and math.isfinite(s) and s > 0
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise DomainError(f"sigma must be a positive finite real, got {s!r}")
     return float(s)
 

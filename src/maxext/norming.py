@@ -230,13 +230,20 @@ def validate_scheme(t: float, scheme: Scheme) -> tuple[float, Scheme]:
 
 
 def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNorming:
-    """Construct (c_n, d_n) for |M_n|^t from solved base constants."""
+    """Construct (c_n, d_n) for |M_n|^t from solved base constants.
+
+    Raises DomainError where c_n or d_n overflows, or c_n underflows to zero
+    (a large t, or an extreme b_n or sigma).
+    """
     t, scheme = validate_scheme(t, scheme)
     b = base.b_n
     s2 = base.sigma * base.sigma
     if scheme is Scheme.GENERAL_POWER:
-        c = s2 * t * b ** (t - 2.0)
-        d = b**t
+        try:
+            c = s2 * t * b ** (t - 2.0)
+            d = b**t
+        except OverflowError:  # float ** float raises instead of returning inf
+            c = d = math.inf
     elif scheme is Scheme.SQUARE_OPTIMAL:
         c = 2.0 * s2 * (1.0 + s2 / (b * b))
         d = b * b + 2.0 * s2 * s2 / (b * b)
@@ -247,4 +254,9 @@ def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNor
             raise DegenerateError(
                 f"alternative square constants degenerate: c_n = {c} <= 0 at b_n = {b}"
             )
+    if not (0.0 < c < math.inf and math.isfinite(d)):
+        raise DomainError(
+            f"powered constants out of range at b_n = {b!r}, t = {t}: "
+            f"c_n = {c!r}, d_n = {d!r}; need 0 < c_n and both finite"
+        )
     return PoweredNorming(t=t, scheme=scheme, c_n=c, d_n=d)

@@ -233,3 +233,15 @@ def test_extreme_sigma_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"maxext {argv[0]}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--n", "1000000000000000000000000000000", "--sigma", "1", "--t", "300"],
+    ["constants", "--n", "1000", "--sigma", "1e100", "--t", "2"],
+    ["simulate", "--n", "100", "--reps", "3", "--sigma", "1e-150", "--t", "300"],
+])
+def test_out_of_range_powered_constants_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"maxext {argv[0]}: powered constants out of range")
+    assert len(err.splitlines()) == 1

@@ -48,3 +48,29 @@ def test_numpy_and_scipy_load_only_on_demand():
                           text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+SERIAL_SCRIPT = r'''
+import sys
+
+from maxext.montecarlo import SimulationConfig, simulate_powered_maxima
+
+simulate_powered_maxima(SimulationConfig(n=10, t=1.0, sigma=1.0, reps=2, seed=1))
+before = set(sys.modules)
+# below the thread threshold: the rep loop runs in the calling thread
+simulate_powered_maxima(SimulationConfig(n=1000, t=2.0, sigma=1.0, reps=200, seed=7,
+                                         scheme="square-optimal"))
+assert set(sys.modules) == before, sorted(set(sys.modules) - before)
+assert "concurrent.futures" not in sys.modules
+print("ok")
+'''
+
+
+def test_serial_simulate_imports_nothing_new():
+    src = str(pathlib.Path(maxext.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SERIAL_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

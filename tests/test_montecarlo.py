@@ -1,10 +1,12 @@
 """Simulation determinism, substream independence, and KS machinery."""
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from maxext import maxwell, montecarlo
 from maxext.errors import ConfigurationError, DomainError
 from maxext.maxwell import MaxwellParams, sample
 from maxext.montecarlo import (
@@ -56,7 +58,8 @@ def test_config_rejects_bad_integer_fields(field, value):
         SimulationConfig(**kwargs)
 
 
-@pytest.mark.parametrize("sigma", ["1", True, None, 1j])
+@pytest.mark.parametrize("sigma", ["1", True, None, 1j,
+                                   pytest.param(10**400, id="10**400")])
 def test_config_rejects_non_real_sigma(sigma):
     with pytest.raises(ConfigurationError, match="sigma"):
         SimulationConfig(n=10, t=1.0, sigma=sigma, reps=1, seed=0)
@@ -116,6 +119,85 @@ def test_simulate_matches_jumped_oracle_sigma(n, reps, t, scheme, seed, sigma):
     assert np.array_equal(simulate_powered_maxima(cfg), _jumped_oracle(cfg))
 
 
+@pytest.fixture
+def force_workers(monkeypatch):
+    """Split reps over k threads from n = 3 up, whatever this host's CPU count."""
+    def force(k):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: k)
+        monkeypatch.setattr(montecarlo, "_THREAD_MIN_N", 3)
+    return force
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+@pytest.mark.parametrize("sigma", [1.0, 1.7])
+@pytest.mark.parametrize("n, reps, t, scheme, seed", [
+    # fewer reps than workers
+    (3, 1, 3.0, Scheme.GENERAL_POWER, 2**128 - 1),
+    (50, 2, 2.0, Scheme.SQUARE_OPTIMAL, 7),
+    # 299 reps split unevenly over 2, 3 and 7 workers
+    (50, 299, 2.5, Scheme.GENERAL_POWER, 2**64 + 3),
+    # ranges that span several of their worker's blocks
+    (1000, 150, 1.0, Scheme.GENERAL_POWER, 11),
+    (10_000, 13, 2.0, Scheme.SQUARE_OPTIMAL, 2**64 + 3),
+    # one row per block
+    (70_000, 3, 2.0, Scheme.SQUARE_ALTERNATIVE, 2**128 - 1),
+])
+def test_simulate_matches_jumped_oracle_any_workers(force_workers, n, reps, t, scheme,
+                                                    seed, sigma, workers):
+    force_workers(workers)
+    cfg = SimulationConfig(n=n, t=t, sigma=sigma, reps=reps, seed=seed, scheme=scheme)
+    assert np.array_equal(simulate_powered_maxima(cfg), _jumped_oracle(cfg))
+
+
+@pytest.mark.parametrize("n, reps, cpus, ranges", [
+    # below the threshold, or on one CPU, every rep runs in the calling thread
+    (2**10 - 1, 300, 7, [(0, 300)]),
+    (2**10, 10, 1, [(0, 10)]),
+    # never more workers than reps
+    (2**10, 2, 7, [(0, 1), (1, 2)]),
+    (2**10, 10, 3, [(0, 3), (3, 6), (6, 10)]),
+])
+def test_reps_split_into_one_range_per_worker(monkeypatch, n, reps, cpus, ranges):
+    calls = []
+    range_maxima = montecarlo._range_maxima
+
+    def spy(seed, lo, hi, *args):
+        calls.append(((lo, hi), threading.current_thread() is threading.main_thread()))
+        return range_maxima(seed, lo, hi, *args)
+
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "_range_maxima", spy)
+    simulate_powered_maxima(SimulationConfig(n=n, t=1.0, sigma=1.0, reps=reps, seed=5))
+    assert sorted(r for r, _ in calls) == ranges
+    assert all(main is (len(ranges) == 1) for _, main in calls)
+
+
+def test_worker_error_reaches_caller(monkeypatch, capsys, force_workers):
+    # the first block to be rooted, in whichever worker gets there first, fails
+    force_workers(3)
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    lock = threading.Lock()
+    calls = []
+    row_maxima = maxwell.row_maxima
+
+    def failing(block, p):
+        with lock:
+            calls.append(None)
+            first = len(calls) == 1
+        if first:
+            raise RuntimeError("worker failed")
+        return row_maxima(block, p)
+
+    monkeypatch.setattr(maxwell, "row_maxima", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="worker failed"):
+        simulate_powered_maxima(SimulationConfig(n=1000, t=1.0, sigma=1.0, reps=150, seed=1))
+    assert [th for th in threading.enumerate() if th not in before] == []
+    assert hooked == []
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("t, scheme", [
     (3, Scheme.GENERAL_POWER),
     (2, Scheme.SQUARE_OPTIMAL),
@@ -133,6 +215,21 @@ def test_simulate_peak_memory_is_one_block():
     # a (reps, n) matrix, which here would take 20 MB
     cfg = SimulationConfig(n=10_000, t=1.0, sigma=1.0, reps=250, seed=1)
     simulate_powered_maxima(SimulationConfig(n=10, t=1.0, sigma=1.0, reps=2, seed=1))
+    tracemalloc.start()
+    try:
+        simulate_powered_maxima(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_simulate_peak_memory_is_one_block_across_workers(monkeypatch):
+    # four workers share the one block's budget, 2 rows of 2**13 draws each
+    # (512 KiB in all); a full block per worker would take 2 MiB
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 4)
+    cfg = SimulationConfig(n=2**13, t=1.0, sigma=1.0, reps=250, seed=1)
+    simulate_powered_maxima(SimulationConfig(n=2**10, t=1.0, sigma=1.0, reps=4, seed=1))
     tracemalloc.start()
     try:
         simulate_powered_maxima(cfg)

@@ -111,7 +111,8 @@ def test_closed_form_constants_reject_unsquarable_sigma(sigma):
             fn(1000, sigma)
 
 
-@pytest.mark.parametrize("sigma", [None, "1", True, 1j, float("nan")])
+@pytest.mark.parametrize("sigma", [None, "1", True, 1j, float("nan"),
+                                   pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize("fn", [
     solve_bn, hall_constants, hall_base,
     pytest.param(lambda n, sigma: MaxwellParams(sigma), id="MaxwellParams"),
@@ -269,6 +270,18 @@ def test_alternative_degenerates_below_sigma():
     fake = NormingBase(n=10, sigma=2.0, b_n=1.0, a_n=4.0)
     with pytest.raises(DegenerateError):
         powered_constants(fake, 2.0, Scheme.SQUARE_ALTERNATIVE)
+
+
+@pytest.mark.parametrize("n, sigma, t, scheme", [
+    (10**30, 1.0, 300.0, Scheme.GENERAL_POWER),  # b ** (t - 2) overflows
+    (10**300, 1.0, 196.25, Scheme.GENERAL_POWER),  # only d_n = b ** t overflows
+    (1000, 1e100, 2.0, Scheme.SQUARE_OPTIMAL),  # sigma^4 overflows in d_n
+    (100, 1e-150, 300.0, Scheme.GENERAL_POWER),  # c_n underflows to zero
+])
+def test_powered_constants_out_of_range_is_domain_error(n, sigma, t, scheme):
+    base = solve_bn(n, sigma)
+    with pytest.raises(DomainError, match="powered constants out of range"):
+        powered_constants(base, t, scheme)
 
 
 def test_schemes_converge_together():
