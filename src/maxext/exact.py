@@ -11,6 +11,9 @@ approximations and first-order coefficients they use. `_KINDS` maps each kind
 to those, and `error_table` and `rate_diagnostic` take them from it; any
 other kind is a ConfigurationError. The grid diagnostics convert their n
 grid through one check, `_check_grid`, so a non-integral n is a DomainError.
+Both line fits, the rate slope and the adjudication limits, go through
+`_fit`, which solves least squares exactly in Python ints; no function here
+imports numpy.
 """
 from __future__ import annotations
 
@@ -218,15 +221,51 @@ class RateDiagnostic:
 
 
 def _check_grid(n_grid: Sequence[int], min_len: int = 2, decades: float = 0.0) -> list[int]:
-    """The grid as ints: at least `min_len` (>= 1) integers >= 3 spanning `decades`."""
+    """The grid as ints: `min_len` (>= 1) or more distinct integers >= 3 spanning `decades`."""
     ns = [_check_n(n) for n in n_grid]
-    if len(ns) < min_len or min(ns) < 3:
-        raise DiagnosticsError(f"need {min_len} or more sample sizes, all >= 3")
+    if len(set(ns)) < min_len or min(ns) < 3:
+        raise DiagnosticsError(f"need {min_len} or more distinct sample sizes, all >= 3")
     if decades > 0 and max(ns) / min(ns) < 10.0 ** decades:
         raise DiagnosticsError(
             f"n grid must span at least {decades:g} decades, got {min(ns)}..{max(ns)}"
         )
     return ns
+
+
+def _dyadic(vs: Sequence[float]) -> tuple[list[int], int]:
+    """Integers m_i and one shift a with vs[i] == m_i / 2**a exactly."""
+    ratios = [v.as_integer_ratio() for v in vs]  # every denominator is a power of 2
+    a = max(d.bit_length() for _, d in ratios) - 1
+    return [m << (a + 1 - d.bit_length()) for m, d in ratios], a
+
+
+def _nearest(num: int, den: int) -> float:
+    """num / den (den > 0) rounded to the nearest float, +-inf beyond float range."""
+    try:
+        return num / den  # int / int rounds correctly
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Least-squares line through the points (xs[i], ys[i]): (slope, intercept).
+
+    Each result is the exact least-squares value rounded once to the nearest
+    float (+-inf beyond float range): with every x an integer over 2**a and
+    every y one over 2**c, the normal equations hold in Python ints.
+    DiagnosticsError unless the points are finite and have two or more
+    distinct x.
+    """
+    if not all(map(math.isfinite, [*xs, *ys])):
+        raise DiagnosticsError("cannot fit a line through non-finite points")
+    if len(set(xs)) < 2:
+        raise DiagnosticsError("cannot fit a line through fewer than two distinct x")
+    (X, a), (Y, c) = _dyadic(xs), _dyadic(ys)
+    k, sx, sy = len(X), sum(X), sum(Y)
+    sxx = sum(v * v for v in X)
+    sxy = sum(u * v for u, v in zip(X, Y))
+    den = (k * sxx - sx * sx) << c  # > 0 for two or more distinct x
+    return _nearest((k * sxy - sx * sy) << a, den), _nearest(sy * sxx - sx * sxy, den)
 
 
 def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
@@ -235,10 +274,10 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
 
     The error decays like b_n^-2 for general power index and b_n^-4 at t = 2
     under the optimal scheme; the scaled sequence err1 * b_n^k approaches
-    |first coefficient| * Lambda(x) (cdf) or * Lambda'(x) (pdf).
+    |first coefficient| * Lambda(x) (cdf) or * Lambda'(x) (pdf). The slope is
+    that of the exact least-squares line through (log b_n, log err1),
+    correctly rounded; an error of 0, which has no log, is a DiagnosticsError.
     """
-    import numpy as np
-
     law = _kind_laws(kind)
     ns = _check_grid(n_grid, decades=3.0)
     t = float(t)
@@ -251,10 +290,13 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
         pn = powered_constants(base, t, scheme)
         # the order-1 approximation is the Gumbel limit
         err = abs(law.exact(n, t, x, pn, p) - law.approx(1, t, x, base, scheme))
+        if err == 0.0:
+            raise DiagnosticsError(f"first-order error is 0 at n = {n}, x = {x}; "
+                                   "the log-log slope is undefined")
         bs.append(base.b_n)
         errs.append(err)
         scaled.append(err * base.b_n ** power)
-    slope = float(np.polyfit(np.log(bs), np.log(errs), 1)[0])
+    slope = _fit([math.log(b) for b in bs], [math.log(e) for e in errs])[0]
     if scheme is Scheme.SQUARE_OPTIMAL:
         coeff = law.coeff1_square(x, sigma)
     else:
@@ -396,10 +438,11 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
     b_n^-2 to its large-n limit; the winner is the variant whose sup-norm
     deviation from that limit falls below `threshold` relative to its own
     sup-norm (and both per-n deviation sequences are reported so the
-    "tends to zero" trend is visible).
+    "tends to zero" trend is visible). Each limit is the intercept of the
+    exact least-squares line in b_n^-2, correctly rounded. The n grid needs
+    two or more distinct sample sizes, and Lambda'(x) must not underflow to 0
+    at any grid x.
     """
-    import numpy as np
-
     t = float(t)
     if t == 2.0:
         raise ConfigurationError(
@@ -409,6 +452,10 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
     xs = [float(v) for v in x_grid]
     if not xs:
         raise DiagnosticsError("empty x grid")
+    dens = [gumbel_pdf(x) for x in xs]
+    if 0.0 in dens:
+        raise DomainError(f"Lambda'(x) underflows to 0 at x = {xs[dens.index(0.0)]}; "
+                          "the scaled residual is undefined")
     p = MaxwellParams(sigma)
     scheme = default_scheme(t)
     us, R = [], []
@@ -417,17 +464,13 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
         pn = powered_constants(base, t, scheme)
         b2 = base.b_n * base.b_n
         us.append(1.0 / b2)
-        R.append([
-            (exact_powered_pdf(n, t, x, pn, p) / gumbel_pdf(x) - 1.0) * b2 for x in xs
-        ])
+        R.append([(exact_powered_pdf(n, t, x, pn, p) / d - 1.0) * b2 for x, d in zip(xs, dens)])
     cons = [pdf_coeff1_general(t, x, sigma, consistent=True) for x in xs]
     clas = [pdf_coeff1_general(t, x, sigma, consistent=False) for x in xs]
     sup_c = tuple(max(abs(R[i][j] - cons[j]) for j in range(len(xs))) for i in range(len(ns)))
     sup_p = tuple(max(abs(R[i][j] - clas[j]) for j in range(len(xs))) for i in range(len(ns)))
     # pointwise linear extrapolation in u = b_n^-2 to u -> 0
-    u_arr = np.asarray(us)
-    limits = [float(np.polyfit(u_arr, [R[i][j] for i in range(len(ns))], 1)[1])
-              for j in range(len(xs))]
+    limits = [_fit(us, [row[j] for row in R])[1] for j in range(len(xs))]
     dev_c = max(abs(l - v) for l, v in zip(limits, cons))
     dev_p = max(abs(l - v) for l, v in zip(limits, clas))
     rel_c = dev_c / max(abs(v) for v in cons)

@@ -58,7 +58,9 @@ def _check_sigma(s) -> float:
     except OverflowError:  # an int too large for a float
         ok = False
     if not ok:
-        raise DomainError(f"sigma must be a positive finite real, got {s!r}")
+        import reprlib  # shortens huge ints and long strings in the message
+
+        raise DomainError(f"sigma must be a positive finite real, got {reprlib.repr(s)}")
     return float(s)
 
 

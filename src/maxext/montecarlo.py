@@ -20,14 +20,15 @@ power for t != 1 (numpy 2.4). The bytes are those of
 ``sample(substream(seed, i), p, n).max()`` for each rep i.
 
 From n = ``_THREAD_MIN_N`` up, the reps are split into contiguous ranges, one
-per CPU the process may run on (never more than reps), and each range runs
+per CPU the process may run on (never more than reps, and never so many that
+a range holds fewer than ``_THREAD_MIN_DRAWS`` draws), and each range runs
 that loop in its own thread with its own generator and block; numpy releases
 the GIL while it draws. The blocks share the budget of ``_BLOCK_SIZE``
 float64s: each holds ``max(1, _BLOCK_SIZE // (n * workers))`` rows. Since a
 rep's draws depend only on its counter, and the caller joins the ranges in
 rep order before it applies the power and the norming, the output bytes are
-the same for any number of threads. Below the threshold, and on one CPU, the
-loop runs once over all reps in the calling thread.
+the same for any number of threads. Below either threshold, and on one CPU,
+the loop runs once over all reps in the calling thread.
 
 numpy is imported inside the functions that use it, once per call, so
 importing this module (and the CLI's analytic subcommands) does not load it.
@@ -99,6 +100,15 @@ _BLOCK_SIZE = 2**16
 # n = 1024 to 10**4.
 _THREAD_MIN_N = 2**10
 
+# Fewest draws each thread of `simulate_powered_maxima` must make: fewer
+# workers are used where n * reps would give one of them less. Starting and
+# joining the threads costs about 0.2 ms warm: on 2 cores (median of 31
+# alternating calls at n = 1024, 4096 and 16384), 2 threads ran 0.73-0.90x as
+# fast as one at 16384 and 32768 draws each, 0.86-1.38x at 49152, and
+# 1.05-1.52x from 65536 to 131072. The first threaded call in a process also
+# imports concurrent.futures, about 5 ms.
+_THREAD_MIN_DRAWS = 2**16
+
 
 def _counter(rep: int) -> list[int]:
     """Philox counter words of substream `rep`: the counter ``rep * 2**128``."""
@@ -159,7 +169,9 @@ def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
     pn = powered_constants(base, cfg.t, cfg.scheme)
     p = MaxwellParams(cfg.sigma)
     n, reps, t, d, c = cfg.n, cfg.reps, cfg.t, pn.d_n, pn.c_n
-    workers = min(_cpus(), reps) if n >= _THREAD_MIN_N else 1
+    workers = 1
+    if n >= _THREAD_MIN_N:
+        workers = max(1, min(_cpus(), reps, n * reps // _THREAD_MIN_DRAWS))
     rows = max(1, _BLOCK_SIZE // (n * workers))
     if workers == 1:
         maxima = _range_maxima(cfg.seed, 0, reps, n, rows, p)

@@ -245,3 +245,15 @@ def test_out_of_range_powered_constants_exit_2(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith(f"maxext {argv[0]}: powered constants out of range")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rate", "--t", "2", "--x", "50"], "first-order error is 0 at n = 10000"),
+    (["adjudicate", "--n-grid", "1e6,1e6,1e6"], "need 2 or more distinct sample sizes"),
+    (["adjudicate", "--x-min", "750", "--x-max", "751", "--x-step", "0.5"],
+     "Lambda'(x) underflows to 0 at x = 750.0"),
+])
+def test_undefined_fit_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"maxext {argv[0]}: {message}") and len(err.splitlines()) == 1

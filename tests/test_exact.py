@@ -1,14 +1,17 @@
 """Exact finite-n layer: golden spot rows, self-consistency, diagnostics."""
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from maxext.errors import ConfigurationError, DiagnosticsError, DomainError
 from maxext.exact import (
     ErrorRow,
+    _fit,
     abs_error_cdf,
     abs_error_pdf,
     adjudicate_density_coeffs,
@@ -195,6 +198,12 @@ def test_rate_diagnostic_grid_validation():
         rate_diagnostic("cdf", 2.0, 0.7, 2.0, [10**6])
 
 
+def test_rate_diagnostic_zero_error_is_diagnostics_error():
+    # far above the mode the first-order error is exactly 0, which has no log
+    with pytest.raises(DiagnosticsError, match="first-order error is 0"):
+        rate_diagnostic("cdf", 2.0, 50.0, 2.0, [10**4, 10**8])
+
+
 @pytest.mark.parametrize("kind", ["CDF", "bogus", None, []])
 def test_unknown_kind_is_configuration_error(kind):
     with pytest.raises(ConfigurationError, match="unknown kind"):
@@ -271,12 +280,124 @@ def test_adjudication_pointwise_at_x2():
     assert hits == [True, False]
 
 
+@pytest.mark.parametrize("n_grid", [[10**6] * 3, [10**6, 10**6], [10**300, 10**300 + 1]])
+def test_adjudication_needs_two_distinct_b_n(n_grid):
+    # one distinct n, or distinct n with one b_n^-2, leave the limit undefined
+    with pytest.raises(DiagnosticsError):
+        adjudicate_density_coeffs(1.0, [0.0, 1.0], 1.0, n_grid)
+
+
+@pytest.mark.parametrize("sigma", [1.5e-154, 1e-150, 1e100, 1e152])
+def test_adjudication_is_scale_free_in_sigma(sigma):
+    # R and both coefficient variants scale with sigma^2, so the relative
+    # deviations and the winner must not depend on sigma, even where the
+    # slope in b_n^-2 is beyond float range
+    xs, ns = [-1.0, 0.5, 2.0], [10**6, 10**8, 10**10]
+    ref = adjudicate_density_coeffs(1.0, xs, 1.0, ns)
+    report = adjudicate_density_coeffs(1.0, xs, sigma, ns)
+    assert report.winner == ref.winner == "consistent"
+    assert report.rel_dev_consistent == pytest.approx(ref.rel_dev_consistent, rel=1e-6)
+    assert report.rel_dev_classic == pytest.approx(ref.rel_dev_classic, rel=1e-6)
+
+
+@pytest.mark.parametrize("xs", [[750.0, 750.5], [0.0, -800.0]])
+def test_adjudication_underflowing_gumbel_density_is_domain_error(xs):
+    with pytest.raises(DomainError, match="underflows to 0"):
+        adjudicate_density_coeffs(1.0, xs, 1.0, [10**6, 10**8])
+
+
 def test_adjudication_x0_matches_both_variants():
     # at x = 0 the variants coincide, so the scaled residual must sit near both
     report = adjudicate_density_coeffs(1.0, [0.0], 1.0, [10**6, 10**8])
     assert report.sup_dev_consistent[-1] == pytest.approx(
         report.sup_dev_classic[-1], rel=1e-12)
     assert report.sup_dev_consistent[-1] < 0.2
+
+
+# ------------------------------------------------------------ line fit
+
+def _round(q):
+    """A Fraction rounded to the nearest float, +-inf beyond float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def _fit_oracle(xs, ys):
+    """Cramer's rule on the normal equations in Fractions, each result rounded once."""
+    X, Y = [Fraction(v) for v in xs], [Fraction(v) for v in ys]
+    k, sx, sy = len(X), sum(X), sum(Y)
+    sxx = sum(x * x for x in X)
+    sxy = sum(x * y for x, y in zip(X, Y))
+    det = sxx * k - sx * sx
+    return _round((sxy * k - sx * sy) / det), _round((sxx * sy - sxy * sx) / det)
+
+
+# magnitudes from the subnormals up to about 1e300
+_wide_floats = st.builds(math.ldexp, st.integers(-2**53 + 1, 2**53 - 1),
+                         st.integers(-1100, 944))
+_dyadic_floats = st.builds(lambda m: m / 1024, st.integers(-2**20, 2**20))
+
+
+@settings(max_examples=300)
+@given(st.lists(_dyadic_floats, min_size=2, max_size=8, unique=True), _dyadic_floats,
+       _dyadic_floats)
+def test_fit_is_exact_on_collinear_dyadic_points(xs, slope, intercept):
+    # every product and sum here is exact in floats, so the points lie on the line
+    ys = [slope * x + intercept for x in xs]
+    assert _fit(xs, ys) == (slope, intercept)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_wide_floats, _wide_floats), min_size=2, max_size=8),
+       st.randoms(use_true_random=False))
+def test_fit_matches_fraction_oracle_in_any_order(points, rnd):
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    try:
+        expected = _fit_oracle(xs, ys)
+    except ZeroDivisionError:  # one distinct x
+        with pytest.raises(DiagnosticsError):
+            _fit(xs, ys)
+        return
+    assert _fit(xs, ys) == expected
+    rnd.shuffle(points)
+    assert _fit([p[0] for p in points], [p[1] for p in points]) == expected
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([1.0, 2.0], [0.0, math.inf]),
+    ([1.0, math.nan], [0.0, 1.0]),
+    ([-math.inf, 2.0], [0.0, 1.0]),
+    ([3.0, 3.0, 3.0], [0.0, 1.0, 2.0]),
+    ([3.0], [1.0]),
+    ([], []),
+])
+def test_fit_degenerate_points_are_diagnostics_errors(xs, ys):
+    with pytest.raises(DiagnosticsError):
+        _fit(xs, ys)
+
+
+def test_fit_rounds_out_of_range_slope_to_infinity():
+    assert _fit([0.0, 5e-324], [0.0, 1e300]) == (math.inf, 0.0)
+    assert _fit([0.0, 5e-324], [1.0, -1e300]) == (-math.inf, 1.0)
+
+
+def test_pinned_slopes_are_exact_least_squares(data_dir):
+    # each pinned rate slope is the correctly rounded least-squares slope
+    # through the logs of its pinned b_values and errors
+    with open(data_dir / "exact_bits.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["function"] == "rate_diagnostic"]
+    groups = {}
+    for row in rows:
+        key = tuple(row[k] for k in ("kind", "t", "sigma", "x"))
+        groups.setdefault(key, {}).setdefault(row["field"], []).append(
+            float.fromhex(row["value"]))
+    assert len(groups) == 16
+    for fields in groups.values():
+        xs = [math.log(b) for b in fields["b_values"]]
+        ys = [math.log(e) for e in fields["errors"]]
+        assert fields["slope"] == [_fit_oracle(xs, ys)[0]]
 
 
 # ------------------------------------------------------------ pinned bits
@@ -357,7 +478,9 @@ def test_exact_layer_bits_pinned(data_dir):
     # exact_bits.csv holds float.hex values of error tables in both
     # conventions, the grid diagnostics and the three exact laws (including
     # points where the survival function rounds to 1), recorded before the
-    # exact layer was consolidated; the consolidation must not move a bit
+    # exact layer was consolidated; the consolidation must not move a bit.
+    # The 16 rate slopes were re-recorded when the fit became the correctly
+    # rounded exact least-squares line
     with open(data_dir / "exact_bits.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 816

@@ -1,7 +1,9 @@
 """Import contract: the analytic layers and CLI paths load neither numpy nor scipy.
 
-numpy is needed only for sampling, ks_distance and the two polynomial fits,
-and scipy only for `maxwell.tail_remainder`; each is imported on first use.
+numpy is needed only for sampling and ks_distance, and scipy only for
+`maxwell.tail_remainder`; each is imported on first use. The line fits of
+`rate` and `adjudicate` are solved in exact integer arithmetic and need
+neither.
 The check runs in a fresh interpreter, because this test process has both
 packages loaded already.
 """
@@ -28,7 +30,8 @@ def loaded():
 
 assert loaded() == [], loaded()
 for argv in (["table", "--kind", "cdf"], ["bn", "--n", "25"], ["constants", "--n", "25"],
-             ["compare-schemes"], ["compare-hall"], ["plot-data", "--n", "500"]):
+             ["rate", "--t", "2"], ["compare-schemes"], ["compare-hall"], ["adjudicate"],
+             ["plot-data", "--n", "500"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     assert loaded() == [], (argv, loaded())
@@ -57,9 +60,11 @@ from maxext.montecarlo import SimulationConfig, simulate_powered_maxima
 
 simulate_powered_maxima(SimulationConfig(n=10, t=1.0, sigma=1.0, reps=2, seed=1))
 before = set(sys.modules)
-# below the thread threshold: the rep loop runs in the calling thread
+# below the thread thresholds on n and on draws per worker: the rep loop
+# runs in the calling thread
 simulate_powered_maxima(SimulationConfig(n=1000, t=2.0, sigma=1.0, reps=200, seed=7,
                                          scheme="square-optimal"))
+simulate_powered_maxima(SimulationConfig(n=2**12, t=1.0, sigma=1.0, reps=2, seed=7))
 assert set(sys.modules) == before, sorted(set(sys.modules) - before)
 assert "concurrent.futures" not in sys.modules
 print("ok")

@@ -125,6 +125,7 @@ def force_workers(monkeypatch):
     def force(k):
         monkeypatch.setattr(montecarlo, "_cpus", lambda: k)
         monkeypatch.setattr(montecarlo, "_THREAD_MIN_N", 3)
+        monkeypatch.setattr(montecarlo, "_THREAD_MIN_DRAWS", 1)
     return force
 
 
@@ -150,12 +151,19 @@ def test_simulate_matches_jumped_oracle_any_workers(force_workers, n, reps, t, s
 
 
 @pytest.mark.parametrize("n, reps, cpus, ranges", [
-    # below the threshold, or on one CPU, every rep runs in the calling thread
+    # below either threshold, or on one CPU, every rep runs in the calling thread
     (2**10 - 1, 300, 7, [(0, 300)]),
     (2**10, 10, 1, [(0, 10)]),
+    (2**10, 2, 7, [(0, 2)]),
+    (2**10, 10, 3, [(0, 10)]),
+    (2**12, 2, 7, [(0, 2)]),
+    (2**10, 2**7 - 1, 7, [(0, 127)]),
     # never more workers than reps
-    (2**10, 2, 7, [(0, 1), (1, 2)]),
-    (2**10, 10, 3, [(0, 3), (3, 6), (6, 10)]),
+    (2**16, 2, 7, [(0, 1), (1, 2)]),
+    (2**15, 10, 3, [(0, 3), (3, 6), (6, 10)]),
+    # never fewer than 2**16 draws per worker
+    (2**10, 2**7, 7, [(0, 64), (64, 128)]),
+    (2**14, 12, 7, [(0, 4), (4, 8), (8, 12)]),
 ])
 def test_reps_split_into_one_range_per_worker(monkeypatch, n, reps, cpus, ranges):
     calls = []
@@ -229,7 +237,7 @@ def test_simulate_peak_memory_is_one_block_across_workers(monkeypatch):
     # (512 KiB in all); a full block per worker would take 2 MiB
     monkeypatch.setattr(montecarlo, "_cpus", lambda: 4)
     cfg = SimulationConfig(n=2**13, t=1.0, sigma=1.0, reps=250, seed=1)
-    simulate_powered_maxima(SimulationConfig(n=2**10, t=1.0, sigma=1.0, reps=4, seed=1))
+    simulate_powered_maxima(SimulationConfig(n=2**10, t=1.0, sigma=1.0, reps=2**8, seed=1))
     tracemalloc.start()
     try:
         simulate_powered_maxima(cfg)

@@ -122,6 +122,18 @@ def test_non_real_or_bool_sigma_is_domain_error(fn, sigma):
         fn(25, sigma)
 
 
+@pytest.mark.parametrize("make", [
+    lambda sigma: MaxwellParams(sigma),
+    lambda sigma: solve_bn(25, sigma),
+    lambda sigma: SimulationConfig(n=10, t=1.0, sigma=sigma, reps=1, seed=0),
+], ids=["MaxwellParams", "solve_bn", "SimulationConfig"])
+def test_huge_sigma_message_is_one_short_line(make):
+    # the rejected value is abbreviated, not echoed with all 401 digits
+    with pytest.raises(MaxextError, match="^sigma must be a positive finite real, got 1000") as exc:
+        make(10**400)
+    assert len(str(exc.value)) < 100
+
+
 @pytest.mark.parametrize("n, sigma", [(1000, 1e-150), (1000, 1e150), (10**12, 1e153)])
 def test_sigma_near_square_limits_still_solves(n, sigma):
     base = solve_bn(n, sigma)
