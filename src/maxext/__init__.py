@@ -11,7 +11,6 @@ from .errors import (
 from .exact import (
     ErrorRow,
     abs_error_cdf,
-    abs_error_pdf,
     adjudicate_density_coeffs,
     compare_schemes,
     error_table,
@@ -53,7 +52,7 @@ __all__ = [
     "cdf_approx", "pdf_approx", "cdf_approx_tabulated", "pdf_approx_tabulated",
     "hall_error_leading",
     "ErrorRow", "exact_powered_cdf", "exact_powered_pdf",
-    "abs_error_cdf", "abs_error_pdf", "error_table", "rate_diagnostic",
+    "abs_error_cdf", "error_table", "rate_diagnostic",
     "hall_rate_check", "compare_schemes", "adjudicate_density_coeffs",
     "SimulationConfig", "simulate_powered_maxima", "ks_distance",
     "__version__",

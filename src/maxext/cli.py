@@ -17,7 +17,6 @@ import sys
 
 from . import exact, montecarlo
 from .errors import MaxextError
-from .expansions import cdf_approx, pdf_approx
 from .maxwell import MaxwellParams
 from .montecarlo import SimulationConfig, ks_distance, simulate_powered_maxima
 from .norming import Scheme, equation_residual, powered_constants, solve_bn
@@ -68,10 +67,9 @@ def _n_grid(text: str) -> list[int]:
             f"expected comma-separated finite numbers, got {text!r}") from None
 
 
-def _scheme_for(t: float, name: str | None) -> Scheme:
-    if name is None or name == "auto":
-        return exact.default_scheme(t)
-    return Scheme(name)
+def _scheme_for(t: float, name: str) -> Scheme | str:
+    # validate_scheme, behind every caller, resolves any other name
+    return exact.default_scheme(t) if name == "auto" else name
 
 
 class _UsageError(Exception):
@@ -99,9 +97,8 @@ def _cmd_bn(args) -> list[str]:
 
 
 def _cmd_constants(args) -> list[str]:
-    scheme = _scheme_for(args.t, args.scheme)
     base = solve_bn(args.n, args.sigma)
-    pn = powered_constants(base, args.t, scheme)
+    pn = powered_constants(base, args.t, _scheme_for(args.t, args.scheme))
     return [
         "n,sigma,t,scheme,c_n,d_n,b_n",
         ",".join([_fmt(args.n), _fmt(args.sigma), _fmt(pn.t), pn.scheme.value,
@@ -142,9 +139,10 @@ def _cmd_compare_schemes(args) -> list[str]:
     cross = "" if cmp.crossover_n is None else _fmt(cmp.crossover_n)
     lines = ["n,optimal_err2,alternative_err2,ratio,crossover_n"]
     for i, n in enumerate(cmp.ns):
-        ratio = cmp.alternative[i] / cmp.optimal[i]
+        # an order-2 error of exactly 0 (far above the mode) has no ratio
+        ratio = "" if cmp.optimal[i] == 0.0 else _fmt(cmp.alternative[i] / cmp.optimal[i])
         lines.append(",".join([_fmt(n), _fmt(cmp.optimal[i]), _fmt(cmp.alternative[i]),
-                               _fmt(ratio), cross]))
+                               ratio, cross]))
     return lines
 
 
@@ -165,9 +163,8 @@ def _cmd_adjudicate(args) -> list[str]:
 
 
 def _cmd_simulate(args) -> list[str]:
-    scheme = _scheme_for(args.t, args.scheme)
     cfg = SimulationConfig(n=args.n, t=args.t, sigma=args.sigma, reps=args.reps,
-                           seed=args.seed, scheme=scheme)
+                           seed=args.seed, scheme=_scheme_for(args.t, args.scheme))
     values = simulate_powered_maxima(cfg)
     ks = ks_distance(values, gumbel_cdf)
     lines = ["n,t,sigma,scheme,reps,seed,ks_gumbel,mean,std"]
@@ -179,18 +176,14 @@ def _cmd_simulate(args) -> list[str]:
 
 def _cmd_plot_data(args) -> list[str]:
     xs = _x_grid(args.x_min, args.x_max, args.x_step)
-    scheme = _scheme_for(args.t, args.scheme)
     base = solve_bn(args.n, args.sigma)
-    pn = powered_constants(base, args.t, scheme)
+    pn = powered_constants(base, args.t, _scheme_for(args.t, args.scheme))
     p = MaxwellParams(args.sigma)
+    law = exact._kind_laws(args.kind)
     lines = ["x,exact,order1,order2,order3"]
     for x in xs:
-        if args.kind == "cdf":
-            ex = exact.exact_powered_cdf(args.n, args.t, x, pn, p, below_support="zero")
-            approx = [cdf_approx(k, args.t, x, base, scheme) for k in (1, 2, 3)]
-        else:
-            ex = exact.exact_powered_pdf(args.n, args.t, x, pn, p, below_support="zero")
-            approx = [pdf_approx(k, args.t, x, base, scheme) for k in (1, 2, 3)]
+        ex = law.exact(args.n, args.t, x, pn, p, below_support="zero")
+        approx = [law.approx(k, args.t, x, base, pn.scheme) for k in (1, 2, 3)]
         lines.append(",".join([_fmt(x), _fmt(ex)] + [_fmt(a) for a in approx]))
     return lines
 

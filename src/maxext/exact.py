@@ -44,8 +44,9 @@ from .norming import (
     hall_constants,
     powered_constants,
     solve_bn,
+    validate_scheme,
 )
-from .special import gumbel_cdf, gumbel_pdf
+from .special import _reject_nan, gumbel_cdf, gumbel_pdf
 
 __all__ = [
     "ErrorRow",
@@ -56,13 +57,13 @@ __all__ = [
     "exact_powered_cdf",
     "exact_powered_pdf",
     "abs_error_cdf",
-    "abs_error_pdf",
     "error_table",
     "rate_diagnostic",
     "hall_rate_check",
     "compare_schemes",
     "adjudicate_density_coeffs",
     "default_scheme",
+    "ADJUDICATION_THRESHOLD",
 ]
 
 Kind = Literal["cdf", "pdf"]
@@ -85,11 +86,13 @@ class ErrorRow:
 
 
 def default_scheme(t: float) -> Scheme:
-    """Square-optimal at t = 2, general-power otherwise."""
-    return Scheme.SQUARE_OPTIMAL if float(t) == 2.0 else Scheme.GENERAL_POWER
+    """Square-optimal at t = 2, general-power otherwise; DomainError for a non-real t."""
+    return Scheme.SQUARE_OPTIMAL if _reject_nan(t, "power index t") == 2.0 else Scheme.GENERAL_POWER
 
 
 def _powered_argument(x: float, pn: PoweredNorming, below_support: str):
+    if type(x) is not float:  # a float needs no conversion; NaN fails in survival
+        x = _reject_nan(x, "x")
     y = pn.c_n * x + pn.d_n
     if y <= 0.0:
         if below_support == "zero":
@@ -134,17 +137,10 @@ def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
 
 
 def abs_error_cdf(order: int, n: int, t: float, x: float, pn: PoweredNorming,
-                  base: NormingBase, p: MaxwellParams, consistent: bool = True) -> float:
+                  base: NormingBase, p: MaxwellParams) -> float:
     """|exact - order-k distribution approximation|."""
     exact = exact_powered_cdf(n, t, x, pn, p)
-    return abs(exact - cdf_approx(order, t, x, base, pn.scheme, consistent))
-
-
-def abs_error_pdf(order: int, n: int, t: float, x: float, pn: PoweredNorming,
-                  base: NormingBase, p: MaxwellParams, consistent: bool = True) -> float:
-    """|exact - order-k density approximation|."""
-    exact = exact_powered_pdf(n, t, x, pn, p)
-    return abs(exact - pdf_approx(order, t, x, base, pn.scheme, consistent))
+    return abs(exact - cdf_approx(order, t, x, base, pn.scheme))
 
 
 class _KindLaws(NamedTuple):
@@ -187,9 +183,8 @@ def error_table(kind: Kind, t: float, x: float, sigma: float,
     if convention not in ("tabulated", "asymptotic"):
         raise ConfigurationError(f"unknown convention {convention!r}")
     law = _kind_laws(kind)
-    t = float(t)
+    t, scheme = validate_scheme(t, default_scheme(t))
     p = MaxwellParams(sigma)
-    scheme = default_scheme(t)
     if convention == "tabulated":
         if scheme is not Scheme.SQUARE_OPTIMAL:
             raise ConfigurationError(
@@ -280,9 +275,8 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
     """
     law = _kind_laws(kind)
     ns = _check_grid(n_grid, decades=3.0)
-    t = float(t)
+    t, scheme = validate_scheme(t, default_scheme(t))
     p = MaxwellParams(sigma)
-    scheme = default_scheme(t)
     power = 4 if scheme is Scheme.SQUARE_OPTIMAL else 2
     bs, errs, scaled = [], [], []
     for n in ns:
@@ -429,27 +423,30 @@ class DensityCoeffAdjudication:
         return "\n".join(lines)
 
 
+# relative sup-norm deviation below which a density-coefficient variant wins
+ADJUDICATION_THRESHOLD = 0.05
+
+
 def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
-                              n_grid: Sequence[int],
-                              threshold: float = 0.05) -> DensityCoeffAdjudication:
+                              n_grid: Sequence[int]) -> DensityCoeffAdjudication:
     """Decide numerically which first-density-coefficient variant is correct.
 
     For each x the scaled residual R(n, x) is extrapolated linearly in
     b_n^-2 to its large-n limit; the winner is the variant whose sup-norm
-    deviation from that limit falls below `threshold` relative to its own
-    sup-norm (and both per-n deviation sequences are reported so the
+    deviation from that limit falls below ADJUDICATION_THRESHOLD relative to
+    its own sup-norm (and both per-n deviation sequences are reported so the
     "tends to zero" trend is visible). Each limit is the intercept of the
     exact least-squares line in b_n^-2, correctly rounded. The n grid needs
     two or more distinct sample sizes, and Lambda'(x) must not underflow to 0
     at any grid x.
     """
-    t = float(t)
-    if t == 2.0:
+    t, scheme = validate_scheme(t, default_scheme(t))
+    if scheme is Scheme.SQUARE_OPTIMAL:
         raise ConfigurationError(
             "no adjudication exists at t = 2; the square-branch coefficient is unique"
         )
     ns = _check_grid(n_grid)
-    xs = [float(v) for v in x_grid]
+    xs = [_reject_nan(v, "x") for v in x_grid]
     if not xs:
         raise DiagnosticsError("empty x grid")
     dens = [gumbel_pdf(x) for x in xs]
@@ -457,7 +454,6 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
         raise DomainError(f"Lambda'(x) underflows to 0 at x = {xs[dens.index(0.0)]}; "
                           "the scaled residual is undefined")
     p = MaxwellParams(sigma)
-    scheme = default_scheme(t)
     us, R = [], []
     for n in ns:
         base = solve_bn(n, sigma)
@@ -475,9 +471,9 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
     dev_p = max(abs(l - v) for l, v in zip(limits, clas))
     rel_c = dev_c / max(abs(v) for v in cons)
     rel_p = dev_p / max(abs(v) for v in clas)
-    if rel_c < threshold and rel_p >= threshold:
+    if rel_c < ADJUDICATION_THRESHOLD <= rel_p:
         winner = "consistent"
-    elif rel_p < threshold and rel_c >= threshold:
+    elif rel_p < ADJUDICATION_THRESHOLD <= rel_c:
         winner = "classic"
     else:
         winner = "inconclusive"

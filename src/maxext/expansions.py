@@ -5,24 +5,26 @@ The distribution of the normalized powered maximum admits an expansion
     Lambda(x) [1 + k1(x) b_n^-2 + k2(x) b_n^-4 + ...]      (general power t)
     Lambda(x) [1 + k1(x) b_n^-4 + k2(x) b_n^-6 + ...]      (t = 2, optimal)
 
-and the density the analogous expansion around Lambda'(x). Every
-coefficient here exists in two algebraic variants:
-
-* ``consistent=True`` (default) - the derivative-consistent forms obtained
-  by expanding the exact distribution; differentiating the order-k
-  distribution approximation reproduces the order-k density approximation
-  exactly. These are the forms validated by the adjudication experiment
-  and the large-n rate diagnostics.
-* ``consistent=False`` - the classic closed forms as traditionally stated.
-  For the general power index they differ from the consistent ones in the
-  x^2 term of the first density coefficient (and throughout the second);
-  for the square case they differ in one sign of the second-order
-  coefficient pair.
+and the density the analogous expansion around Lambda'(x). cdf_approx and
+pdf_approx use the derivative-consistent coefficients, obtained by
+expanding the exact distribution: differentiating the order-k distribution
+approximation reproduces the order-k density approximation exactly. These
+are the forms validated by the adjudication experiment and the large-n rate
+diagnostics. ``consistent=False`` selects the classic closed forms of a
+coefficient as traditionally stated. For the general power index they
+differ from the consistent ones in the x^2 term of the first density
+coefficient (and throughout the second); for the square case they differ
+in one sign of the second-order coefficient pair.
 
 The ``*_tabulated`` approximations reproduce the golden reference error
 tables exactly; they combine the classic second-order coefficients with
 sign conventions and closed-form norming inherited from the original
 tabulation (see exact.error_table).
+
+A coefficient of b_n^-2k carries sigma^2k, so the approximations take their
+coefficients at sigma = 1 against z = b_n / sigma: no power of sigma can
+leave the float range, and each keeps its sigma = 1 value at every sigma
+that solve_bn accepts.
 
 Public functions validate their (t, scheme) once, through
 norming.validate_scheme; the private kernels they call run unchecked.
@@ -155,11 +157,6 @@ def cdf_coeff1_square(x: float, sigma: float) -> float:
     return -s2 * s2 * ((x + 1.0) * x + 0.5)
 
 
-def _d_cdf_coeff1_square(x, sigma):
-    s2 = sigma * sigma
-    return -s2 * s2 * (2.0 * x + 1.0)
-
-
 def cdf_coeff2_square(x: float, sigma: float, consistent: bool = True) -> float:
     """Second distribution coefficient at t = 2.
 
@@ -171,10 +168,8 @@ def cdf_coeff2_square(x: float, sigma: float, consistent: bool = True) -> float:
     return s6 * (((4.0 / 3.0 * x + 2.0) * x + lin) * x + 7.0 / 3.0)
 
 
-def _d_cdf_coeff2_square(x, sigma, consistent=True):
-    s6 = sigma ** 6
-    lin = 2.0 if consistent else -2.0
-    return s6 * ((4.0 * x + 4.0) * x + lin)
+def _d_cdf_coeff2_square(x, sigma):  # of the consistent form
+    return sigma ** 6 * ((4.0 * x + 4.0) * x + 2.0)
 
 
 def pdf_coeff1_square(x: float, sigma: float) -> float:
@@ -186,9 +181,8 @@ def pdf_coeff1_square(x: float, sigma: float) -> float:
 def pdf_coeff2_square(x: float, sigma: float, consistent: bool = True) -> float:
     """Second density coefficient at t = 2: -e^{-x} B + B - B' over the matching B."""
     b2 = cdf_coeff2_square(x, sigma, consistent=consistent)
-    db2 = _d_cdf_coeff2_square(x, sigma, consistent=consistent)
     if consistent:
-        return -math.exp(-x) * b2 + b2 - db2
+        return -math.exp(-x) * b2 + b2 - _d_cdf_coeff2_square(x, sigma)
     # classic closed form keeps the traditionally stated polynomial part
     s6 = sigma ** 6
     poly = ((4.0 / 3.0 * x - 2.0) * x - 2.0) * x + 1.0 / 3.0
@@ -220,7 +214,7 @@ def square_alt_pdf_corrections(x: float, sigma: float) -> tuple[float, float]:
 # ------------------------------------------------------------ approximations
 
 def cdf_approx(order: int, t: float, x: float, base: NormingBase,
-               scheme: Scheme = Scheme.GENERAL_POWER, consistent: bool = True) -> float:
+               scheme: Scheme = Scheme.GENERAL_POWER) -> float:
     """Order-1/2/3 approximation of P(|M_n|^t <= c_n x + d_n).
 
     Order 1 is the plain Gumbel limit for every scheme; order k adds the
@@ -231,21 +225,22 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
     lam = gumbel_cdf(x)
     if order == 1 or lam == 0.0:
         return lam
-    u = 1.0 / (base.b_n * base.b_n)
+    z = base.b_n / base.sigma
+    u = 1.0 / (z * z)
     emx = math.exp(-x)
     if scheme is Scheme.GENERAL_POWER:
-        a1 = _cdf_coeff1_general(t, x, base.sigma)
+        a1 = _cdf_coeff1_general(t, x, 1.0)
         bracket = 1.0 - emx * a1 * u
         if order == 3:
-            a2 = _cdf_coeff2_general(t, x, base.sigma)
+            a2 = _cdf_coeff2_general(t, x, 1.0)
             bracket += emx * (0.5 * emx * a1 * a1 - a2) * u * u
     elif scheme is Scheme.SQUARE_OPTIMAL:
         u2 = u * u
-        bracket = 1.0 - emx * cdf_coeff1_square(x, base.sigma) * u2
+        bracket = 1.0 - emx * cdf_coeff1_square(x, 1.0) * u2
         if order == 3:
-            bracket -= emx * cdf_coeff2_square(x, base.sigma, consistent) * u2 * u
+            bracket -= emx * cdf_coeff2_square(x, 1.0) * u2 * u
     else:
-        k1, k2 = square_alt_cdf_corrections(x, base.sigma)
+        k1, k2 = square_alt_cdf_corrections(x, 1.0)
         bracket = 1.0 + k1 * u
         if order == 3:
             bracket += k2 * u * u
@@ -253,25 +248,26 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
 
 
 def pdf_approx(order: int, t: float, x: float, base: NormingBase,
-               scheme: Scheme = Scheme.GENERAL_POWER, consistent: bool = True) -> float:
+               scheme: Scheme = Scheme.GENERAL_POWER) -> float:
     """Order-1/2/3 approximation of the density of (|M_n|^t - d_n)/c_n."""
     _check_order(order)
     t, scheme = validate_scheme(t, scheme)
     lamp = gumbel_pdf(x)
     if order == 1 or lamp == 0.0:
         return lamp
-    u = 1.0 / (base.b_n * base.b_n)
+    z = base.b_n / base.sigma
+    u = 1.0 / (z * z)
     if scheme is Scheme.GENERAL_POWER:
-        bracket = 1.0 + _pdf_coeff1_general(t, x, base.sigma, consistent) * u
+        bracket = 1.0 + _pdf_coeff1_general(t, x, 1.0, True) * u
         if order == 3:
-            bracket += _pdf_coeff2_general(t, x, base.sigma, consistent) * u * u
+            bracket += _pdf_coeff2_general(t, x, 1.0, True) * u * u
     elif scheme is Scheme.SQUARE_OPTIMAL:
         u2 = u * u
-        bracket = 1.0 + pdf_coeff1_square(x, base.sigma) * u2
+        bracket = 1.0 + pdf_coeff1_square(x, 1.0) * u2
         if order == 3:
-            bracket += pdf_coeff2_square(x, base.sigma, consistent) * u2 * u
+            bracket += pdf_coeff2_square(x, 1.0) * u2 * u
     else:
-        k1, k2 = square_alt_pdf_corrections(x, base.sigma)
+        k1, k2 = square_alt_pdf_corrections(x, 1.0)
         bracket = 1.0 + k1 * u
         if order == 3:
             bracket += k2 * u * u
@@ -290,11 +286,11 @@ def cdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
     if order == 1 or lam == 0.0:
         return lam
     emx = math.exp(-x)
-    u2 = 1.0 / base.b_n ** 4
-    bracket = 1.0 + emx * cdf_coeff1_square(x, base.sigma) * u2
+    z = base.b_n / base.sigma
+    u2 = 1.0 / z ** 4
+    bracket = 1.0 + emx * cdf_coeff1_square(x, 1.0) * u2
     if order == 3:
-        bracket -= emx * cdf_coeff2_square(x, base.sigma, consistent=False) \
-            * u2 / (base.b_n * base.b_n)
+        bracket -= emx * cdf_coeff2_square(x, 1.0, consistent=False) * u2 / (z * z)
     return lam * bracket
 
 
@@ -304,11 +300,11 @@ def pdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
     lamp = gumbel_pdf(x)
     if order == 1 or lamp == 0.0:
         return lamp
-    u2 = 1.0 / base.b_n ** 4
-    bracket = 1.0 + pdf_coeff1_square(x, base.sigma) * u2
+    z = base.b_n / base.sigma
+    u2 = 1.0 / z ** 4
+    bracket = 1.0 + pdf_coeff1_square(x, 1.0) * u2
     if order == 3:
-        bracket -= pdf_coeff2_square(x, base.sigma, consistent=False) \
-            * u2 / (base.b_n * base.b_n)
+        bracket -= pdf_coeff2_square(x, 1.0, consistent=False) * u2 / (z * z)
     return lamp * bracket
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -58,8 +59,6 @@ def _check_sigma(s) -> float:
     except OverflowError:  # an int too large for a float
         ok = False
     if not ok:
-        import reprlib  # shortens huge ints and long strings in the message
-
         raise DomainError(f"sigma must be a positive finite real, got {reprlib.repr(s)}")
     return float(s)
 

@@ -15,6 +15,7 @@ import enum
 import math
 import numbers
 import operator
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -102,20 +103,24 @@ def _check_n_sigma(n, sigma):
     return n, sigma
 
 
+def _log_residual(b: float, log_n: float, sigma: float) -> float:
+    # log LHS - log n of the norming equation
+    return (
+        0.5 * math.log(math.pi / 2.0)
+        + math.log(sigma)
+        - math.log(b)
+        + b * b / (2.0 * sigma * sigma)
+        - log_n
+    )
+
+
 def equation_residual(b: float, n: int, sigma: float) -> float:
     """Relative residual (LHS - n)/n of the norming equation, in log space.
 
     exp(h) - 1 where h = log LHS - log n; exact for assessing the solve and
     immune to overflow of exp(b^2/2 sigma^2) at astronomical n.
     """
-    h = (
-        0.5 * math.log(math.pi / 2.0)
-        + math.log(sigma)
-        - math.log(b)
-        + b * b / (2.0 * sigma * sigma)
-        - math.log(n)
-    )
-    return math.expm1(h)
+    return math.expm1(_log_residual(b, math.log(n), sigma))
 
 
 def solve_bn(n: int, sigma: float = 1.0) -> NormingBase:
@@ -137,29 +142,19 @@ def solve_bn(n: int, sigma: float = 1.0) -> NormingBase:
         )
     log_n = math.log(n)
     s2 = sigma * sigma
-
-    def h(b):
-        return (
-            0.5 * math.log(math.pi / 2.0)
-            + math.log(sigma)
-            - math.log(b)
-            + b * b / (2.0 * s2)
-            - log_n
-        )
-
     lo = sigma
     hi = 4.0 * sigma * math.sqrt(max(1.0, log_n))
     b = hall_constants(n, sigma).b_hat
     b = min(max(b, lo * 1.0001), hi * 0.9999)
     for _ in range(100):
-        val = h(b)
+        val = _log_residual(b, log_n, sigma)
         if abs(val) < 1e-15:
             break
         if val > 0.0:
             hi = b
         else:
             lo = b
-        step = val / (b / s2 - 1.0 / b)  # h'(b) = b/s^2 - 1/b > 0 on b > sigma
+        step = val / (b / s2 - 1.0 / b)  # residual slope b/s^2 - 1/b > 0 on b > sigma
         b_new = b - step
         if not (lo < b_new < hi):
             b_new = 0.5 * (lo + hi)
@@ -210,8 +205,9 @@ def validate_scheme(t: float, scheme: Scheme) -> tuple[float, Scheme]:
     """
     try:
         t = float(t)
-    except (TypeError, ValueError):
-        raise DomainError(f"power index t must be a real number, got {t!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(
+            f"power index t must be a real number, got {reprlib.repr(t)}") from None
     if not (math.isfinite(t) and t > 0):
         raise DomainError(f"power index t must be positive and finite, got {t}")
     try:
@@ -237,19 +233,22 @@ def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNor
     """
     t, scheme = validate_scheme(t, scheme)
     b = base.b_n
-    s2 = base.sigma * base.sigma
     if scheme is Scheme.GENERAL_POWER:
         try:
-            c = s2 * t * b ** (t - 2.0)
+            c = base.sigma * base.sigma * t * b ** (t - 2.0)
             d = b**t
         except OverflowError:  # float ** float raises instead of returning inf
             c = d = math.inf
-    elif scheme is Scheme.SQUARE_OPTIMAL:
-        c = 2.0 * s2 * (1.0 + s2 / (b * b))
-        d = b * b + 2.0 * s2 * s2 / (b * b)
     else:
-        c = 2.0 * s2 * (1.0 - s2 / (b * b))
-        d = b * b - 2.0 * s2 * s2 / (b * b)
+        # c_n and d_n are homogeneous of degree 2 in (sigma, b_n), so they are
+        # evaluated at both divided by k = 2**e, which is exact and keeps
+        # sigma^4 in float range; the two square schemes differ in one sign
+        m = math.frexp(base.sigma)[0]
+        k = base.sigma / m
+        m2, bk = m * m, b / k
+        sign = 1.0 if scheme is Scheme.SQUARE_OPTIMAL else -1.0
+        c = 2.0 * m2 * (1.0 + sign * (m2 / (bk * bk))) * k * k
+        d = (bk * bk + sign * (2.0 * m2 * m2 / (bk * bk))) * k * k
         if c <= 0.0:
             raise DegenerateError(
                 f"alternative square constants degenerate: c_n = {c} <= 0 at b_n = {b}"

@@ -1,12 +1,14 @@
 """Scalar special functions: error function pair and the Gumbel law.
 
-All functions reject NaN and are otherwise pure; they are safe for
-unrestricted concurrent use. The Gumbel functions return 0.0 far below the
-mode, where exp(-x) overflows and the true value underflows to zero.
+All functions raise DomainError for NaN or what float() rejects, and are
+otherwise pure; they are safe for unrestricted concurrent use. The Gumbel
+functions return 0.0 far below the mode, where exp(-x) overflows and the
+true value underflows to zero.
 """
 from __future__ import annotations
 
 import math
+import reprlib
 
 from .errors import DomainError
 
@@ -14,7 +16,10 @@ __all__ = ["erf", "erfc", "gumbel_cdf", "gumbel_pdf"]
 
 
 def _reject_nan(x: float, name: str) -> float:
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name}: cannot convert {reprlib.repr(x)} to a float") from None
     if math.isnan(x):
         raise DomainError(f"{name}: NaN input")
     return x

@@ -153,6 +153,28 @@ def test_compare_schemes_csv(capsys):
         assert row[4] == "1000"
 
 
+def test_compare_schemes_zero_optimal_error_has_empty_ratio(capsys):
+    # far above the mode both order-2 errors are exactly 0: no ratio
+    code, out, err = run_cli(capsys, "compare-schemes", "--x", "50")
+    assert code == 0 and err == ""
+    rows = parse_csv(out)
+    assert rows[0] == ["n", "optimal_err2", "alternative_err2", "ratio", "crossover_n"]
+    assert len(rows) == 7
+    for row in rows[1:]:
+        assert row[1:] == ["0", "0", "", "1000"]
+
+
+@pytest.mark.parametrize("sigma", ["1e-100", "1", "1e100"])
+def test_square_constants_scale_as_sigma_squared(capsys, sigma):
+    # sigma^4 leaves the float range at both ends; c_n and d_n must not
+    code, out, _ = run_cli(capsys, "constants", "--n", "1000", "--sigma", sigma, "--t", "2")
+    assert code == 0
+    row = dict(zip(*parse_csv(out)))
+    s2 = float(sigma) ** 2
+    assert float(row["c_n"]) / s2 == pytest.approx(2.12387295894, rel=1e-11)
+    assert float(row["d_n"]) / s2 == pytest.approx(16.2694467554, rel=1e-11)
+
+
 def test_compare_hall_csv(capsys):
     code, out, _ = run_cli(capsys, "compare-hall", "--n-grid", "1e4,1e6")
     assert code == 0
@@ -237,7 +259,7 @@ def test_extreme_sigma_exits_2(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["constants", "--n", "1000000000000000000000000000000", "--sigma", "1", "--t", "300"],
-    ["constants", "--n", "1000", "--sigma", "1e100", "--t", "2"],
+    ["constants", "--n", "1000", "--sigma", "1e100", "--t", "3.5"],
     ["simulate", "--n", "100", "--reps", "3", "--sigma", "1e-150", "--t", "300"],
 ])
 def test_out_of_range_powered_constants_exit_2(capsys, argv):

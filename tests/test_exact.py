@@ -13,7 +13,6 @@ from maxext.exact import (
     ErrorRow,
     _fit,
     abs_error_cdf,
-    abs_error_pdf,
     adjudicate_density_coeffs,
     compare_schemes,
     default_scheme,
@@ -129,6 +128,26 @@ def test_abs_error_reference_values():
     assert abs_error_cdf(1, 50, 2.0, 0.7, pn, base, P2) == pytest.approx(
         0.0143357459, abs=1e-9)
     assert abs_error_cdf(1, 50, 2.0, 0.7, pn, base, P2) >= 0.0
+
+
+_PDF_OVERFLOW = pytest.mark.xfail(
+    strict=True, raises=DomainError,
+    reason="exact_powered_pdf forms n * c_n first, which overflows above sigma ~ 1e150")
+
+
+@pytest.mark.parametrize("convention", ["tabulated", "asymptotic"])
+@pytest.mark.parametrize("kind, sigma", [
+    (kind, sigma) for kind in ("cdf", "pdf") for sigma in (1.5e-154, 1e-100, 1.7, 1e100)
+] + [("cdf", 1e152), pytest.param("pdf", 1e152, marks=_PDF_OVERFLOW)])
+def test_error_table_is_sigma_invariant(kind, sigma, convention):
+    # sigma is a pure scale; at the ends of the range 1 / b_n^4 and sigma^4
+    # leave the float range, which the errors must not
+    ns = [25, 1000, 10**6]
+    got = error_table(kind, 2.0, 0.7, sigma, ns, convention=convention)
+    ref = error_table(kind, 2.0, 0.7, 1.0, ns, convention=convention)
+    for row, unit in zip(got, ref):
+        for field in ("err1", "err2", "err3"):
+            assert getattr(row, field) == pytest.approx(getattr(unit, field), abs=1e-13)
 
 
 def test_error_table_matches_golden_spot_rows(data_dir):
@@ -480,10 +499,38 @@ def test_exact_layer_bits_pinned(data_dir):
     # points where the survival function rounds to 1), recorded before the
     # exact layer was consolidated; the consolidation must not move a bit.
     # The 16 rate slopes were re-recorded when the fit became the correctly
-    # rounded exact least-squares line
+    # rounded exact least-squares line, and 6 sigma = 1.7 error_table fields
+    # when the approximations moved to sigma = 1 units (z = b_n / sigma)
     with open(data_dir / "exact_bits.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 816
     for group, got in exact_bits_groups(rows):
         for row in group:
             assert got[row["n"], row["field"]] == row["value"], row
+
+
+_GRID = [10**4, 10**6, 10**8]
+
+
+@pytest.mark.parametrize("bad", [None, "abc", [], 10**400], ids=["None", "str", "list", "huge"])
+@pytest.mark.parametrize("call", [
+    lambda v: default_scheme(v),
+    lambda v: error_table("cdf", v, 0.7, 1.0, [25]),
+    lambda v: error_table("cdf", 2.0, v, 1.0, [25]),
+    lambda v: error_table("pdf", 1.0, v, 1.0, [25], convention="asymptotic"),
+    lambda v: rate_diagnostic("cdf", v, 0.7, 1.0, [10**4, 10**8]),
+    lambda v: rate_diagnostic("pdf", 2.0, v, 1.0, [10**4, 10**8]),
+    lambda v: hall_rate_check(v, 1.0, _GRID),
+    lambda v: compare_schemes(v, 1.0, _GRID),
+    lambda v: adjudicate_density_coeffs(v, [0.0, 1.0], 1.0, _GRID),
+    lambda v: adjudicate_density_coeffs(1.0, [0.0, v], 1.0, _GRID),
+    lambda v: exact_powered_cdf(25, 2.0, v, powered_constants(solve_bn(25, 2.0), 2.0,
+                                                              Scheme.SQUARE_OPTIMAL), P2),
+], ids=["default_scheme", "error_table-t", "error_table-x", "error_table-pdf-x",
+        "rate-t", "rate-x", "hall-x", "schemes-x", "adjudicate-t", "adjudicate-x",
+        "exact_powered_cdf-x"])
+def test_non_real_t_or_x_is_domain_error(call, bad):
+    # no bare TypeError, ValueError or OverflowError from float(t) or float(x)
+    with pytest.raises(DomainError) as info:
+        call(bad)
+    assert len(str(info.value)) < 200

@@ -287,13 +287,33 @@ def test_alternative_degenerates_below_sigma():
 @pytest.mark.parametrize("n, sigma, t, scheme", [
     (10**30, 1.0, 300.0, Scheme.GENERAL_POWER),  # b ** (t - 2) overflows
     (10**300, 1.0, 196.25, Scheme.GENERAL_POWER),  # only d_n = b ** t overflows
-    (1000, 1e100, 2.0, Scheme.SQUARE_OPTIMAL),  # sigma^4 overflows in d_n
+    (1000, 1e100, 3.5, Scheme.GENERAL_POWER),  # b ** t overflows at large sigma
     (100, 1e-150, 300.0, Scheme.GENERAL_POWER),  # c_n underflows to zero
 ])
 def test_powered_constants_out_of_range_is_domain_error(n, sigma, t, scheme):
     base = solve_bn(n, sigma)
     with pytest.raises(DomainError, match="powered constants out of range"):
         powered_constants(base, t, scheme)
+
+
+def test_square_constants_overflow_is_domain_error():
+    # b_n^2 beyond float range: scaling c_n and d_n back overflows
+    fake = NormingBase(n=10, sigma=1e150, b_n=1.4e154, a_n=1e146)
+    for scheme in (Scheme.SQUARE_OPTIMAL, Scheme.SQUARE_ALTERNATIVE):
+        with pytest.raises(DomainError, match="powered constants out of range"):
+            powered_constants(fake, 2.0, scheme)
+
+
+@pytest.mark.parametrize("sigma", [1.5e-154, 1e-100, 1e-3, 1.7, 1e100, 1e152])
+def test_square_constants_scale_as_sigma_squared(sigma):
+    # c_n and d_n are sigma^2 times a function of b_n / sigma, while sigma^4
+    # leaves the float range at both ends of the sweep
+    for n in (25, 10**6, 10**12):
+        for scheme in (Scheme.SQUARE_OPTIMAL, Scheme.SQUARE_ALTERNATIVE):
+            pn = powered_constants(solve_bn(n, sigma), 2.0, scheme)
+            unit = powered_constants(solve_bn(n, 1.0), 2.0, scheme)
+            assert pn.c_n / sigma**2 == pytest.approx(unit.c_n, rel=1e-14)
+            assert pn.d_n / sigma**2 == pytest.approx(unit.d_n, rel=1e-14)
 
 
 def test_schemes_converge_together():

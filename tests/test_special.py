@@ -135,3 +135,13 @@ def test_gumbel_pdf_integrates_to_one():
 def test_nan_rejected(fn):
     with pytest.raises(DomainError):
         fn(float("nan"))
+
+
+@pytest.mark.parametrize("fn", [erf, erfc, gumbel_cdf, gumbel_pdf])
+@pytest.mark.parametrize("bad", [None, "abc", [], 1j, 10**400],
+                         ids=["None", "str", "list", "complex", "huge"])
+def test_non_float_rejected(fn, bad):
+    # anything float() rejects is a DomainError, with a shortened repr
+    with pytest.raises(DomainError, match=f"^{fn.__name__}: cannot convert .* to a float$") as info:
+        fn(bad)
+    assert len(str(info.value)) < 100
