@@ -10,7 +10,6 @@ from .errors import (
 )
 from .exact import (
     ErrorRow,
-    abs_error_cdf,
     adjudicate_density_coeffs,
     compare_schemes,
     error_table,
@@ -29,12 +28,10 @@ from .expansions import (
 from .maxwell import MaxwellParams
 from .montecarlo import SimulationConfig, ks_distance, simulate_powered_maxima
 from .norming import (
-    HallConstants,
     NormingBase,
     PoweredNorming,
     Scheme,
     hall_base,
-    hall_constants,
     powered_constants,
     solve_bn,
 )
@@ -47,12 +44,12 @@ __all__ = [
     "DegenerateError", "DiagnosticsError",
     "erf", "erfc", "gumbel_cdf", "gumbel_pdf",
     "MaxwellParams",
-    "Scheme", "NormingBase", "PoweredNorming", "HallConstants",
-    "solve_bn", "powered_constants", "hall_constants", "hall_base",
+    "Scheme", "NormingBase", "PoweredNorming",
+    "solve_bn", "powered_constants", "hall_base",
     "cdf_approx", "pdf_approx", "cdf_approx_tabulated", "pdf_approx_tabulated",
     "hall_error_leading",
     "ErrorRow", "exact_powered_cdf", "exact_powered_pdf",
-    "abs_error_cdf", "error_table", "rate_diagnostic",
+    "error_table", "rate_diagnostic",
     "hall_rate_check", "compare_schemes", "adjudicate_density_coeffs",
     "SimulationConfig", "simulate_powered_maxima", "ks_distance",
     "__version__",

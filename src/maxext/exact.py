@@ -36,12 +36,10 @@ from .expansions import (
 )
 from .maxwell import MaxwellParams
 from .norming import (
-    NormingBase,
     PoweredNorming,
     Scheme,
     _check_n,
     hall_base,
-    hall_constants,
     powered_constants,
     solve_bn,
     validate_scheme,
@@ -56,7 +54,6 @@ __all__ = [
     "DensityCoeffAdjudication",
     "exact_powered_cdf",
     "exact_powered_pdf",
-    "abs_error_cdf",
     "error_table",
     "rate_diagnostic",
     "hall_rate_check",
@@ -133,14 +130,9 @@ def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
     f_pow = _cdf_power(maxwell.survival(delta, p), n - 1)
     if f_pow == 0.0:  # also skips y^{1/t-1}, which can overflow where sf rounds to 1
         return 0.0
-    return n * pn.c_n / t * y ** (1.0 / t - 1.0) * f_pow * maxwell.pdf(delta, p)
-
-
-def abs_error_cdf(order: int, n: int, t: float, x: float, pn: PoweredNorming,
-                  base: NormingBase, p: MaxwellParams) -> float:
-    """|exact - order-k distribution approximation|."""
-    exact = exact_powered_cdf(n, t, x, pn, p)
-    return abs(exact - cdf_approx(order, t, x, base, pn.scheme))
+    # d delta/dx = c_n y^{1/t-1} / t is of order sigma, while n c_n (order
+    # n sigma^t) can overflow; so the factor n comes after it
+    return n * (pn.c_n / t * y ** (1.0 / t - 1.0)) * f_pow * maxwell.pdf(delta, p)
 
 
 class _KindLaws(NamedTuple):
@@ -263,6 +255,13 @@ def _fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     return _nearest((k * sxy - sx * sy) << a, den), _nearest(sy * sxx - sx * sxy, den)
 
 
+def _in_float_range(value: float, what: str, where: str) -> float:
+    """A nonnegative value, or DomainError where it underflowed to 0 or overflowed."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} = {value!r} leaves the float range {where}")
+    return value
+
+
 def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
                     n_grid: Sequence[int]) -> RateDiagnostic:
     """Log-log slope of the first-order error vs b_n, plus the scaled sequence.
@@ -272,6 +271,8 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
     |first coefficient| * Lambda(x) (cdf) or * Lambda'(x) (pdf). The slope is
     that of the exact least-squares line through (log b_n, log err1),
     correctly rounded; an error of 0, which has no log, is a DiagnosticsError.
+    A scaled error, or a prediction that is nonzero at sigma = 1, that
+    overflows or underflows to 0 (sigma far from 1) is a DomainError.
     """
     law = _kind_laws(kind)
     ns = _check_grid(n_grid, decades=3.0)
@@ -289,13 +290,21 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
                                    "the log-log slope is undefined")
         bs.append(base.b_n)
         errs.append(err)
-        scaled.append(err * base.b_n ** power)
+        try:
+            value = err * base.b_n ** power
+        except OverflowError:  # float ** int raises instead of returning inf
+            value = math.inf
+        scaled.append(_in_float_range(value, f"err1 * b_n^{power}",
+                                      f"at n = {n}, sigma = {sigma!r}"))
     slope = _fit([math.log(b) for b in bs], [math.log(e) for e in errs])[0]
-    if scheme is Scheme.SQUARE_OPTIMAL:
-        coeff = law.coeff1_square(x, sigma)
-    else:
-        coeff = law.coeff1_general(t, x, sigma)
-    prediction = abs(coeff) * law.weight(x)
+    coeff1 = ((lambda s: law.coeff1_square(x, s)) if scheme is Scheme.SQUARE_OPTIMAL
+              else lambda s: law.coeff1_general(t, x, s))
+    try:
+        prediction = abs(coeff1(sigma)) * law.weight(x)
+    except OverflowError:  # sigma ** 4 in the density coefficient
+        prediction = math.inf
+    if coeff1(1.0) * law.weight(x) != 0.0:
+        _in_float_range(prediction, "scaled_limit_prediction", f"at sigma = {sigma!r}")
     return RateDiagnostic(ns=tuple(ns), b_values=tuple(bs), errors=tuple(errs),
                           scaled=tuple(scaled), slope=slope, scale_power=power,
                           scaled_limit_prediction=prediction)
@@ -324,8 +333,8 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
     lam = gumbel_cdf(x)
     gaps, leads, ratios, powered = [], [], [], []
     for n in ns:
-        hc = hall_constants(n, sigma)
-        fn = exact_unpowered_cdf(n, hc.a_hat * x + hc.b_hat, p)
+        hall = hall_base(n, sigma)
+        fn = exact_unpowered_cdf(n, hall.a_n * x + hall.b_n, p)
         gap = fn - lam
         lead = hall_error_leading(n, x)
         if lead == 0.0:
@@ -369,10 +378,10 @@ def compare_schemes(x: float, sigma: float, n_grid: Sequence[int]) -> SchemeComp
     opt, alt = [], []
     for n in ns:
         base = solve_bn(n, sigma)
-        pn_o = powered_constants(base, 2.0, Scheme.SQUARE_OPTIMAL)
-        pn_a = powered_constants(base, 2.0, Scheme.SQUARE_ALTERNATIVE)
-        opt.append(abs_error_cdf(2, n, 2.0, x, pn_o, base, p))
-        alt.append(abs_error_cdf(2, n, 2.0, x, pn_a, base, p))
+        for scheme, errs in ((Scheme.SQUARE_OPTIMAL, opt), (Scheme.SQUARE_ALTERNATIVE, alt)):
+            pn = powered_constants(base, 2.0, scheme)
+            errs.append(abs(exact_powered_cdf(n, 2.0, x, pn, p)
+                            - cdf_approx(2, 2.0, x, base, scheme)))
     crossover = None
     for i in range(len(ns)):
         if all(opt[j] <= alt[j] for j in range(i, len(ns))):

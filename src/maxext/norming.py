@@ -4,7 +4,8 @@ The base constant b_n solves
 
     sqrt(pi/2) (sigma / b) exp(b^2 / 2 sigma^2) = n         (b > sigma)
 
-and a_n = sigma^2 / b_n. Powered maxima |M_n|^t use linear constants
+and a_n = sigma^2 / b_n. `hall_base` gives the closed-form pair of Hall
+(1979), whose b_hat also seeds the solver. Powered maxima |M_n|^t use linear constants
 (c_n, d_n) that depend on whether t equals 2; at t = 2 two competing
 choices exist (the variance-style pair below marked "optimal" converges
 faster than the "alternative" one).
@@ -26,11 +27,9 @@ __all__ = [
     "Scheme",
     "NormingBase",
     "PoweredNorming",
-    "HallConstants",
     "solve_bn",
     "equation_residual",
     "powered_constants",
-    "hall_constants",
     "hall_base",
     "validate_scheme",
 ]
@@ -50,7 +49,7 @@ class Scheme(str, enum.Enum):
 
 @dataclass(frozen=True)
 class NormingBase:
-    """Solved base constants (b_n, a_n) for sample size n and scale sigma."""
+    """Base constants (b_n, a_n) for n and sigma: solve_bn's root or hall_base's closed form."""
 
     n: int
     sigma: float
@@ -66,18 +65,6 @@ class PoweredNorming:
     scheme: Scheme
     c_n: float
     d_n: float
-
-
-@dataclass(frozen=True)
-class HallConstants:
-    """Closed-form norming constants a_hat, b_hat.
-
-    b_hat agrees with the solved b_n only to first asymptotic order; the two
-    differ by O(log(log n)^2 / log n) effects in the resulting maxima law.
-    """
-
-    a_hat: float
-    b_hat: float
 
 
 def _check_n(n) -> int:
@@ -118,9 +105,17 @@ def equation_residual(b: float, n: int, sigma: float) -> float:
     """Relative residual (LHS - n)/n of the norming equation, in log space.
 
     exp(h) - 1 where h = log LHS - log n; exact for assessing the solve and
-    immune to overflow of exp(b^2/2 sigma^2) at astronomical n.
+    immune to overflow of exp(b^2/2 sigma^2) at astronomical n. DomainError
+    where b, n or sigma is not positive, or b is so far above the root that
+    the residual overflows.
     """
-    return math.expm1(_log_residual(b, math.log(n), sigma))
+    try:
+        residual = math.expm1(_log_residual(b, math.log(n), sigma))
+    except (ValueError, OverflowError):  # log of a value <= 0; exp beyond float range
+        residual = math.nan
+    if not math.isfinite(residual):
+        raise DomainError(f"no finite norming residual at b = {b!r}, n = {n!r}, sigma = {sigma!r}")
+    return residual
 
 
 def solve_bn(n: int, sigma: float = 1.0) -> NormingBase:
@@ -144,7 +139,7 @@ def solve_bn(n: int, sigma: float = 1.0) -> NormingBase:
     s2 = sigma * sigma
     lo = sigma
     hi = 4.0 * sigma * math.sqrt(max(1.0, log_n))
-    b = hall_constants(n, sigma).b_hat
+    b = _b_hat(log_n, sigma)
     b = min(max(b, lo * 1.0001), hi * 0.9999)
     for _ in range(100):
         val = _log_residual(b, log_n, sigma)
@@ -166,29 +161,25 @@ def solve_bn(n: int, sigma: float = 1.0) -> NormingBase:
     return NormingBase(n=n, sigma=sigma, b_n=b, a_n=s2 / b)
 
 
-def hall_constants(n: int, sigma: float = 1.0) -> HallConstants:
-    """Closed-form constants a_hat = sigma/sqrt(2 log n) and the matching b_hat."""
+def _b_hat(log_n: float, sigma: float) -> float:
+    # Hall's closed-form b_n, matching a_n = sigma / sqrt(2 log n)
+    root = math.sqrt(2.0 * log_n)
+    return sigma * root + sigma * (math.log(2.0 * log_n) + math.log(2.0 / math.pi)) / (2.0 * root)
+
+
+def hall_base(n: int, sigma: float = 1.0) -> NormingBase:
+    """Hall's closed-form pair a_n = sigma/sqrt(2 log n) and b_n = b_hat.
+
+    b_hat agrees with the solved root only to first asymptotic order, so it
+    misses solve_bn's residual contract; it is the convention behind the
+    golden reference error tables.
+    """
     n, sigma = _check_n_sigma(n, sigma)
     if n < _MIN_N:
         raise DomainError(f"closed-form constants need n >= {_MIN_N}, got {n}")
     log_n = math.log(n)
-    root = math.sqrt(2.0 * log_n)
-    a_hat = sigma / root
-    b_hat = sigma * root + sigma * (math.log(2.0 * log_n) + math.log(2.0 / math.pi)) / (
-        2.0 * root
-    )
-    return HallConstants(a_hat=a_hat, b_hat=b_hat)
-
-
-def hall_base(n: int, sigma: float = 1.0) -> NormingBase:
-    """A NormingBase built from the closed-form b_hat instead of the exact root.
-
-    This is the convention behind the golden reference error tables; it does
-    not satisfy the norming-equation residual contract of solve_bn.
-    """
-    n, sigma = _check_n_sigma(n, sigma)
-    hc = hall_constants(n, sigma)
-    return NormingBase(n=n, sigma=sigma, b_n=hc.b_hat, a_n=sigma * sigma / hc.b_hat)
+    return NormingBase(n=n, sigma=sigma, b_n=_b_hat(log_n, sigma),
+                       a_n=sigma / math.sqrt(2.0 * log_n))
 
 
 _SCHEMES = {s.value: s for s in Scheme}

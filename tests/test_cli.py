@@ -2,6 +2,7 @@
 import csv
 import io
 import math
+import re
 
 import pytest
 
@@ -250,6 +251,8 @@ def test_oversized_x_grid_is_usage_error(capsys, argv):
     ["bn", "--n", "1000", "--sigma", "1e160"],
     ["constants", "--n", "1000", "--sigma", "1e154"],
     ["simulate", "--n", "100", "--reps", "3", "--sigma", "1e-300"],
+    ["rate", "--t", "2", "--sigma", "1e-100"],  # err1 * b_n^4 underflows to 0
+    ["rate", "--t", "2", "--sigma", "1e100"],  # err1 * b_n^4 overflows
 ])
 def test_extreme_sigma_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -279,3 +282,35 @@ def test_undefined_fit_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"maxext {argv[0]}: {message}") and len(err.splitlines()) == 1
+
+
+_SWEEP_COMMANDS = [  # (argv, takes --t)
+    (["bn", "--n", "1000"], False),
+    (["constants", "--n", "1000"], True),
+    (["table", "--kind", "cdf"], True),
+    (["table", "--kind", "pdf"], True),
+    (["rate", "--kind", "cdf"], True),
+    (["rate", "--kind", "pdf"], True),
+    (["compare-schemes"], False),
+    (["compare-hall"], False),
+    (["adjudicate"], True),
+    (["plot-data", "--kind", "cdf", "--n", "500"], True),
+    (["plot-data", "--kind", "pdf", "--n", "500"], True),
+]
+
+
+def _sweep_argvs():
+    # both ends of the solve_bn domain in sigma, and beyond it
+    for argv, takes_t in _SWEEP_COMMANDS:
+        for sigma in ("1.5e-154", "1e-100", "1e100", "1e152", "1e153"):
+            for t in ("1", "2", "3") if takes_t else (None,):
+                yield argv + ["--sigma", sigma] + (["--t", t] if t else [])
+
+
+@pytest.mark.parametrize("argv", list(_sweep_argvs()), ids=" ".join)
+def test_extreme_sigma_sweep_prints_finite_values_or_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)  # an escaping exception fails here
+    assert code in (0, 2), err
+    assert re.search(r"\b(?:inf|nan)\b", out, re.IGNORECASE) is None, out
+    if argv[0] == "rate":  # every rate field is nonzero unless it underflowed
+        assert all("0" not in row for row in parse_csv(out)[1:]), out

@@ -12,7 +12,6 @@ from maxext.errors import ConfigurationError, DiagnosticsError, DomainError
 from maxext.exact import (
     ErrorRow,
     _fit,
-    abs_error_cdf,
     adjudicate_density_coeffs,
     compare_schemes,
     default_scheme,
@@ -121,24 +120,10 @@ def test_pointwise_convergence_to_gumbel():
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
-def test_abs_error_reference_values():
-    # first-order: coefficient-free, same in every convention with hall base
-    base = hall_base(50, 2.0)
-    pn = powered_constants(base, 2.0, Scheme.SQUARE_OPTIMAL)
-    assert abs_error_cdf(1, 50, 2.0, 0.7, pn, base, P2) == pytest.approx(
-        0.0143357459, abs=1e-9)
-    assert abs_error_cdf(1, 50, 2.0, 0.7, pn, base, P2) >= 0.0
-
-
-_PDF_OVERFLOW = pytest.mark.xfail(
-    strict=True, raises=DomainError,
-    reason="exact_powered_pdf forms n * c_n first, which overflows above sigma ~ 1e150")
-
-
 @pytest.mark.parametrize("convention", ["tabulated", "asymptotic"])
 @pytest.mark.parametrize("kind, sigma", [
-    (kind, sigma) for kind in ("cdf", "pdf") for sigma in (1.5e-154, 1e-100, 1.7, 1e100)
-] + [("cdf", 1e152), pytest.param("pdf", 1e152, marks=_PDF_OVERFLOW)])
+    (kind, sigma) for kind in ("cdf", "pdf") for sigma in (1.5e-154, 1e-100, 1.7, 1e100, 1e152)
+])
 def test_error_table_is_sigma_invariant(kind, sigma, convention):
     # sigma is a pure scale; at the ends of the range 1 / b_n^4 and sigma^4
     # leave the float range, which the errors must not
@@ -152,12 +137,14 @@ def test_error_table_is_sigma_invariant(kind, sigma, convention):
 
 def test_error_table_matches_golden_spot_rows(data_dir):
     golden = {r[0]: r[1:] for r in _golden_rows(data_dir, "table1_cdf_errors.csv")}
-    rows = error_table("cdf", 2.0, 0.7, 2.0, [25, 500, 1000])
+    rows = error_table("cdf", 2.0, 0.7, 2.0, [25, 50, 500, 1000])
     for row in rows:
         ref = golden[row.n]
         assert row.err1 == pytest.approx(ref[0], abs=1e-8)
         assert row.err2 == pytest.approx(ref[1], abs=1e-8)
         assert row.err3 == pytest.approx(ref[2], abs=1e-8)
+    # the first-order error is coefficient-free: |F^n - Lambda| under hall_base
+    assert rows[1].err1 == float.fromhex("0x1.d5c0f3e045780p-7")
 
 
 def test_error_table_pdf_golden_spot_rows(data_dir):
@@ -221,6 +208,21 @@ def test_rate_diagnostic_zero_error_is_diagnostics_error():
     # far above the mode the first-order error is exactly 0, which has no log
     with pytest.raises(DiagnosticsError, match="first-order error is 0"):
         rate_diagnostic("cdf", 2.0, 50.0, 2.0, [10**4, 10**8])
+
+
+@pytest.mark.parametrize("kind", ["cdf", "pdf"])
+@pytest.mark.parametrize("t, x, sigma, message", [
+    # err1 is scale-free, but err1 * b_n^4 carries sigma^4
+    (2.0, 0.7, 1.5e-154, r"err1 \* b_n\^4 = 0.0 leaves"),
+    (2.0, 0.7, 1e-100, r"err1 \* b_n\^4 = 0.0 leaves"),
+    (2.0, 0.7, 1e100, r"err1 \* b_n\^4 = inf leaves"),
+    (2.0, 0.7, 1e153, r"err1 \* b_n\^4 = inf leaves"),
+    # sigma^2 x^2 overflows in the first coefficient
+    (0.5, 20.0, 1e153, "scaled_limit_prediction"),
+])
+def test_rate_out_of_float_range_is_domain_error(kind, t, x, sigma, message):
+    with pytest.raises(DomainError, match=message):
+        rate_diagnostic(kind, t, x, sigma, [10**4, 10**8])
 
 
 @pytest.mark.parametrize("kind", ["CDF", "bogus", None, []])
@@ -500,7 +502,9 @@ def test_exact_layer_bits_pinned(data_dir):
     # exact layer was consolidated; the consolidation must not move a bit.
     # The 16 rate slopes were re-recorded when the fit became the correctly
     # rounded exact least-squares line, and 6 sigma = 1.7 error_table fields
-    # when the approximations moved to sigma = 1 units (z = b_n / sigma)
+    # when the approximations moved to sigma = 1 units (z = b_n / sigma), and
+    # 63 pdf fields at sigma = 1 and 1.7 when exact_powered_pdf stopped
+    # forming n * c_n first
     with open(data_dir / "exact_bits.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 816

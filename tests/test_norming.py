@@ -21,7 +21,6 @@ from maxext.norming import (
     Scheme,
     equation_residual,
     hall_base,
-    hall_constants,
     powered_constants,
     solve_bn,
     validate_scheme,
@@ -50,6 +49,13 @@ def test_residual_contract_on_grid():
             assert base.b_n > s
             assert abs(equation_residual(base.b_n, n, s)) <= 1e-13
             assert base.a_n == s * s / base.b_n
+
+
+@pytest.mark.parametrize("b", [40.0, 1e3, 1e200, math.inf, 0.0, -1.0])
+def test_residual_far_from_the_root_is_domain_error(b):
+    # exp(h) - 1 overflows above b ~ 38 at n = 25, and log b needs b > 0
+    with pytest.raises(DomainError):
+        equation_residual(b, 25, 1.0)
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 0.5, 1.0, 2.0, 1e3])
@@ -106,15 +112,14 @@ def test_extreme_sigma_is_domain_error(n, sigma):
 
 @pytest.mark.parametrize("sigma", [1e-160, 1e160])
 def test_closed_form_constants_reject_unsquarable_sigma(sigma):
-    for fn in (hall_constants, hall_base):
-        with pytest.raises(DomainError):
-            fn(1000, sigma)
+    with pytest.raises(DomainError):
+        hall_base(1000, sigma)
 
 
 @pytest.mark.parametrize("sigma", [None, "1", True, 1j, float("nan"),
                                    pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize("fn", [
-    solve_bn, hall_constants, hall_base,
+    solve_bn, hall_base,
     pytest.param(lambda n, sigma: MaxwellParams(sigma), id="MaxwellParams"),
 ])
 def test_non_real_or_bool_sigma_is_domain_error(fn, sigma):
@@ -148,42 +153,46 @@ def test_numpy_scalar_n_accepted():
         base = solve_bn(n, np.float32(2.0))
         assert base == ref and type(base.n) is int
     assert solve_bn(1000, np.int64(2)) == ref
-    assert hall_constants(np.int64(1000)) == hall_constants(1000)
+    assert hall_base(np.int64(1000)) == hall_base(1000)
     for bad in (True, np.True_, 1000.5, np.float64(1000.5), "1000"):
         with pytest.raises(DomainError):
             solve_bn(bad)
 
 
 def test_hall_constants_values():
-    hc = hall_constants(100, 1.0)
-    assert hc.a_hat == pytest.approx(A_HAT_100_S1, rel=1e-14)
+    hall = hall_base(100, 1.0)
+    assert hall.a_n == pytest.approx(A_HAT_100_S1, rel=1e-14)
     # both constants are exactly linear in sigma
-    hc2 = hall_constants(100, 2.0)
-    assert hc2.a_hat == 2.0 * hc.a_hat
-    assert hc2.b_hat == 2.0 * hc.b_hat
+    hall2 = hall_base(100, 2.0)
+    assert hall2.a_n == 2.0 * hall.a_n
+    assert hall2.b_n == 2.0 * hall.b_n
     with pytest.raises(DomainError):
-        hall_constants(2, 1.0)
+        hall_base(2, 1.0)
 
 
 def test_hall_product_tends_to_sigma_squared():
     for s in (1.0, 2.0):
-        hc = hall_constants(10**10, s)
-        assert 0.98 * s * s <= hc.a_hat * hc.b_hat <= 1.10 * s * s
+        hall = hall_base(10**10, s)
+        assert 0.98 * s * s <= hall.a_n * hall.b_n <= 1.10 * s * s
 
 
 def test_hall_matches_solved_root_asymptotically():
     for n in GRID_N:
         for s in GRID_SIGMA:
             b = solve_bn(n, s).b_n
-            bh = hall_constants(n, s).b_hat
+            bh = hall_base(n, s).b_n
             assert abs(bh - b) / b <= 1.0 / math.log(n)
 
 
 def test_hall_base_mirrors_constants():
+    # Hall's closed forms, bit for bit: a_hat = sigma / sqrt(2 log n) and b_hat
     base = hall_base(50, 2.0)
-    hc = hall_constants(50, 2.0)
-    assert base.b_n == hc.b_hat
-    assert base.a_n == 4.0 / hc.b_hat
+    log_n = math.log(50)
+    root = math.sqrt(2.0 * log_n)
+    a_hat = 2.0 / root
+    b_hat = 2.0 * root + 2.0 * (math.log(2.0 * log_n) + math.log(2.0 / math.pi)) / (2.0 * root)
+    assert base.b_n == b_hat
+    assert base.a_n == a_hat
 
 
 def test_hall_base_normalises_n_and_sigma():
