@@ -24,6 +24,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 from . import maxwell
 from .errors import ConfigurationError, DiagnosticsError, DomainError
 from .expansions import (
+    _cdf_coeff1_general,
     cdf_approx,
     cdf_approx_tabulated,
     cdf_coeff1_general,
@@ -112,27 +113,41 @@ def exact_powered_cdf(n: int, t: float, x: float, pn: PoweredNorming,
     """P(|M_n|^t <= c_n x + d_n) = F((c_n x + d_n)^{1/t})^n, evaluated stably.
 
     Below the support edge (c_n x + d_n <= 0) the probability is raised as a
-    domain error by default; pass below_support="zero" to map it to 0.
+    domain error by default; pass below_support="zero" to map it to 0. Far
+    above the mode, where (c_n x + d_n)^{1/t} overflows, it is 1.
     """
     y = _powered_argument(x, pn, below_support)
     if y is None:
         return 0.0
-    return _cdf_power(maxwell.survival(y ** (1.0 / t), p), n)
+    try:
+        delta = y ** (1.0 / t)
+    except OverflowError:  # far above the mode
+        return 1.0
+    return _cdf_power(maxwell.survival(delta, p), n)
 
 
 def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
                       p: MaxwellParams, below_support: str = "error") -> float:
-    """Density of (|M_n|^t - d_n)/c_n at x: (n c_n / t) y^{1/t-1} F^{n-1}(y^{1/t}) f(y^{1/t})."""
+    """Density of (|M_n|^t - d_n)/c_n at x: (n c_n / t) y^{1/t-1} F^{n-1}(y^{1/t}) f(y^{1/t}).
+
+    below_support as for exact_powered_cdf; 0 wherever F^{n-1} or f is 0.
+    """
     y = _powered_argument(x, pn, below_support)
     if y is None:
         return 0.0
-    delta = y ** (1.0 / t)
+    try:
+        delta = y ** (1.0 / t)
+    except OverflowError:  # far above the mode
+        return 0.0
     f_pow = _cdf_power(maxwell.survival(delta, p), n - 1)
     if f_pow == 0.0:  # also skips y^{1/t-1}, which can overflow where sf rounds to 1
         return 0.0
+    f_delta = maxwell.pdf(delta, p)
+    if f_delta == 0.0:  # also skips n * (...) * 0, which is nan where n * (...) overflows
+        return 0.0
     # d delta/dx = c_n y^{1/t-1} / t is of order sigma, while n c_n (order
     # n sigma^t) can overflow; so the factor n comes after it
-    return n * (pn.c_n / t * y ** (1.0 / t - 1.0)) * f_pow * maxwell.pdf(delta, p)
+    return n * (pn.c_n / t * y ** (1.0 / t - 1.0)) * f_pow * f_delta
 
 
 class _KindLaws(NamedTuple):
@@ -436,6 +451,11 @@ class DensityCoeffAdjudication:
 ADJUDICATION_THRESHOLD = 0.05
 
 
+def _pdf_coeff1_classic(t, x, sigma):  # (t-2) x^2 where pdf_coeff1_general has (t-2) x^2 / 2
+    return (-math.exp(-x) * _cdf_coeff1_general(t, x, sigma)
+            + sigma * sigma * x * ((t - 2.0) * x + 3.0 - t))
+
+
 def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
                               n_grid: Sequence[int]) -> DensityCoeffAdjudication:
     """Decide numerically which first-density-coefficient variant is correct.
@@ -470,8 +490,8 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
         b2 = base.b_n * base.b_n
         us.append(1.0 / b2)
         R.append([(exact_powered_pdf(n, t, x, pn, p) / d - 1.0) * b2 for x, d in zip(xs, dens)])
-    cons = [pdf_coeff1_general(t, x, sigma, consistent=True) for x in xs]
-    clas = [pdf_coeff1_general(t, x, sigma, consistent=False) for x in xs]
+    cons = [pdf_coeff1_general(t, x, sigma) for x in xs]
+    clas = [_pdf_coeff1_classic(t, x, sigma) for x in xs]
     sup_c = tuple(max(abs(R[i][j] - cons[j]) for j in range(len(xs))) for i in range(len(ns)))
     sup_p = tuple(max(abs(R[i][j] - clas[j]) for j in range(len(xs))) for i in range(len(ns)))
     # pointwise linear extrapolation in u = b_n^-2 to u -> 0

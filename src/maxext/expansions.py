@@ -5,21 +5,16 @@ The distribution of the normalized powered maximum admits an expansion
     Lambda(x) [1 + k1(x) b_n^-2 + k2(x) b_n^-4 + ...]      (general power t)
     Lambda(x) [1 + k1(x) b_n^-4 + k2(x) b_n^-6 + ...]      (t = 2, optimal)
 
-and the density the analogous expansion around Lambda'(x). cdf_approx and
-pdf_approx use the derivative-consistent coefficients, obtained by
-expanding the exact distribution: differentiating the order-k distribution
-approximation reproduces the order-k density approximation exactly. These
-are the forms validated by the adjudication experiment and the large-n rate
-diagnostics. ``consistent=False`` selects the classic closed forms of a
-coefficient as traditionally stated. For the general power index they
-differ from the consistent ones in the x^2 term of the first density
-coefficient (and throughout the second); for the square case they differ
-in one sign of the second-order coefficient pair.
+and the density the analogous expansion around Lambda'(x). Each coefficient
+has one form, the derivative-consistent one: differentiating the order-k
+distribution approximation reproduces the order-k density approximation
+exactly. The adjudication experiment and the large-n rate diagnostics
+validate these forms, and cdf_approx and pdf_approx use them.
 
 The ``*_tabulated`` approximations reproduce the golden reference error
-tables exactly; they combine the classic second-order coefficients with
-sign conventions and closed-form norming inherited from the original
-tabulation (see exact.error_table).
+tables exactly, with the classic second-order pair at t = 2, sign
+conventions and closed-form norming inherited from the original tabulation
+(see exact.error_table).
 
 A coefficient of b_n^-2k carries sigma^2k, so the approximations take their
 coefficients at sigma = 1 against z = b_n / sigma: no power of sigma can
@@ -31,7 +26,10 @@ norming.validate_scheme; the private kernels they call run unchecked.
 
 Where the Gumbel factor underflows to 0.0 the approximations return it
 as is, before evaluating any exp(-x) coefficient: far below the mode those
-coefficients overflow, while the true approximation underflows.
+coefficients overflow, while the true approximation underflows. Far above
+the mode, where exp(-x) underflows to 0.0, the distribution approximations
+return Lambda(x) = 1 the same way, before a polynomial in x can overflow;
+the densities are 0 there.
 
 All functions are scalar and pure.
 """
@@ -105,48 +103,31 @@ def _d_cdf_coeff2_general(t, x, sigma):
     return s2 * s2 * (((c3 * x + c2) * x - 1.0) * x - 1.0)
 
 
-def pdf_coeff1_general(t: float, x: float, sigma: float, consistent: bool = True) -> float:
-    """First density coefficient for general power index.
-
-    The consistent form is -e^{-x} A1 + A1 - A1' with A1 the first
-    distribution coefficient; the classic form carries (t-2) x^2 in place of
-    (t-2) x^2 / 2 in the polynomial part.
-    """
+def pdf_coeff1_general(t: float, x: float, sigma: float) -> float:
+    """First density coefficient -e^{-x} A1 + A1 - A1' for general power index."""
     t, _ = validate_scheme(t, Scheme.GENERAL_POWER)
-    return _pdf_coeff1_general(t, x, sigma, consistent)
+    return _pdf_coeff1_general(t, x, sigma)
 
 
-def _pdf_coeff1_general(t, x, sigma, consistent):
+def _pdf_coeff1_general(t, x, sigma):
     a1 = _cdf_coeff1_general(t, x, sigma)
     s2 = sigma * sigma
-    if consistent:
-        return -math.exp(-x) * a1 + s2 * x * (0.5 * (t - 2.0) * x + 3.0 - t)
-    return -math.exp(-x) * a1 + s2 * x * ((t - 2.0) * x + 3.0 - t)
+    return -math.exp(-x) * a1 + s2 * x * (0.5 * (t - 2.0) * x + 3.0 - t)
 
 
-def pdf_coeff2_general(t: float, x: float, sigma: float, consistent: bool = True) -> float:
+def pdf_coeff2_general(t: float, x: float, sigma: float) -> float:
     """Second density coefficient for general power index."""
     t, _ = validate_scheme(t, Scheme.GENERAL_POWER)
-    return _pdf_coeff2_general(t, x, sigma, consistent)
+    return _pdf_coeff2_general(t, x, sigma)
 
 
-def _pdf_coeff2_general(t, x, sigma, consistent):
-    if consistent:
-        a1 = _cdf_coeff1_general(t, x, sigma)
-        a2 = _cdf_coeff2_general(t, x, sigma)
-        d1 = _d_cdf_coeff1_general(t, x, sigma)
-        d2 = _d_cdf_coeff2_general(t, x, sigma)
-        emx = math.exp(-x)
-        return 0.5 * emx * emx * a1 * a1 - emx * (a2 + a1 * (a1 - d1)) + (a2 - d2)
-    s2 = sigma * sigma
-    s4 = s2 * s2
+def _pdf_coeff2_general(t, x, sigma):
+    a1 = _cdf_coeff1_general(t, x, sigma)
+    a2 = _cdf_coeff2_general(t, x, sigma)
+    d1 = _d_cdf_coeff1_general(t, x, sigma)
+    d2 = _d_cdf_coeff2_general(t, x, sigma)
     emx = math.exp(-x)
-    sq = 0.5 * (t - 2.0) * x * x + x + 1.0
-    poly_e = ((0.625 * (t - 2.0) * x - (t - 2.0) * (5.0 * t / 6.0 - 10.0 / 3.0)) * x
-              + (2.0 * t + 0.5)) * x * x - 1.0
-    poly = (((t - 2.0) ** 2 / 8.0 * x - (t - 2.0) * (5.0 * t / 6.0 - 11.0 / 6.0)) * x
-            + 0.5 * (t - 3.0) * (2.0 * t - 3.0)) * x
-    return s4 * (0.5 * sq * sq * emx * emx - poly_e * emx + poly)
+    return 0.5 * emx * emx * a1 * a1 - emx * (a2 + a1 * (a1 - d1)) + (a2 - d2)
 
 
 # ---------------------------------------------------------------- t = 2
@@ -157,36 +138,23 @@ def cdf_coeff1_square(x: float, sigma: float) -> float:
     return -s2 * s2 * ((x + 1.0) * x + 0.5)
 
 
-def cdf_coeff2_square(x: float, sigma: float, consistent: bool = True) -> float:
-    """Second distribution coefficient at t = 2.
-
-    The two variants differ only in the sign of the linear term:
-    (4/3) x^3 + 2 x^2 + 2 x + 7/3 (consistent) versus - 2 x (classic).
-    """
+def cdf_coeff2_square(x: float, sigma: float) -> float:
+    """Second distribution coefficient at t = 2: sigma^6 ((4/3) x^3 + 2 x^2 + 2 x + 7/3)."""
     s6 = sigma ** 6
-    lin = 2.0 if consistent else -2.0
-    return s6 * (((4.0 / 3.0 * x + 2.0) * x + lin) * x + 7.0 / 3.0)
-
-
-def _d_cdf_coeff2_square(x, sigma):  # of the consistent form
-    return sigma ** 6 * ((4.0 * x + 4.0) * x + 2.0)
+    return s6 * (((4.0 / 3.0 * x + 2.0) * x + 2.0) * x + 7.0 / 3.0)
 
 
 def pdf_coeff1_square(x: float, sigma: float) -> float:
-    """First density coefficient at t = 2 (unique; both variants coincide)."""
+    """First density coefficient at t = 2."""
     s4 = sigma ** 4
     return s4 * (((x + 1.0) * x + 0.5) * math.exp(-x) + (1.0 - x) * x + 0.5)
 
 
-def pdf_coeff2_square(x: float, sigma: float, consistent: bool = True) -> float:
-    """Second density coefficient at t = 2: -e^{-x} B + B - B' over the matching B."""
-    b2 = cdf_coeff2_square(x, sigma, consistent=consistent)
-    if consistent:
-        return -math.exp(-x) * b2 + b2 - _d_cdf_coeff2_square(x, sigma)
-    # classic closed form keeps the traditionally stated polynomial part
-    s6 = sigma ** 6
-    poly = ((4.0 / 3.0 * x - 2.0) * x - 2.0) * x + 1.0 / 3.0
-    return -math.exp(-x) * b2 + s6 * poly
+def pdf_coeff2_square(x: float, sigma: float) -> float:
+    """Second density coefficient at t = 2: -e^{-x} B2 + B2 - B2' with B2 = cdf_coeff2_square."""
+    b2 = cdf_coeff2_square(x, sigma)
+    d2 = sigma ** 6 * ((4.0 * x + 4.0) * x + 2.0)  # B2'
+    return -math.exp(-x) * b2 + b2 - d2
 
 
 # ------------------------------------------------- t = 2, alternative scheme
@@ -225,9 +193,11 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
     lam = gumbel_cdf(x)
     if order == 1 or lam == 0.0:
         return lam
+    emx = math.exp(-x)
+    if emx == 0.0:
+        return lam
     z = base.b_n / base.sigma
     u = 1.0 / (z * z)
-    emx = math.exp(-x)
     if scheme is Scheme.GENERAL_POWER:
         a1 = _cdf_coeff1_general(t, x, 1.0)
         bracket = 1.0 - emx * a1 * u
@@ -258,9 +228,9 @@ def pdf_approx(order: int, t: float, x: float, base: NormingBase,
     z = base.b_n / base.sigma
     u = 1.0 / (z * z)
     if scheme is Scheme.GENERAL_POWER:
-        bracket = 1.0 + _pdf_coeff1_general(t, x, 1.0, True) * u
+        bracket = 1.0 + _pdf_coeff1_general(t, x, 1.0) * u
         if order == 3:
-            bracket += _pdf_coeff2_general(t, x, 1.0, True) * u * u
+            bracket += _pdf_coeff2_general(t, x, 1.0) * u * u
     elif scheme is Scheme.SQUARE_OPTIMAL:
         u2 = u * u
         bracket = 1.0 + pdf_coeff1_square(x, 1.0) * u2
@@ -272,6 +242,17 @@ def pdf_approx(order: int, t: float, x: float, base: NormingBase,
         if order == 3:
             bracket += k2 * u * u
     return lamp * bracket
+
+
+# The classic second-order pair of the golden tables at t = 2, sigma = 1: cdf_coeff2_square
+# with its linear term's sign flipped, and -e^{-x} times that plus a stated polynomial.
+def _cdf_coeff2_classic(x):
+    return ((4.0 / 3.0 * x + 2.0) * x - 2.0) * x + 7.0 / 3.0
+
+
+def _pdf_coeff2_classic(x):
+    poly = ((4.0 / 3.0 * x - 2.0) * x - 2.0) * x + 1.0 / 3.0
+    return -math.exp(-x) * _cdf_coeff2_classic(x) + poly
 
 
 def cdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
@@ -286,11 +267,13 @@ def cdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
     if order == 1 or lam == 0.0:
         return lam
     emx = math.exp(-x)
+    if emx == 0.0:
+        return lam
     z = base.b_n / base.sigma
     u2 = 1.0 / z ** 4
     bracket = 1.0 + emx * cdf_coeff1_square(x, 1.0) * u2
     if order == 3:
-        bracket -= emx * cdf_coeff2_square(x, 1.0, consistent=False) * u2 / (z * z)
+        bracket -= emx * _cdf_coeff2_classic(x) * u2 / (z * z)
     return lam * bracket
 
 
@@ -304,7 +287,7 @@ def pdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
     u2 = 1.0 / z ** 4
     bracket = 1.0 + pdf_coeff1_square(x, 1.0) * u2
     if order == 3:
-        bracket -= pdf_coeff2_square(x, 1.0, consistent=False) * u2 / (z * z)
+        bracket -= _pdf_coeff2_classic(x) * u2 / (z * z)
     return lamp * bracket
 
 

@@ -73,14 +73,24 @@ class MaxwellParams:
         object.__setattr__(self, "sigma", _check_sigma(self.sigma))
 
 
+def _z_density(z: float) -> float:
+    """sqrt(2/pi) z e^{-z^2/2}, which is sigma^2 x^-1 f(x) at z = x / sigma.
+
+    0.0 where the exponential underflows, also where z * z = inf (not 0 * inf = nan).
+    """
+    e = math.exp(-0.5 * z * z)
+    return _SQRT_2_OVER_PI * z * e if e else 0.0
+
+
 def pdf(x: float, p: MaxwellParams) -> float:
-    """Density sqrt(2/pi) x^2 sigma^-3 exp(-x^2 / 2 sigma^2); zero for x <= 0."""
+    """Density sqrt(2/pi) x^2 sigma^-3 exp(-x^2 / 2 sigma^2); 0 for x <= 0 and where exp is 0."""
     x = _reject_nan(x, "pdf")
     if x <= 0.0:
         return 0.0
     s = p.sigma
     z = x / s
-    return _SQRT_2_OVER_PI * z * z / s * math.exp(-0.5 * z * z)
+    e = math.exp(-0.5 * z * z)
+    return _SQRT_2_OVER_PI * z * z / s * e if e else 0.0
 
 
 def cdf(x: float, p: MaxwellParams) -> float:
@@ -89,7 +99,7 @@ def cdf(x: float, p: MaxwellParams) -> float:
     if x <= 0.0:
         return 0.0
     z = x / p.sigma
-    return erf(z / _SQRT2) - _SQRT_2_OVER_PI * z * math.exp(-0.5 * z * z)
+    return erf(z / _SQRT2) - _z_density(z)
 
 
 def survival(x: float, p: MaxwellParams) -> float:
@@ -102,13 +112,7 @@ def survival(x: float, p: MaxwellParams) -> float:
     if x <= 0.0:
         return 1.0
     z = x / p.sigma
-    return erfc(z / _SQRT2) + _SQRT_2_OVER_PI * z * math.exp(-0.5 * z * z)
-
-
-def _leading_factor(x: float, p: MaxwellParams) -> float:
-    # sigma^2 x^-1 f(x) = sqrt(2/pi) (x/sigma) exp(-x^2 / 2 sigma^2)
-    z = x / p.sigma
-    return _SQRT_2_OVER_PI * z * math.exp(-0.5 * z * z)
+    return erfc(z / _SQRT2) + _z_density(z)
 
 
 def _tail_partial_sum(x: float, p: MaxwellParams, terms: int) -> float:
@@ -130,7 +134,7 @@ def tail_expansion(x: float, p: MaxwellParams, terms: int = 4) -> float:
         raise DomainError(f"tail_expansion requires x > 0, got {x}")
     if terms not in (1, 2, 3, 4):
         raise DomainError(f"terms must be in 1..4, got {terms}")
-    return _leading_factor(x, p) * _tail_partial_sum(x, p, terms)
+    return _z_density(x / p.sigma) * _tail_partial_sum(x, p, terms)
 
 
 def tail_remainder(x: float, p: MaxwellParams) -> float:

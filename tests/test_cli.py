@@ -314,3 +314,27 @@ def test_extreme_sigma_sweep_prints_finite_values_or_exits_2(capsys, argv):
     assert re.search(r"\b(?:inf|nan)\b", out, re.IGNORECASE) is None, out
     if argv[0] == "rate":  # every rate field is nonzero unless it underflowed
         assert all("0" not in row for row in parse_csv(out)[1:]), out
+
+
+def _far_x_argvs():
+    # up to far above the mode, where exp(-x), y^(1/t) and the Maxwell
+    # density's z * z leave the float range
+    for x in ("50", "800", "1e40", "1e100", "1e200", "1e300"):
+        for t in ("0.1", "0.5", "1", "2", "3"):
+            for kind in ("cdf", "pdf"):
+                yield ["table", "--kind", kind, "--t", t, "--x", x]
+                yield ["rate", "--kind", kind, "--t", t, "--x", x]
+                yield ["plot-data", "--kind", kind, "--n", "500", "--t", t,
+                       "--x-min", x, "--x-max", x]
+            if t != "2":
+                yield ["adjudicate", "--t", t, "--x-min", x, "--x-max", x]
+        yield ["compare-schemes", "--x", x]
+        yield ["compare-hall", "--x", x]
+
+
+@pytest.mark.parametrize("argv", list(_far_x_argvs()), ids=" ".join)
+def test_extreme_x_sweep_prints_finite_values_or_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)  # an escaping exception fails here
+    assert code in (0, 2), err
+    assert re.search(r"\b(?:inf|nan)\b", out, re.IGNORECASE) is None, out
+    assert "must be finite" not in err, err

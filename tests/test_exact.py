@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from maxext.errors import ConfigurationError, DiagnosticsError, DomainError
+from maxext import maxwell
+from maxext.errors import ConfigurationError, DiagnosticsError, DomainError, MaxextError
 from maxext.exact import (
     ErrorRow,
     _fit,
+    _pdf_coeff1_classic,
     adjudicate_density_coeffs,
     compare_schemes,
     default_scheme,
@@ -21,6 +23,13 @@ from maxext.exact import (
     exact_unpowered_cdf,
     hall_rate_check,
     rate_diagnostic,
+)
+from maxext.expansions import (
+    cdf_approx,
+    cdf_approx_tabulated,
+    pdf_approx,
+    pdf_approx_tabulated,
+    pdf_coeff1_general,
 )
 from maxext.maxwell import MaxwellParams, cdf
 from maxext.norming import Scheme, hall_base, powered_constants, solve_bn
@@ -43,6 +52,19 @@ def test_exact_cdf_saturates():
     base = solve_bn(50, 2.0)
     pn = powered_constants(base, 2.0, Scheme.SQUARE_OPTIMAL)
     assert exact_powered_cdf(50, 2.0, 40.0, pn, P2) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, t, x, sigma", [(500, 0.1, 1e40, 1.0), (500, 3.0, 1e300, 1.0),
+                                            (10**300, 1.0, 1e3, 1.0), (10**300, 1.0, 1e3, 1e152)],
+                         ids=["t0.1", "t3", "n1e300", "n1e300-sigma1e152"])
+def test_exact_laws_saturate_far_above_mode(n, t, x, sigma):
+    # (c_n x + d_n)^(1/t) overflows in the first two cases; in the others the
+    # Maxwell density at delta underflows to 0 while F^(n-1) is 1, and at
+    # sigma = 1e152 the factor n c_n / t overflows, which gave inf * 0 = nan
+    pn = powered_constants(solve_bn(n, sigma), t, Scheme.GENERAL_POWER)
+    p = MaxwellParams(sigma)
+    assert exact_powered_cdf(n, t, x, pn, p) == 1.0
+    assert exact_powered_pdf(n, t, x, pn, p) == 0.0
 
 
 def test_exact_cdf_single_observation():
@@ -289,14 +311,12 @@ def test_adjudication_identifies_consistent_variant():
 
 def test_adjudication_pointwise_at_x2():
     # R(1e10, x=2) at t=1 sits within 5% of exactly one variant
-    from maxext.expansions import pdf_coeff1_general
-
     base = solve_bn(10**10, 1.0)
     pn = powered_constants(base, 1.0, Scheme.GENERAL_POWER)
     r = (exact_powered_pdf(10**10, 1.0, 2.0, pn, MaxwellParams(1.0))
          / gumbel_pdf(2.0) - 1.0) * base.b_n**2
     cons = pdf_coeff1_general(1.0, 2.0, 1.0)
-    clas = pdf_coeff1_general(1.0, 2.0, 1.0, consistent=False)
+    clas = _pdf_coeff1_classic(1.0, 2.0, 1.0)
     hits = [abs(r - cons) <= 0.05 * abs(cons), abs(r - clas) <= 0.05 * abs(clas)]
     assert hits == [True, False]
 
@@ -538,3 +558,39 @@ def test_non_real_t_or_x_is_domain_error(call, bad):
     with pytest.raises(DomainError) as info:
         call(bad)
     assert len(str(info.value)) < 200
+
+
+def _finite_or_maxext_error(fn, *args):
+    try:
+        value = fn(*args)
+    except MaxextError:
+        return
+    assert isinstance(value, float) and math.isfinite(value), (fn.__name__, args, value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False),
+       n=st.sampled_from([3, 500, 10**12, 10**300]),
+       sigma=st.sampled_from([1.5e-154, 1.0, 1e152]),
+       case=st.sampled_from([(0.01, Scheme.GENERAL_POWER), (0.5, Scheme.GENERAL_POWER),
+                             (1.0, Scheme.GENERAL_POWER), (3.0, Scheme.GENERAL_POWER),
+                             (40.0, Scheme.GENERAL_POWER), (2.0, Scheme.SQUARE_OPTIMAL),
+                             (2.0, Scheme.SQUARE_ALTERNATIVE)]))
+def test_any_finite_x_gives_finite_value_or_maxext_error(x, n, sigma, case):
+    # far below and far above the mode, at both ends of the sigma domain
+    t, scheme = case
+    p = MaxwellParams(sigma)
+    for fn in (maxwell.pdf, maxwell.cdf, maxwell.survival):
+        _finite_or_maxext_error(fn, x, p)
+    base, hall = solve_bn(n, sigma), hall_base(n, sigma)
+    for order in (1, 2, 3):
+        for fn in (cdf_approx, pdf_approx):
+            _finite_or_maxext_error(fn, order, t, x, base, scheme)
+        for fn in (cdf_approx_tabulated, pdf_approx_tabulated):
+            _finite_or_maxext_error(fn, order, x, hall)
+    try:
+        pn = powered_constants(base, t, scheme)
+    except MaxextError:  # c_n or d_n out of float range
+        return
+    for fn in (exact_powered_cdf, exact_powered_pdf):
+        _finite_or_maxext_error(fn, n, t, x, pn, p, "zero")

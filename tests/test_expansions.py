@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxext.errors import ConfigurationError, DomainError
+from maxext.exact import _pdf_coeff1_classic
 from maxext.expansions import (
+    _cdf_coeff2_classic,
+    _pdf_coeff2_classic,
     cdf_approx,
     cdf_approx_tabulated,
     cdf_coeff1_general,
@@ -29,15 +32,17 @@ from maxext.norming import Scheme, hall_base, solve_bn
 from maxext.special import gumbel_cdf, gumbel_pdf
 
 # Frozen values from an independent symbolic derivation evaluated in
-# arbitrary precision (derivative-consistent forms unless "classic").
+# arbitrary precision. The public coefficients are the derivative-consistent
+# forms; the "classic" values check the private classic forms that the
+# adjudication (P1) and the golden-table convention (B2, Q2) consume.
 FROZEN_GENERAL = {
-    # (t, x, sigma): (A1, A2, P1_cons, P2_cons, P1_classic, P2_classic)
+    # (t, x, sigma): (A1, A2, P1_cons, P2_cons, P1_classic)
     (2.5, 1.3, 1.7): (7.868025, -25.5219034746875, 0.95523803911356299,
-                      -5.9975265787176567, 2.176263039113563, -28.35913978631314),
+                      -5.9975265787176567, 2.176263039113563),
     (0.5, -0.75, 1.0): (-0.171875, -0.0203857421875, -1.9330156221446965,
-                        1.6653375642773233, -2.3548906221446965, -6.0713727797900039),
+                        1.6653375642773233, -2.3548906221446965),
     (3.0, 1.4, 0.5): (0.845, -0.20982083333333333, 0.036625565469342527,
-                      -0.061921436838660963, 0.28162556546934253, -0.2917075094739767),
+                      -0.061921436838660963, 0.28162556546934253),
 }
 FROZEN_SQUARE = {
     # (x, sigma): (B1, B2_cons, B2_classic, Q1, Q2_cons, Q2_classic)
@@ -56,23 +61,23 @@ FROZEN_ALT = {
 
 
 def test_general_coefficients_frozen():
-    for (t, x, s), (a1, a2, p1c, p2c, p1p, p2p) in FROZEN_GENERAL.items():
+    for (t, x, s), (a1, a2, p1c, p2c, p1p) in FROZEN_GENERAL.items():
         assert cdf_coeff1_general(t, x, s) == pytest.approx(a1, rel=1e-14)
         assert cdf_coeff2_general(t, x, s) == pytest.approx(a2, rel=1e-14)
         assert pdf_coeff1_general(t, x, s) == pytest.approx(p1c, rel=1e-13)
         assert pdf_coeff2_general(t, x, s) == pytest.approx(p2c, rel=1e-13)
-        assert pdf_coeff1_general(t, x, s, consistent=False) == pytest.approx(p1p, rel=1e-13)
-        assert pdf_coeff2_general(t, x, s, consistent=False) == pytest.approx(p2p, rel=1e-13)
+        assert _pdf_coeff1_classic(t, x, s) == pytest.approx(p1p, rel=1e-13)
 
 
 def test_square_coefficients_frozen():
     for (x, s), (b1, b2c, b2p, q1, q2c, q2p) in FROZEN_SQUARE.items():
         assert cdf_coeff1_square(x, s) == pytest.approx(b1, rel=1e-14)
         assert cdf_coeff2_square(x, s) == pytest.approx(b2c, rel=1e-14)
-        assert cdf_coeff2_square(x, s, consistent=False) == pytest.approx(b2p, rel=1e-14)
         assert pdf_coeff1_square(x, s) == pytest.approx(q1, rel=1e-13)
         assert pdf_coeff2_square(x, s) == pytest.approx(q2c, rel=1e-13)
-        assert pdf_coeff2_square(x, s, consistent=False) == pytest.approx(q2p, rel=1e-13)
+        # the classic pair is stated at sigma = 1; a b_n^-6 coefficient carries sigma^6
+        assert s**6 * _cdf_coeff2_classic(x) == pytest.approx(b2p, rel=1e-14)
+        assert s**6 * _pdf_coeff2_classic(x) == pytest.approx(q2p, rel=1e-13)
 
 
 def test_alternative_corrections_frozen():
@@ -87,17 +92,16 @@ def test_handpicked_point_values():
     assert cdf_coeff1_square(0.0, 1.0) == -0.5
     assert cdf_coeff1_square(1.0, 2.0) == -40.0
     assert cdf_coeff2_square(0.0, 1.0) == pytest.approx(7.0 / 3.0, abs=1e-15)
-    assert cdf_coeff2_square(0.0, 1.0, consistent=False) == pytest.approx(7.0 / 3.0, abs=1e-15)
+    assert _cdf_coeff2_classic(0.0) == pytest.approx(7.0 / 3.0, abs=1e-15)
     assert pdf_coeff1_square(0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
     assert pdf_coeff2_square(0.0, 1.0) == pytest.approx(-2.0, abs=1e-14)
-    assert pdf_coeff2_square(0.0, 1.0, consistent=False) == pytest.approx(-2.0, abs=1e-14)
+    assert _pdf_coeff2_classic(0.0) == pytest.approx(-2.0, abs=1e-14)
     # first density coefficient at x = 0 is -sigma^2 in both variants
-    for consistent in (True, False):
+    for fn in (pdf_coeff1_general, _pdf_coeff1_classic):
         for s in (1.0, 2.0):
-            assert pdf_coeff1_general(3.0, 0.0, s, consistent) == pytest.approx(
-                -s * s, abs=1e-15)
+            assert fn(3.0, 0.0, s) == pytest.approx(-s * s, abs=1e-15)
     # classic value at t=1, x=1: -(3/2) e^{-1} + 1
-    assert pdf_coeff1_general(1.0, 1.0, 1.0, consistent=False) == pytest.approx(
+    assert _pdf_coeff1_classic(1.0, 1.0, 1.0) == pytest.approx(
         1.0 - 1.5 * math.exp(-1.0), rel=1e-14)
 
 
@@ -116,7 +120,7 @@ def test_variant_gap_is_half_t_minus_2_x_squared():
             continue
         x = rng.uniform(-3.0, 6.0)
         s = rng.uniform(0.5, 3.0)
-        gap = pdf_coeff1_general(t, x, s, consistent=False) - pdf_coeff1_general(t, x, s)
+        gap = _pdf_coeff1_classic(t, x, s) - pdf_coeff1_general(t, x, s)
         assert gap == pytest.approx(0.5 * (t - 2.0) * s * s * x * x, rel=1e-10, abs=1e-12)
 
 
@@ -294,32 +298,46 @@ def test_approximations_vanish_where_gumbel_underflows(x):
     assert hall_error_leading(10**6, x) == 0.0
 
 
+@pytest.mark.parametrize("x", [750.0, 1e40, 1e200, 1e300])
+def test_approximations_saturate_where_exp_minus_x_underflows(x):
+    # the polynomial coefficients would overflow here (or give 0 * inf = nan)
+    base = solve_bn(500, 1.0)
+    for order in (1, 2, 3):
+        assert cdf_approx(order, 1.0, x, base) == 1.0
+        assert pdf_approx(order, 1.0, x, base) == 0.0
+        for scheme in (Scheme.SQUARE_OPTIMAL, Scheme.SQUARE_ALTERNATIVE):
+            assert cdf_approx(order, 2.0, x, base, scheme) == 1.0
+            assert pdf_approx(order, 2.0, x, base, scheme) == 0.0
+        assert cdf_approx_tabulated(order, x, base) == 1.0
+        assert pdf_approx_tabulated(order, x, base) == 0.0
+
+
 def test_outputs_match_recorded_bits(data_dir):
     # approx_bits.csv holds float.hex values recorded before each public
     # function was split into one validation and an unchecked kernel; the
     # split must not move a single bit. The 57 order-2/3 rows at sigma = 1.7
     # were re-recorded when the approximations moved to sigma = 1 units
     # (z = b_n / sigma), which moves the last bits where sigma is not a power
-    # of two. The consistent column selects the variant of a general
-    # coefficient; the approximations always use the consistent forms, so
-    # their rows read 1
+    # of two. The consistent column reads 0 for the classic first density
+    # coefficient, now the private form the adjudication consumes, and 1 or
+    # empty for the public coefficients and approximations. The 36 rows of
+    # the classic second density coefficient left with that form.
     general = {
         "cdf_coeff1_general": cdf_coeff1_general,
         "cdf_coeff2_general": cdf_coeff2_general,
         "pdf_coeff1_general": pdf_coeff1_general,
         "pdf_coeff2_general": pdf_coeff2_general,
     }
+    classic = {"pdf_coeff1_general": _pdf_coeff1_classic}
     approx = {"cdf_approx": cdf_approx, "pdf_approx": pdf_approx}
     with open(data_dir / "approx_bits.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 1512
+    assert len(rows) == 1476
     for row in rows:
         t, sigma, x = float(row["t"]), float(row["sigma"]), float(row["x"])
         if row["function"] in general:
-            args = (t, x, sigma)
-            if row["consistent"]:
-                args += (row["consistent"] == "1",)
-            got = [general[row["function"]](*args)]
+            fn = (classic if row["consistent"] == "0" else general)[row["function"]]
+            got = [fn(t, x, sigma)]
         else:
             base = solve_bn(int(row["n"]), sigma)
             fn = approx[row["function"]]

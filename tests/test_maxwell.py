@@ -116,6 +116,15 @@ def test_survival_never_negative():
         assert survival(x, p) >= 0.0
 
 
+@pytest.mark.parametrize("x, sigma", [(40.0, 1.0), (1e200, 1.0), (1.0, 1.5e-154),
+                                      (1e300, 1e-10)])
+def test_far_above_mode_saturates(x, sigma):
+    # exp(-z^2/2) underflows; in the last two cases z * z overflows as well,
+    # which left 0 * inf = nan in the density
+    p = MaxwellParams(sigma)
+    assert (pdf(x, p), cdf(x, p), survival(x, p), tail_expansion(x, p)) == (0.0, 1.0, 0.0, 0.0)
+
+
 def test_tail_expansion_leading_term():
     p = MaxwellParams(1.4)
     for x in (3.0, 7.0, 12.0):
