@@ -25,15 +25,14 @@ from . import maxwell
 from .errors import ConfigurationError, DiagnosticsError, DomainError
 from .expansions import (
     _cdf_coeff1_general,
+    _cdf_coeff1_square,
+    _pdf_coeff1_general,
+    _pdf_coeff1_square,
     cdf_approx,
     cdf_approx_tabulated,
-    cdf_coeff1_general,
-    cdf_coeff1_square,
     hall_error_leading,
     pdf_approx,
     pdf_approx_tabulated,
-    pdf_coeff1_general,
-    pdf_coeff1_square,
 )
 from .maxwell import MaxwellParams
 from .norming import (
@@ -55,6 +54,7 @@ __all__ = [
     "DensityCoeffAdjudication",
     "exact_powered_cdf",
     "exact_powered_pdf",
+    "exact_unpowered_cdf",
     "error_table",
     "rate_diagnostic",
     "hall_rate_check",
@@ -101,11 +101,24 @@ def _powered_argument(x: float, pn: PoweredNorming, below_support: str):
     return y
 
 
-def _cdf_power(sf: float, m) -> float:
+def _law_n(n) -> int:
+    """The sample size of an exact law as an int >= 1; DomainError otherwise."""
+    if type(n) is not int:  # a plain int needs no conversion
+        n = _check_n(n)
+    if n < 1:
+        raise DomainError(f"sample size n must be >= 1, got {n}")
+    return n
+
+
+def _cdf_power(sf: float, m: int) -> float:
     """F^m = (1 - sf)^m through log1p; 0.0 where the survival sf rounds to 1."""
     if sf >= 1.0:
         return 0.0
-    return math.exp(m * math.log1p(-sf))
+    try:
+        return math.exp(m * math.log1p(-sf))
+    except OverflowError:  # int * float where the int is beyond float range
+        raise DomainError("sample size n is beyond float range; "
+                          "n * log F cannot be formed") from None
 
 
 def exact_powered_cdf(n: int, t: float, x: float, pn: PoweredNorming,
@@ -114,8 +127,10 @@ def exact_powered_cdf(n: int, t: float, x: float, pn: PoweredNorming,
 
     Below the support edge (c_n x + d_n <= 0) the probability is raised as a
     domain error by default; pass below_support="zero" to map it to 0. Far
-    above the mode, where (c_n x + d_n)^{1/t} overflows, it is 1.
+    above the mode, where (c_n x + d_n)^{1/t} overflows, it is 1. The sample
+    size n must be an integer >= 1 within float range (DomainError otherwise).
     """
+    n = _law_n(n)
     y = _powered_argument(x, pn, below_support)
     if y is None:
         return 0.0
@@ -130,8 +145,9 @@ def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
                       p: MaxwellParams, below_support: str = "error") -> float:
     """Density of (|M_n|^t - d_n)/c_n at x: (n c_n / t) y^{1/t-1} F^{n-1}(y^{1/t}) f(y^{1/t}).
 
-    below_support as for exact_powered_cdf; 0 wherever F^{n-1} or f is 0.
+    below_support and n as for exact_powered_cdf; 0 wherever F^{n-1} or f is 0.
     """
+    n = _law_n(n)
     y = _powered_argument(x, pn, below_support)
     if y is None:
         return 0.0
@@ -154,16 +170,16 @@ class _KindLaws(NamedTuple):
     exact: Callable[..., float]           # exact law of the normalized maximum
     approx: Callable[..., float]          # order-k approximation, any scheme
     tabulated: Callable[..., float]       # order-k approximation, golden tables
-    coeff1_square: Callable[..., float]   # first coefficient at t = 2
-    coeff1_general: Callable[..., float]  # first coefficient for general t
-    weight: Callable[[float], float]      # limit of err1 * b_n^k / |coefficient|
+    coeff1_square: Callable[..., float]   # first coefficient at t = 2, sigma = 1, of x
+    coeff1_general: Callable[..., float]  # first coefficient at sigma = 1, of (t, x)
+    weight: Callable[[float], float]      # limit of err1 * b_n^k / (sigma^k |coefficient|)
 
 
 _KINDS = {
-    "cdf": _KindLaws(exact_powered_cdf, cdf_approx, cdf_approx_tabulated, cdf_coeff1_square,
-                     cdf_coeff1_general, lambda x: math.exp(-x) * gumbel_cdf(x)),
-    "pdf": _KindLaws(exact_powered_pdf, pdf_approx, pdf_approx_tabulated, pdf_coeff1_square,
-                     pdf_coeff1_general, gumbel_pdf),
+    "cdf": _KindLaws(exact_powered_cdf, cdf_approx, cdf_approx_tabulated, _cdf_coeff1_square,
+                     _cdf_coeff1_general, lambda x: math.exp(-x) * gumbel_cdf(x)),
+    "pdf": _KindLaws(exact_powered_pdf, pdf_approx, pdf_approx_tabulated, _pdf_coeff1_square,
+                     _pdf_coeff1_general, gumbel_pdf),
 }
 
 
@@ -270,8 +286,13 @@ def _fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     return _nearest((k * sxy - sx * sy) << a, den), _nearest(sy * sxx - sx * sxy, den)
 
 
-def _in_float_range(value: float, what: str, where: str) -> float:
-    """A nonnegative value, or DomainError where it underflowed to 0 or overflowed."""
+def _scaled(value: float, base: float, power: int, what: str, where: str,
+            weight: float = 1.0) -> float:
+    """base ** power * value * weight, or DomainError unless that is in (0, inf)."""
+    try:
+        value = base ** power * value * weight
+    except OverflowError:  # float ** int raises instead of returning inf
+        value = math.inf
     if not 0.0 < value < math.inf:
         raise DomainError(f"{what} = {value!r} leaves the float range {where}")
     return value
@@ -305,21 +326,16 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
                                    "the log-log slope is undefined")
         bs.append(base.b_n)
         errs.append(err)
-        try:
-            value = err * base.b_n ** power
-        except OverflowError:  # float ** int raises instead of returning inf
-            value = math.inf
-        scaled.append(_in_float_range(value, f"err1 * b_n^{power}",
-                                      f"at n = {n}, sigma = {sigma!r}"))
+        scaled.append(_scaled(err, base.b_n, power, f"err1 * b_n^{power}",
+                              f"at n = {n}, sigma = {sigma!r}"))
     slope = _fit([math.log(b) for b in bs], [math.log(e) for e in errs])[0]
-    coeff1 = ((lambda s: law.coeff1_square(x, s)) if scheme is Scheme.SQUARE_OPTIMAL
-              else lambda s: law.coeff1_general(t, x, s))
-    try:
-        prediction = abs(coeff1(sigma)) * law.weight(x)
-    except OverflowError:  # sigma ** 4 in the density coefficient
-        prediction = math.inf
-    if coeff1(1.0) * law.weight(x) != 0.0:
-        _in_float_range(prediction, "scaled_limit_prediction", f"at sigma = {sigma!r}")
+    # the first coefficient, stated at sigma = 1, carries sigma^power
+    coeff1 = abs(law.coeff1_square(x) if scheme is Scheme.SQUARE_OPTIMAL
+                 else law.coeff1_general(t, x))
+    weight, prediction = law.weight(x), 0.0
+    if coeff1 * weight != 0.0:
+        prediction = _scaled(coeff1, p.sigma, power, "scaled_limit_prediction",
+                             f"at sigma = {sigma!r}", weight)
     return RateDiagnostic(ns=tuple(ns), b_values=tuple(bs), errors=tuple(errs),
                           scaled=tuple(scaled), slope=slope, scale_power=power,
                           scaled_limit_prediction=prediction)
@@ -367,8 +383,8 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
 
 
 def exact_unpowered_cdf(n: int, y: float, p: MaxwellParams) -> float:
-    """P(M_n <= y) = F(y)^n via the stable log1p route."""
-    return _cdf_power(maxwell.survival(y, p), n)
+    """P(M_n <= y) = F(y)^n via the stable log1p route; n as for exact_powered_cdf."""
+    return _cdf_power(maxwell.survival(y, p), _law_n(n))
 
 
 @dataclass(frozen=True)
@@ -451,9 +467,8 @@ class DensityCoeffAdjudication:
 ADJUDICATION_THRESHOLD = 0.05
 
 
-def _pdf_coeff1_classic(t, x, sigma):  # (t-2) x^2 where pdf_coeff1_general has (t-2) x^2 / 2
-    return (-math.exp(-x) * _cdf_coeff1_general(t, x, sigma)
-            + sigma * sigma * x * ((t - 2.0) * x + 3.0 - t))
+def _pdf_coeff1_classic(t, x):  # (t-2) x^2 where _pdf_coeff1_general has (t-2) x^2 / 2
+    return -math.exp(-x) * _cdf_coeff1_general(t, x) + x * ((t - 2.0) * x + 3.0 - t)
 
 
 def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
@@ -490,8 +505,9 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
         b2 = base.b_n * base.b_n
         us.append(1.0 / b2)
         R.append([(exact_powered_pdf(n, t, x, pn, p) / d - 1.0) * b2 for x, d in zip(xs, dens)])
-    cons = [pdf_coeff1_general(t, x, sigma) for x in xs]
-    clas = [_pdf_coeff1_classic(t, x, sigma) for x in xs]
+    s2 = p.sigma * p.sigma  # both variants carry sigma^2
+    cons = [s2 * _pdf_coeff1_general(t, x) for x in xs]
+    clas = [s2 * _pdf_coeff1_classic(t, x) for x in xs]
     sup_c = tuple(max(abs(R[i][j] - cons[j]) for j in range(len(xs))) for i in range(len(ns)))
     sup_p = tuple(max(abs(R[i][j] - clas[j]) for j in range(len(xs))) for i in range(len(ns)))
     # pointwise linear extrapolation in u = b_n^-2 to u -> 0

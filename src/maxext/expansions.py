@@ -16,13 +16,14 @@ tables exactly, with the classic second-order pair at t = 2, sign
 conventions and closed-form norming inherited from the original tabulation
 (see exact.error_table).
 
-A coefficient of b_n^-2k carries sigma^2k, so the approximations take their
-coefficients at sigma = 1 against z = b_n / sigma: no power of sigma can
+Each coefficient is a private function of (t, x), or of x at t = 2, stated
+at sigma = 1. The coefficient of b_n^-2k carries sigma^2k, so the
+approximations evaluate it against z = b_n / sigma: no power of sigma can
 leave the float range, and each keeps its sigma = 1 value at every sigma
 that solve_bn accepts.
 
-Public functions validate their (t, scheme) once, through
-norming.validate_scheme; the private kernels they call run unchecked.
+The approximations validate their (t, scheme) once, through
+norming.validate_scheme; the coefficient kernels run unchecked.
 
 Where the Gumbel factor underflows to 0.0 the approximations return it
 as is, before evaluating any exp(-x) coefficient: far below the mode those
@@ -42,16 +43,6 @@ from .norming import NormingBase, Scheme, validate_scheme
 from .special import gumbel_cdf, gumbel_pdf
 
 __all__ = [
-    "cdf_coeff1_general",
-    "cdf_coeff2_general",
-    "cdf_coeff1_square",
-    "cdf_coeff2_square",
-    "pdf_coeff1_general",
-    "pdf_coeff2_general",
-    "pdf_coeff1_square",
-    "pdf_coeff2_square",
-    "square_alt_cdf_corrections",
-    "square_alt_pdf_corrections",
     "cdf_approx",
     "pdf_approx",
     "cdf_approx_tabulated",
@@ -68,114 +59,69 @@ def _check_order(order: int) -> int:
 
 # ---------------------------------------------------------------- general t
 
-def cdf_coeff1_general(t: float, x: float, sigma: float) -> float:
-    """First distribution coefficient sigma^2 [1 + x + (t-2) x^2 / 2]."""
-    t, _ = validate_scheme(t, Scheme.GENERAL_POWER)
-    return _cdf_coeff1_general(t, x, sigma)
+def _cdf_coeff1_general(t, x):
+    return 1.0 + x * (1.0 + 0.5 * (t - 2.0) * x)
 
 
-def _cdf_coeff1_general(t, x, sigma):
-    return sigma * sigma * (1.0 + x * (1.0 + 0.5 * (t - 2.0) * x))
-
-
-def cdf_coeff2_general(t: float, x: float, sigma: float) -> float:
-    """Second distribution coefficient (quartic polynomial in x)."""
-    t, _ = validate_scheme(t, Scheme.GENERAL_POWER)
-    return _cdf_coeff2_general(t, x, sigma)
-
-
-def _cdf_coeff2_general(t, x, sigma):
-    s2 = sigma * sigma
+def _cdf_coeff2_general(t, x):
     c4 = (t - 2.0) ** 2 / 8.0
     c3 = (t - 2.0) * (5.0 - 2.0 * t) / 6.0
-    poly = (((c4 * x + c3) * x - 0.5) * x - 1.0) * x - 1.0
-    return s2 * s2 * poly
+    return (((c4 * x + c3) * x - 0.5) * x - 1.0) * x - 1.0
 
 
-def _d_cdf_coeff1_general(t, x, sigma):
-    return sigma * sigma * (1.0 + (t - 2.0) * x)
+def _pdf_coeff1_general(t, x):
+    # -e^{-x} A1 + A1 - A1'
+    return -math.exp(-x) * _cdf_coeff1_general(t, x) + x * (0.5 * (t - 2.0) * x + 3.0 - t)
 
 
-def _d_cdf_coeff2_general(t, x, sigma):
-    s2 = sigma * sigma
+def _pdf_coeff2_general(t, x):
+    a1 = _cdf_coeff1_general(t, x)
+    a2 = _cdf_coeff2_general(t, x)
+    d1 = 1.0 + (t - 2.0) * x  # A1'
     c3 = (t - 2.0) ** 2 / 2.0
     c2 = (t - 2.0) * (5.0 - 2.0 * t) / 2.0
-    return s2 * s2 * (((c3 * x + c2) * x - 1.0) * x - 1.0)
-
-
-def pdf_coeff1_general(t: float, x: float, sigma: float) -> float:
-    """First density coefficient -e^{-x} A1 + A1 - A1' for general power index."""
-    t, _ = validate_scheme(t, Scheme.GENERAL_POWER)
-    return _pdf_coeff1_general(t, x, sigma)
-
-
-def _pdf_coeff1_general(t, x, sigma):
-    a1 = _cdf_coeff1_general(t, x, sigma)
-    s2 = sigma * sigma
-    return -math.exp(-x) * a1 + s2 * x * (0.5 * (t - 2.0) * x + 3.0 - t)
-
-
-def pdf_coeff2_general(t: float, x: float, sigma: float) -> float:
-    """Second density coefficient for general power index."""
-    t, _ = validate_scheme(t, Scheme.GENERAL_POWER)
-    return _pdf_coeff2_general(t, x, sigma)
-
-
-def _pdf_coeff2_general(t, x, sigma):
-    a1 = _cdf_coeff1_general(t, x, sigma)
-    a2 = _cdf_coeff2_general(t, x, sigma)
-    d1 = _d_cdf_coeff1_general(t, x, sigma)
-    d2 = _d_cdf_coeff2_general(t, x, sigma)
+    d2 = ((c3 * x + c2) * x - 1.0) * x - 1.0  # A2'
     emx = math.exp(-x)
     return 0.5 * emx * emx * a1 * a1 - emx * (a2 + a1 * (a1 - d1)) + (a2 - d2)
 
 
 # ---------------------------------------------------------------- t = 2
 
-def cdf_coeff1_square(x: float, sigma: float) -> float:
-    """First distribution coefficient at t = 2: -sigma^4 (x^2 + x + 1/2)."""
-    s2 = sigma * sigma
-    return -s2 * s2 * ((x + 1.0) * x + 0.5)
+def _cdf_coeff1_square(x):
+    return -((x + 1.0) * x + 0.5)
 
 
-def cdf_coeff2_square(x: float, sigma: float) -> float:
-    """Second distribution coefficient at t = 2: sigma^6 ((4/3) x^3 + 2 x^2 + 2 x + 7/3)."""
-    s6 = sigma ** 6
-    return s6 * (((4.0 / 3.0 * x + 2.0) * x + 2.0) * x + 7.0 / 3.0)
+def _cdf_coeff2_square(x):
+    return ((4.0 / 3.0 * x + 2.0) * x + 2.0) * x + 7.0 / 3.0
 
 
-def pdf_coeff1_square(x: float, sigma: float) -> float:
-    """First density coefficient at t = 2."""
-    s4 = sigma ** 4
-    return s4 * (((x + 1.0) * x + 0.5) * math.exp(-x) + (1.0 - x) * x + 0.5)
+def _pdf_coeff1_square(x):
+    return ((x + 1.0) * x + 0.5) * math.exp(-x) + (1.0 - x) * x + 0.5
 
 
-def pdf_coeff2_square(x: float, sigma: float) -> float:
-    """Second density coefficient at t = 2: -e^{-x} B2 + B2 - B2' with B2 = cdf_coeff2_square."""
-    b2 = cdf_coeff2_square(x, sigma)
-    d2 = sigma ** 6 * ((4.0 * x + 4.0) * x + 2.0)  # B2'
+def _pdf_coeff2_square(x):
+    # -e^{-x} B2 + B2 - B2'
+    b2 = _cdf_coeff2_square(x)
+    d2 = (4.0 * x + 4.0) * x + 2.0  # B2'
     return -math.exp(-x) * b2 + b2 - d2
 
 
 # ------------------------------------------------- t = 2, alternative scheme
 
-def square_alt_cdf_corrections(x: float, sigma: float) -> tuple[float, float]:
-    """Correction coefficients (order b^-2 and b^-4) under the alternative scheme."""
-    s2 = sigma * sigma
+def _square_alt_cdf_corrections(x):
+    # correction coefficients of b^-2 and b^-4
     emx = math.exp(-x)
-    u1 = -2.0 * s2 * (x + 1.0) * emx
-    u2 = s2 * s2 * emx * (2.0 * emx * (x + 1.0) ** 2 - (x + 1.0) * x + 0.5)
+    u1 = -2.0 * (x + 1.0) * emx
+    u2 = emx * (2.0 * emx * (x + 1.0) ** 2 - (x + 1.0) * x + 0.5)
     return u1, u2
 
 
-def square_alt_pdf_corrections(x: float, sigma: float) -> tuple[float, float]:
-    """Density counterparts of square_alt_cdf_corrections."""
-    s2 = sigma * sigma
+def _square_alt_pdf_corrections(x):
     emx = math.exp(-x)
-    w1 = 2.0 * s2 * (x - (x + 1.0) * emx)
-    w2 = s2 * s2 * (2.0 * emx * emx * (x + 1.0) ** 2
-                    - ((5.0 * x + 5.0) * x - 0.5) * emx
-                    + (x - 1.0) * x - 1.5)
+    w1 = 2.0 * (x - (x + 1.0) * emx)
+    w2 = (2.0 * emx * emx * (x + 1.0) ** 2
+          - ((5.0 * x + 5.0) * x - 0.5) * emx
+          + (x - 1.0) * x - 1.5)
     return w1, w2
 
 
@@ -199,18 +145,18 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
     z = base.b_n / base.sigma
     u = 1.0 / (z * z)
     if scheme is Scheme.GENERAL_POWER:
-        a1 = _cdf_coeff1_general(t, x, 1.0)
+        a1 = _cdf_coeff1_general(t, x)
         bracket = 1.0 - emx * a1 * u
         if order == 3:
-            a2 = _cdf_coeff2_general(t, x, 1.0)
+            a2 = _cdf_coeff2_general(t, x)
             bracket += emx * (0.5 * emx * a1 * a1 - a2) * u * u
     elif scheme is Scheme.SQUARE_OPTIMAL:
         u2 = u * u
-        bracket = 1.0 - emx * cdf_coeff1_square(x, 1.0) * u2
+        bracket = 1.0 - emx * _cdf_coeff1_square(x) * u2
         if order == 3:
-            bracket -= emx * cdf_coeff2_square(x, 1.0) * u2 * u
+            bracket -= emx * _cdf_coeff2_square(x) * u2 * u
     else:
-        k1, k2 = square_alt_cdf_corrections(x, 1.0)
+        k1, k2 = _square_alt_cdf_corrections(x)
         bracket = 1.0 + k1 * u
         if order == 3:
             bracket += k2 * u * u
@@ -228,23 +174,23 @@ def pdf_approx(order: int, t: float, x: float, base: NormingBase,
     z = base.b_n / base.sigma
     u = 1.0 / (z * z)
     if scheme is Scheme.GENERAL_POWER:
-        bracket = 1.0 + _pdf_coeff1_general(t, x, 1.0) * u
+        bracket = 1.0 + _pdf_coeff1_general(t, x) * u
         if order == 3:
-            bracket += _pdf_coeff2_general(t, x, 1.0) * u * u
+            bracket += _pdf_coeff2_general(t, x) * u * u
     elif scheme is Scheme.SQUARE_OPTIMAL:
         u2 = u * u
-        bracket = 1.0 + pdf_coeff1_square(x, 1.0) * u2
+        bracket = 1.0 + _pdf_coeff1_square(x) * u2
         if order == 3:
-            bracket += pdf_coeff2_square(x, 1.0) * u2 * u
+            bracket += _pdf_coeff2_square(x) * u2 * u
     else:
-        k1, k2 = square_alt_pdf_corrections(x, 1.0)
+        k1, k2 = _square_alt_pdf_corrections(x)
         bracket = 1.0 + k1 * u
         if order == 3:
             bracket += k2 * u * u
     return lamp * bracket
 
 
-# The classic second-order pair of the golden tables at t = 2, sigma = 1: cdf_coeff2_square
+# The classic second-order pair of the golden tables at t = 2: _cdf_coeff2_square
 # with its linear term's sign flipped, and -e^{-x} times that plus a stated polynomial.
 def _cdf_coeff2_classic(x):
     return ((4.0 / 3.0 * x + 2.0) * x - 2.0) * x + 7.0 / 3.0
@@ -271,7 +217,7 @@ def cdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
         return lam
     z = base.b_n / base.sigma
     u2 = 1.0 / z ** 4
-    bracket = 1.0 + emx * cdf_coeff1_square(x, 1.0) * u2
+    bracket = 1.0 + emx * _cdf_coeff1_square(x) * u2
     if order == 3:
         bracket -= emx * _cdf_coeff2_classic(x) * u2 / (z * z)
     return lam * bracket
@@ -285,7 +231,7 @@ def pdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
         return lamp
     z = base.b_n / base.sigma
     u2 = 1.0 / z ** 4
-    bracket = 1.0 + pdf_coeff1_square(x, 1.0) * u2
+    bracket = 1.0 + _pdf_coeff1_square(x) * u2
     if order == 3:
         bracket -= _pdf_coeff2_classic(x) * u2 / (z * z)
     return lamp * bracket

@@ -24,7 +24,11 @@ per CPU the process may run on (never more than reps, and never so many that
 a range holds fewer than ``_THREAD_MIN_DRAWS`` draws), and each range runs
 that loop in its own thread with its own generator and block; numpy releases
 the GIL while it draws. The blocks share the budget of ``_BLOCK_SIZE``
-float64s: each holds ``max(1, _BLOCK_SIZE // (n * workers))`` rows. Since a
+float64s: each holds ``_BLOCK_SIZE // (n * workers)`` rows of n draws. Where
+that is less than one row, each rep is drawn into one row of
+``_BLOCK_SIZE // workers`` draws, refilled until it has all n, and its
+running maximum is kept; numpy's draws continue the stream from one call to
+the next, so the bits are those of one call of size n. Since a
 rep's draws depend only on its counter, and the caller joins the ranges in
 rep order before it applies the power and the norming, the output bytes are
 the same for any number of threads. Below either threshold, and on one CPU,
@@ -89,8 +93,7 @@ class SimulationConfig:
 
 
 # Largest number of float64 draws held at once by `simulate_powered_maxima`
-# (512 KiB), summed over its threads; a block always holds at least one whole
-# rep.
+# (512 KiB), summed over its threads, for every n.
 _BLOCK_SIZE = 2**16
 
 # Smallest n at which `simulate_powered_maxima` splits reps across threads.
@@ -130,12 +133,12 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _range_maxima(seed: int, lo: int, hi: int, n: int, rows: int,
+def _range_maxima(seed: int, lo: int, hi: int, n: int, budget: int,
                   p: MaxwellParams) -> list[float]:
     """Largest Maxwell variate of each rep in [lo, hi), in rep order.
 
-    Uses its own generator and a block of `rows` rows, so ranges can run in
-    parallel threads.
+    Uses its own generator and a block of at most `budget` float64s, so
+    ranges can run in parallel threads.
     """
     import numpy as np
 
@@ -148,6 +151,19 @@ def _range_maxima(seed: int, lo: int, hi: int, n: int, rows: int,
     words = state["state"]
     words["key"] = words["key"].tolist()
     state["buffer"] = state["buffer"].tolist()
+    rows = budget // n
+    if rows == 0:  # n > budget: one row of budget draws, refilled until the rep has n
+        row, tops = np.empty(budget), []
+        for i in range(lo, hi):
+            words["counter"] = _counter(i)
+            bits.state = state
+            top = 0.0
+            for start in range(0, n, budget):
+                part = row[: min(budget, n - start)]
+                gamma(1.5, out=part)  # continues the stream where the last part stopped
+                top = max(top, part.max())
+            tops.append(top)
+        return maxwell.row_maxima(np.array(tops)[:, None], p).tolist()
     block = np.empty((min(rows, hi - lo), n))
     block_rows = list(block)  # row views, made once for all blocks
     out = []
@@ -172,16 +188,16 @@ def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
     workers = 1
     if n >= _THREAD_MIN_N:
         workers = max(1, min(_cpus(), reps, n * reps // _THREAD_MIN_DRAWS))
-    rows = max(1, _BLOCK_SIZE // (n * workers))
+    budget = _BLOCK_SIZE // workers
     if workers == 1:
-        maxima = _range_maxima(cfg.seed, 0, reps, n, rows, p)
+        maxima = _range_maxima(cfg.seed, 0, reps, n, budget, p)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         bounds = [reps * k // workers for k in range(workers + 1)]
         # leaving the block joins every thread; map raises a worker's error here
         with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(lambda lo, hi: _range_maxima(cfg.seed, lo, hi, n, rows, p),
+            parts = list(pool.map(lambda lo, hi: _range_maxima(cfg.seed, lo, hi, n, budget, p),
                                   bounds[:-1], bounds[1:]))
         maxima = [m for part in parts for m in part]
     return np.array([(m ** t - d) / c for m in maxima])

@@ -21,10 +21,10 @@ from maxext.exact import (
     rate_diagnostic,
 )
 from maxext.expansions import (
-    cdf_coeff1_square,
-    cdf_coeff2_square,
-    pdf_coeff1_square,
-    pdf_coeff2_square,
+    _cdf_coeff1_square,
+    _cdf_coeff2_square,
+    _pdf_coeff1_square,
+    _pdf_coeff2_square,
 )
 from maxext.maxwell import MaxwellParams, tail_remainder
 from maxext.montecarlo import SimulationConfig, ks_distance, simulate_powered_maxima
@@ -82,12 +82,12 @@ def test_c04_density_coefficient_identities():
     s = 1.0
     for x in rng.uniform(-3.0, 10.0, size=1000):
         emx = math.exp(-x)
-        b1 = cdf_coeff1_square(x, s)
+        b1 = s**4 * _cdf_coeff1_square(x)
         db1 = -(s**4) * (2.0 * x + 1.0)
-        assert abs(pdf_coeff1_square(x, s) - (-emx * b1 + b1 - db1)) <= 1e-12
-        b2 = cdf_coeff2_square(x, s)
+        assert abs(s**4 * _pdf_coeff1_square(x) - (-emx * b1 + b1 - db1)) <= 1e-12
+        b2 = s**6 * _cdf_coeff2_square(x)
         db2 = s**6 * (4.0 * x * x + 4.0 * x + 2.0)
-        assert abs(pdf_coeff2_square(x, s) - (-emx * b2 + b2 - db2)) <= 1e-12
+        assert abs(s**6 * _pdf_coeff2_square(x) - (-emx * b2 + b2 - db2)) <= 1e-12
 
 
 def test_c05_rate_verification():
@@ -100,7 +100,7 @@ def test_c05_rate_verification():
     # scaled limit at n = 1e10 within 20% of e^{-x} |B1(x)| Lambda(x)
     i = grid.index(10**10)
     scaled = diag2.scaled[i]
-    target = math.exp(-0.7) * abs(cdf_coeff1_square(0.7, 2.0)) * gumbel_cdf(0.7)
+    target = math.exp(-0.7) * abs(2.0**4 * _cdf_coeff1_square(0.7)) * gumbel_cdf(0.7)
     assert abs(scaled / target - 1.0) <= 0.2, (scaled, target)
 
 

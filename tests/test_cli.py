@@ -284,6 +284,22 @@ def test_undefined_fit_exits_2(capsys, argv, message):
     assert err.startswith(f"maxext {argv[0]}: {message}") and len(err.splitlines()) == 1
 
 
+_HUGE_N = str(10**400)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--t", "1", "--convention", "asymptotic",
+     "--n-start", _HUGE_N, "--n-end", _HUGE_N, "--n-step", "1"],
+    ["plot-data", "--n", _HUGE_N],
+])
+def test_sample_size_beyond_float_range_exits_2(capsys, argv):
+    # F^n = exp(n log F) cannot be formed for an n beyond float range
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"maxext {argv[0]}: sample size n is beyond float range")
+    assert len(err.splitlines()) == 1
+
+
 _SWEEP_COMMANDS = [  # (argv, takes --t)
     (["bn", "--n", "1000"], False),
     (["constants", "--n", "1000"], True),

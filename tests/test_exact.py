@@ -25,11 +25,11 @@ from maxext.exact import (
     rate_diagnostic,
 )
 from maxext.expansions import (
+    _pdf_coeff1_general,
     cdf_approx,
     cdf_approx_tabulated,
     pdf_approx,
     pdf_approx_tabulated,
-    pdf_coeff1_general,
 )
 from maxext.maxwell import MaxwellParams, cdf
 from maxext.norming import Scheme, hall_base, powered_constants, solve_bn
@@ -315,8 +315,8 @@ def test_adjudication_pointwise_at_x2():
     pn = powered_constants(base, 1.0, Scheme.GENERAL_POWER)
     r = (exact_powered_pdf(10**10, 1.0, 2.0, pn, MaxwellParams(1.0))
          / gumbel_pdf(2.0) - 1.0) * base.b_n**2
-    cons = pdf_coeff1_general(1.0, 2.0, 1.0)
-    clas = _pdf_coeff1_classic(1.0, 2.0, 1.0)
+    cons = _pdf_coeff1_general(1.0, 2.0)
+    clas = _pdf_coeff1_classic(1.0, 2.0)
     hits = [abs(r - cons) <= 0.05 * abs(cons), abs(r - clas) <= 0.05 * abs(clas)]
     assert hits == [True, False]
 
@@ -524,13 +524,42 @@ def test_exact_layer_bits_pinned(data_dir):
     # rounded exact least-squares line, and 6 sigma = 1.7 error_table fields
     # when the approximations moved to sigma = 1 units (z = b_n / sigma), and
     # 63 pdf fields at sigma = 1 and 1.7 when exact_powered_pdf stopped
-    # forming n * c_n first
+    # forming n * c_n first, and the pdf scaled_limit_prediction at t = 1 and
+    # 3, sigma = 1.7 (-2 and +1 ulp) when the prediction became sigma^2 times
+    # the sigma = 1 coefficient
     with open(data_dir / "exact_bits.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 816
     for group, got in exact_bits_groups(rows):
         for row in group:
             assert got[row["n"], row["field"]] == row["value"], row
+
+
+_PN1 = powered_constants(solve_bn(25, 1.0), 1.0, Scheme.GENERAL_POWER)
+_LAWS = {
+    "exact_powered_cdf": lambda n: exact_powered_cdf(n, 1.0, 0.7, _PN1, MaxwellParams(1.0)),
+    "exact_powered_pdf": lambda n: exact_powered_pdf(n, 1.0, 0.7, _PN1, MaxwellParams(1.0)),
+    "exact_unpowered_cdf": lambda n: exact_unpowered_cdf(n, 3.0, MaxwellParams(1.0)),
+}
+
+
+@pytest.mark.parametrize("law", _LAWS)
+@pytest.mark.parametrize("bad", [-5, 0, 2.5, True, math.nan, "3", 10**400],
+                         ids=["-5", "0", "2.5", "True", "nan", "str", "10**400"])
+def test_exact_laws_reject_bad_sample_size(law, bad):
+    # n must be an integer >= 1 within float range: no value for n <= 0, no
+    # silent truncation or bool, no bare TypeError or OverflowError
+    with pytest.raises(DomainError) as info:
+        _LAWS[law](bad)
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("law", _LAWS)
+def test_exact_laws_accept_integral_sample_sizes(law):
+    ref = _LAWS[law](25)
+    for n in (np.int64(25), 25.0, np.float64(25.0)):
+        assert _LAWS[law](n) == ref
+    assert 0.0 < _LAWS[law](1) < math.inf
 
 
 _GRID = [10**4, 10**6, 10**8]

@@ -10,31 +10,33 @@ from hypothesis import given, settings, strategies as st
 from maxext.errors import ConfigurationError, DomainError
 from maxext.exact import _pdf_coeff1_classic
 from maxext.expansions import (
+    _cdf_coeff1_general,
+    _cdf_coeff1_square,
     _cdf_coeff2_classic,
+    _cdf_coeff2_general,
+    _cdf_coeff2_square,
+    _pdf_coeff1_general,
+    _pdf_coeff1_square,
     _pdf_coeff2_classic,
+    _pdf_coeff2_general,
+    _pdf_coeff2_square,
+    _square_alt_cdf_corrections,
+    _square_alt_pdf_corrections,
     cdf_approx,
     cdf_approx_tabulated,
-    cdf_coeff1_general,
-    cdf_coeff1_square,
-    cdf_coeff2_general,
-    cdf_coeff2_square,
     hall_error_leading,
     pdf_approx,
     pdf_approx_tabulated,
-    pdf_coeff1_general,
-    pdf_coeff1_square,
-    pdf_coeff2_general,
-    pdf_coeff2_square,
-    square_alt_cdf_corrections,
-    square_alt_pdf_corrections,
 )
 from maxext.norming import Scheme, hall_base, solve_bn
 from maxext.special import gumbel_cdf, gumbel_pdf
 
 # Frozen values from an independent symbolic derivation evaluated in
-# arbitrary precision. The public coefficients are the derivative-consistent
-# forms; the "classic" values check the private classic forms that the
-# adjudication (P1) and the golden-table convention (B2, Q2) consume.
+# arbitrary precision. The coefficients are the derivative-consistent forms;
+# the "classic" values check the classic forms that the adjudication (P1) and
+# the golden-table convention (B2, Q2) consume. Every coefficient is stated at
+# sigma = 1, and the coefficient of b_n^-2k carries sigma^2k, so a frozen
+# value at sigma != 1 is checked as sigma^2k times the kernel.
 FROZEN_GENERAL = {
     # (t, x, sigma): (A1, A2, P1_cons, P2_cons, P1_classic)
     (2.5, 1.3, 1.7): (7.868025, -25.5219034746875, 0.95523803911356299,
@@ -62,53 +64,54 @@ FROZEN_ALT = {
 
 def test_general_coefficients_frozen():
     for (t, x, s), (a1, a2, p1c, p2c, p1p) in FROZEN_GENERAL.items():
-        assert cdf_coeff1_general(t, x, s) == pytest.approx(a1, rel=1e-14)
-        assert cdf_coeff2_general(t, x, s) == pytest.approx(a2, rel=1e-14)
-        assert pdf_coeff1_general(t, x, s) == pytest.approx(p1c, rel=1e-13)
-        assert pdf_coeff2_general(t, x, s) == pytest.approx(p2c, rel=1e-13)
-        assert _pdf_coeff1_classic(t, x, s) == pytest.approx(p1p, rel=1e-13)
+        assert s**2 * _cdf_coeff1_general(t, x) == pytest.approx(a1, rel=1e-14)
+        assert s**4 * _cdf_coeff2_general(t, x) == pytest.approx(a2, rel=1e-14)
+        assert s**2 * _pdf_coeff1_general(t, x) == pytest.approx(p1c, rel=1e-13)
+        assert s**4 * _pdf_coeff2_general(t, x) == pytest.approx(p2c, rel=1e-13)
+        assert s**2 * _pdf_coeff1_classic(t, x) == pytest.approx(p1p, rel=1e-13)
 
 
 def test_square_coefficients_frozen():
     for (x, s), (b1, b2c, b2p, q1, q2c, q2p) in FROZEN_SQUARE.items():
-        assert cdf_coeff1_square(x, s) == pytest.approx(b1, rel=1e-14)
-        assert cdf_coeff2_square(x, s) == pytest.approx(b2c, rel=1e-14)
-        assert pdf_coeff1_square(x, s) == pytest.approx(q1, rel=1e-13)
-        assert pdf_coeff2_square(x, s) == pytest.approx(q2c, rel=1e-13)
-        # the classic pair is stated at sigma = 1; a b_n^-6 coefficient carries sigma^6
+        assert s**4 * _cdf_coeff1_square(x) == pytest.approx(b1, rel=1e-14)
+        assert s**6 * _cdf_coeff2_square(x) == pytest.approx(b2c, rel=1e-14)
+        assert s**4 * _pdf_coeff1_square(x) == pytest.approx(q1, rel=1e-13)
+        assert s**6 * _pdf_coeff2_square(x) == pytest.approx(q2c, rel=1e-13)
         assert s**6 * _cdf_coeff2_classic(x) == pytest.approx(b2p, rel=1e-14)
         assert s**6 * _pdf_coeff2_classic(x) == pytest.approx(q2p, rel=1e-13)
 
 
 def test_alternative_corrections_frozen():
     for (x, s), (u1, u2, w1, w2) in FROZEN_ALT.items():
-        assert square_alt_cdf_corrections(x, s) == pytest.approx((u1, u2), rel=1e-13)
-        assert square_alt_pdf_corrections(x, s) == pytest.approx((w1, w2), rel=1e-13)
+        k1, k2 = _square_alt_cdf_corrections(x)
+        assert (s**2 * k1, s**4 * k2) == pytest.approx((u1, u2), rel=1e-13)
+        k1, k2 = _square_alt_pdf_corrections(x)
+        assert (s**2 * k1, s**4 * k2) == pytest.approx((w1, w2), rel=1e-13)
 
 
 def test_handpicked_point_values():
-    assert cdf_coeff1_general(4.0, 1.0, 1.0) == pytest.approx(3.0, abs=1e-15)
-    assert cdf_coeff2_general(1.0, 2.0, 1.0) == pytest.approx(-7.0, abs=1e-14)
-    assert cdf_coeff1_square(0.0, 1.0) == -0.5
-    assert cdf_coeff1_square(1.0, 2.0) == -40.0
-    assert cdf_coeff2_square(0.0, 1.0) == pytest.approx(7.0 / 3.0, abs=1e-15)
+    assert _cdf_coeff1_general(4.0, 1.0) == pytest.approx(3.0, abs=1e-15)
+    assert _cdf_coeff2_general(1.0, 2.0) == pytest.approx(-7.0, abs=1e-14)
+    assert _cdf_coeff1_square(0.0) == -0.5
+    assert 2.0**4 * _cdf_coeff1_square(1.0) == -40.0
+    assert _cdf_coeff2_square(0.0) == pytest.approx(7.0 / 3.0, abs=1e-15)
     assert _cdf_coeff2_classic(0.0) == pytest.approx(7.0 / 3.0, abs=1e-15)
-    assert pdf_coeff1_square(0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert pdf_coeff2_square(0.0, 1.0) == pytest.approx(-2.0, abs=1e-14)
+    assert _pdf_coeff1_square(0.0) == pytest.approx(1.0, abs=1e-15)
+    assert _pdf_coeff2_square(0.0) == pytest.approx(-2.0, abs=1e-14)
     assert _pdf_coeff2_classic(0.0) == pytest.approx(-2.0, abs=1e-14)
     # first density coefficient at x = 0 is -sigma^2 in both variants
-    for fn in (pdf_coeff1_general, _pdf_coeff1_classic):
+    for fn in (_pdf_coeff1_general, _pdf_coeff1_classic):
         for s in (1.0, 2.0):
-            assert fn(3.0, 0.0, s) == pytest.approx(-s * s, abs=1e-15)
+            assert s * s * fn(3.0, 0.0) == pytest.approx(-s * s, abs=1e-15)
     # classic value at t=1, x=1: -(3/2) e^{-1} + 1
-    assert _pdf_coeff1_classic(1.0, 1.0, 1.0) == pytest.approx(
+    assert _pdf_coeff1_classic(1.0, 1.0) == pytest.approx(
         1.0 - 1.5 * math.exp(-1.0), rel=1e-14)
 
 
 def test_general_coefficient_near_t2_limit():
     for t in (2.0 - 1e-9, 2.0 + 1e-9):
         for x in (-1.0, 0.5, 3.0):
-            assert cdf_coeff1_general(t, x, 1.5) == pytest.approx(
+            assert 1.5**2 * _cdf_coeff1_general(t, x) == pytest.approx(
                 1.5**2 * (1.0 + x), abs=2e-8)
 
 
@@ -120,18 +123,8 @@ def test_variant_gap_is_half_t_minus_2_x_squared():
             continue
         x = rng.uniform(-3.0, 6.0)
         s = rng.uniform(0.5, 3.0)
-        gap = _pdf_coeff1_classic(t, x, s) - pdf_coeff1_general(t, x, s)
+        gap = s * s * (_pdf_coeff1_classic(t, x) - _pdf_coeff1_general(t, x))
         assert gap == pytest.approx(0.5 * (t - 2.0) * s * s * x * x, rel=1e-10, abs=1e-12)
-
-
-def test_general_requires_t_not_2():
-    for fn in (cdf_coeff1_general, cdf_coeff2_general):
-        with pytest.raises(ConfigurationError):
-            fn(2.0, 1.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        pdf_coeff1_general(2.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        cdf_coeff1_general(-1.0, 1.0, 1.0)
 
 
 def _b1_slope(x, s):
@@ -146,11 +139,11 @@ def _b2_slope(x, s):
 @settings(max_examples=500)
 def test_density_coefficient_identity_property(x):
     s = 1.0
-    b1 = cdf_coeff1_square(x, s)
-    q1 = pdf_coeff1_square(x, s)
+    b1 = s**4 * _cdf_coeff1_square(x)
+    q1 = s**4 * _pdf_coeff1_square(x)
     assert abs(q1 - (-math.exp(-x) * b1 + b1 - _b1_slope(x, s))) <= 1e-12
-    b2 = cdf_coeff2_square(x, s)
-    q2 = pdf_coeff2_square(x, s)
+    b2 = s**6 * _cdf_coeff2_square(x)
+    q2 = s**6 * _pdf_coeff2_square(x)
     assert abs(q2 - (-math.exp(-x) * b2 + b2 - _b2_slope(x, s))) <= 1e-12
 
 
@@ -172,20 +165,20 @@ def test_horner_against_monomial_forms():
         s = float(np.round(rng.uniform(0.5, 2.5), 3))
         s2, s4, s6 = s**2, s**4, s**6
         _assert_close_conditioned(
-            cdf_coeff1_general(t, x, s),
+            s2 * _cdf_coeff1_general(t, x),
             [s2, s2 * x, s2 * (t - 2) * x**2 / 2])
         _assert_close_conditioned(
-            cdf_coeff2_general(t, x, s),
+            s4 * _cdf_coeff2_general(t, x),
             [s4 * (t - 2) ** 2 * x**4 / 8, s4 * (t - 2) * (5 - 2 * t) * x**3 / 6,
              -s4 * x**2 / 2, -s4 * x, -s4])
         _assert_close_conditioned(
-            cdf_coeff1_square(x, s), [-s4 * x**2, -s4 * x, -s4 * 0.5])
+            s4 * _cdf_coeff1_square(x), [-s4 * x**2, -s4 * x, -s4 * 0.5])
         _assert_close_conditioned(
-            cdf_coeff2_square(x, s),
+            s6 * _cdf_coeff2_square(x),
             [s6 * 4 * x**3 / 3, s6 * 2 * x**2, s6 * 2 * x, s6 * 7 / 3])
         emx = math.exp(-x)
         _assert_close_conditioned(
-            pdf_coeff1_square(x, s),
+            s4 * _pdf_coeff1_square(x),
             [s4 * x**2 * emx, s4 * x * emx, s4 * 0.5 * emx,
              -s4 * x**2, s4 * x, s4 * 0.5])
 
@@ -279,7 +272,7 @@ def test_tabulated_approximations_structure():
     assert pdf_approx_tabulated(1, x, base) == gumbel_pdf(x)
     # first correction enters with the opposite sign relative to cdf_approx
     u2 = 1.0 / base.b_n**4
-    expected = gumbel_cdf(x) * (1.0 + math.exp(-x) * cdf_coeff1_square(x, 2.0) * u2)
+    expected = gumbel_cdf(x) * (1.0 + math.exp(-x) * 2.0**4 * _cdf_coeff1_square(x) * u2)
     assert cdf_approx_tabulated(2, x, base) == pytest.approx(expected, rel=1e-15)
 
 
@@ -318,26 +311,29 @@ def test_outputs_match_recorded_bits(data_dir):
     # split must not move a single bit. The 57 order-2/3 rows at sigma = 1.7
     # were re-recorded when the approximations moved to sigma = 1 units
     # (z = b_n / sigma), which moves the last bits where sigma is not a power
-    # of two. The consistent column reads 0 for the classic first density
-    # coefficient, now the private form the adjudication consumes, and 1 or
-    # empty for the public coefficients and approximations. The 36 rows of
-    # the classic second density coefficient left with that form.
+    # of two. The coefficient rows, recorded with a sigma argument, are
+    # checked as sigma^2k times the sigma = 1 kernel, which is exact at
+    # sigma = 1 and 2; the 60 coefficient rows at sigma = 1.7 pinned only the
+    # rounding order of that argument and were deleted with it. The
+    # consistent column reads 0 for the classic first density coefficient,
+    # which the adjudication consumes, and 1 or empty otherwise. The 36 rows
+    # of the classic second density coefficient left with that form.
     general = {
-        "cdf_coeff1_general": cdf_coeff1_general,
-        "cdf_coeff2_general": cdf_coeff2_general,
-        "pdf_coeff1_general": pdf_coeff1_general,
-        "pdf_coeff2_general": pdf_coeff2_general,
+        "cdf_coeff1_general": (1, _cdf_coeff1_general),
+        "cdf_coeff2_general": (2, _cdf_coeff2_general),
+        "pdf_coeff1_general": (1, _pdf_coeff1_general),
+        "pdf_coeff2_general": (2, _pdf_coeff2_general),
     }
-    classic = {"pdf_coeff1_general": _pdf_coeff1_classic}
+    classic = {"pdf_coeff1_general": (1, _pdf_coeff1_classic)}
     approx = {"cdf_approx": cdf_approx, "pdf_approx": pdf_approx}
     with open(data_dir / "approx_bits.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 1476
+    assert len(rows) == 1416
     for row in rows:
         t, sigma, x = float(row["t"]), float(row["sigma"]), float(row["x"])
         if row["function"] in general:
-            fn = (classic if row["consistent"] == "0" else general)[row["function"]]
-            got = [fn(t, x, sigma)]
+            k, kernel = (classic if row["consistent"] == "0" else general)[row["function"]]
+            got = [sigma ** (2 * k) * kernel(t, x)]
         else:
             base = solve_bn(int(row["n"]), sigma)
             fn = approx[row["function"]]

@@ -247,6 +247,29 @@ def test_simulate_peak_memory_is_one_block_across_workers(monkeypatch):
     assert peak < 2 * 2**20
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_draws_a_large_rep_in_chunks_within_budget(monkeypatch, workers):
+    # n beyond a worker's share of the block: each rep is drawn a share at a
+    # time into one row, with the bits of one draw of all n; a row of n would
+    # take 1.5 MiB per worker
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
+    n, reps = 3 * 2**16 + 5, 2
+    cfg = SimulationConfig(n=n, t=2.5, sigma=1.7, reps=reps, seed=2**64 + 3)
+    simulate_powered_maxima(cfg)
+    tracemalloc.start()
+    try:
+        got = simulate_powered_maxima(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    pn = powered_constants(solve_bn(n, cfg.sigma), cfg.t, cfg.scheme)
+    p = MaxwellParams(cfg.sigma)
+    ref = [(sample(substream(cfg.seed, i), p, size=n).max() ** cfg.t - pn.d_n) / pn.c_n
+           for i in range(reps)]
+    assert got.tolist() == ref
+
+
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**128 - 1])
 @pytest.mark.parametrize("rep", [0, 1, 7, 2**64 + 3])
 def test_substream_is_jumped_root(seed, rep):

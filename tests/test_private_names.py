@@ -1,5 +1,7 @@
-"""Every module-level private function of the package has a consumer in it."""
+"""Module names: every private function has a consumer, and __all__ lists the public ones."""
 import ast
+import importlib
+import inspect
 import pathlib
 
 import maxext
@@ -33,3 +35,25 @@ def test_every_private_function_is_referenced_in_the_package():
                 used.update(alias.name for alias in node.names)
     assert private  # the scan found the functions it checks
     assert sorted(f"{module}:{name}" for module, name in private if name not in used) == []
+
+
+def _is_function_or_class(obj):
+    return inspect.isfunction(obj) or inspect.isclass(obj)
+
+
+def test_all_lists_exactly_the_public_functions_and_classes():
+    # every public function or class a module defines is in its __all__, and
+    # every function or class in __all__ is one the module defines
+    modules = [importlib.import_module(f"maxext.{path.stem}") for path in sorted(SRC.glob("*.py"))
+               if not path.stem.startswith("_")]
+    checked = 0
+    for module in modules:
+        if not hasattr(module, "__all__"):
+            continue
+        checked += 1
+        defined = {name for name, obj in vars(module).items()
+                   if not name.startswith("_") and _is_function_or_class(obj)
+                   and obj.__module__ == module.__name__}
+        listed = {name for name in module.__all__ if _is_function_or_class(getattr(module, name))}
+        assert listed == defined, module.__name__
+    assert checked >= 6
