@@ -18,6 +18,7 @@ imports numpy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Sequence
 
@@ -102,11 +103,13 @@ def _powered_argument(x: float, pn: PoweredNorming, below_support: str):
 
 
 def _law_n(n) -> int:
-    """The sample size of an exact law as an int >= 1; DomainError otherwise."""
-    if type(n) is not int:  # a plain int needs no conversion
-        n = _check_n(n)
+    """The sample size of an exact law as an int in [1, float max]; DomainError otherwise."""
+    n = _check_n(n)
     if n < 1:
         raise DomainError(f"sample size n must be >= 1, got {n}")
+    if n > sys.float_info.max:
+        raise DomainError("sample size n is beyond float range; "
+                          "n * log F cannot be formed")
     return n
 
 
@@ -114,11 +117,7 @@ def _cdf_power(sf: float, m: int) -> float:
     """F^m = (1 - sf)^m through log1p; 0.0 where the survival sf rounds to 1."""
     if sf >= 1.0:
         return 0.0
-    try:
-        return math.exp(m * math.log1p(-sf))
-    except OverflowError:  # int * float where the int is beyond float range
-        raise DomainError("sample size n is beyond float range; "
-                          "n * log F cannot be formed") from None
+    return math.exp(m * math.log1p(-sf))
 
 
 def exact_powered_cdf(n: int, t: float, x: float, pn: PoweredNorming,

@@ -554,6 +554,22 @@ def test_exact_laws_reject_bad_sample_size(law, bad):
     assert len(str(info.value)) < 200
 
 
+@pytest.mark.parametrize("call", [
+    # below the support edge, mapped to 0
+    lambda n: exact_powered_cdf(n, 1.0, -1e6, _PN1, MaxwellParams(1.0), "zero"),
+    lambda n: exact_powered_pdf(n, 1.0, -1e6, _PN1, MaxwellParams(1.0), "zero"),
+    # (c_n x + d_n)^{1/t} overflows far above the mode
+    lambda n: exact_powered_cdf(n, 0.01, 1e300, _PN1, MaxwellParams(1.0)),
+    lambda n: exact_powered_pdf(n, 0.01, 1e300, _PN1, MaxwellParams(1.0)),
+    # the survival rounds to 1 at the origin
+    lambda n: exact_unpowered_cdf(n, 0.0, MaxwellParams(1.0)),
+], ids=["cdf-below", "pdf-below", "cdf-overflow", "pdf-overflow", "unpowered-origin"])
+def test_huge_sample_size_is_domain_error_on_every_branch(call):
+    # the range check on n comes before any early return of the laws
+    with pytest.raises(DomainError, match="beyond float range"):
+        call(10**400)
+
+
 @pytest.mark.parametrize("law", _LAWS)
 def test_exact_laws_accept_integral_sample_sizes(law):
     ref = _LAWS[law](25)
