@@ -14,6 +14,7 @@ import argparse
 import math
 import numbers
 import sys
+from fractions import Fraction
 
 from . import exact, montecarlo
 from .errors import MaxextError
@@ -59,10 +60,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _n_grid(text: str) -> list[int]:
+def _n_grid(text: str) -> list[Fraction]:
+    # read exactly, so 1e300 is 10**300; a non-integral n is a domain error
+    parts = [part for part in text.split(",") if part.strip()]
     try:
-        return [int(_finite_float(part)) for part in text.split(",") if part.strip()]
-    except argparse.ArgumentTypeError:
+        for part in parts:
+            _finite_float(part)  # a usage error for 1e400, which Fraction reads
+        return [Fraction(part) for part in parts]
+    except (argparse.ArgumentTypeError, ValueError):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated finite numbers, got {text!r}") from None
 

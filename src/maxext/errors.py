@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all maxext modules."""
+"""Exception hierarchy shared by all maxext modules, and the rules every public
+number is checked by: `_real` for x, sigma and t, `_integer` for n, counts and seeds."""
+import math
+import numbers
+import operator
+import reprlib
 
 
 class MaxextError(Exception):
@@ -23,3 +28,43 @@ class DegenerateError(MaxextError, ValueError):
 
 class DiagnosticsError(MaxextError, ValueError):
     """A diagnostic was requested on a grid too poor to support it."""
+
+
+def _domain_error(name: str, rule: str, value) -> DomainError:
+    return DomainError(f"{name} must be {rule}, got {reprlib.repr(value)}")
+
+
+def _real(value, name: str, positive: bool = False) -> float:
+    """`value` as a float; DomainError unless it is a numbers.Real other than a bool
+    that a float holds, not NaN and, with positive=True, finite and > 0."""
+    if type(value) is not float:  # skips the abstract-class lookup, the costly part
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise _domain_error(name, "a real number", value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int or Fraction beyond float range
+            raise _domain_error(name, "a positive finite real" if positive
+                                else "a real number within float range", value) from None
+    if 0.0 < value < math.inf if positive else value == value:
+        return value
+    if value != value:
+        raise DomainError(f"{name}: NaN input")
+    raise _domain_error(name, "a positive finite real", value)
+
+
+def _integer(value, name: str) -> int:
+    """`value` as an exact int; DomainError unless operator.index takes it (a bool aside)
+    or it is an integral float or Rational. Fraction(10**400) stays exact."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+        if isinstance(value, numbers.Rational):
+            if value.denominator == 1:
+                return int(value)
+        elif isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(float(value))
+    raise _domain_error(name, "an integer", value)

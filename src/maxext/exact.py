@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Sequence
 
 from . import maxwell
-from .errors import ConfigurationError, DiagnosticsError, DomainError
+from .errors import ConfigurationError, DiagnosticsError, DomainError, _integer, _real
 from .expansions import (
     _cdf_coeff1_general,
     _cdf_coeff1_square,
@@ -39,13 +39,12 @@ from .maxwell import MaxwellParams
 from .norming import (
     PoweredNorming,
     Scheme,
-    _check_n,
     hall_base,
     powered_constants,
     solve_bn,
     validate_scheme,
 )
-from .special import _reject_nan, gumbel_cdf, gumbel_pdf
+from .special import gumbel_cdf, gumbel_pdf
 
 __all__ = [
     "ErrorRow",
@@ -86,12 +85,11 @@ class ErrorRow:
 
 def default_scheme(t: float) -> Scheme:
     """Square-optimal at t = 2, general-power otherwise; DomainError for a non-real t."""
-    return Scheme.SQUARE_OPTIMAL if _reject_nan(t, "power index t") == 2.0 else Scheme.GENERAL_POWER
+    return Scheme.SQUARE_OPTIMAL if _real(t, "power index t") == 2.0 else Scheme.GENERAL_POWER
 
 
 def _powered_argument(x: float, pn: PoweredNorming, below_support: str):
-    if type(x) is not float:  # a float needs no conversion; NaN fails in survival
-        x = _reject_nan(x, "x")
+    x = _real(x, "x")
     y = pn.c_n * x + pn.d_n
     if y <= 0.0:
         if below_support == "zero":
@@ -104,12 +102,11 @@ def _powered_argument(x: float, pn: PoweredNorming, below_support: str):
 
 def _law_n(n) -> int:
     """The sample size of an exact law as an int in [1, float max]; DomainError otherwise."""
-    n = _check_n(n)
+    n = _integer(n, "n")
     if n < 1:
         raise DomainError(f"sample size n must be >= 1, got {n}")
     if n > sys.float_info.max:
-        raise DomainError("sample size n is beyond float range; "
-                          "n * log F cannot be formed")
+        raise DomainError("sample size n is beyond float range; n * log F cannot be formed")
     return n
 
 
@@ -126,10 +123,10 @@ def exact_powered_cdf(n: int, t: float, x: float, pn: PoweredNorming,
 
     Below the support edge (c_n x + d_n <= 0) the probability is raised as a
     domain error by default; pass below_support="zero" to map it to 0. Far
-    above the mode, where (c_n x + d_n)^{1/t} overflows, it is 1. The sample
-    size n must be an integer >= 1 within float range (DomainError otherwise).
+    above the mode, where (c_n x + d_n)^{1/t} overflows, it is 1. n must be an
+    integer >= 1 within float range and t a positive finite real (DomainError otherwise).
     """
-    n = _law_n(n)
+    n, t = _law_n(n), _real(t, "power index t", positive=True)
     y = _powered_argument(x, pn, below_support)
     if y is None:
         return 0.0
@@ -146,7 +143,7 @@ def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
 
     below_support and n as for exact_powered_cdf; 0 wherever F^{n-1} or f is 0.
     """
-    n = _law_n(n)
+    n, t = _law_n(n), _real(t, "power index t", positive=True)
     y = _powered_argument(x, pn, below_support)
     if y is None:
         return 0.0
@@ -239,7 +236,7 @@ class RateDiagnostic:
 
 def _check_grid(n_grid: Sequence[int], min_len: int = 2, decades: float = 0.0) -> list[int]:
     """The grid as ints: `min_len` (>= 1) or more distinct integers >= 3 spanning `decades`."""
-    ns = [_check_n(n) for n in n_grid]
+    ns = [_integer(n, "n") for n in n_grid]
     if len(set(ns)) < min_len or min(ns) < 3:
         raise DiagnosticsError(f"need {min_len} or more distinct sample sizes, all >= 3")
     if decades > 0 and max(ns) / min(ns) < 10.0 ** decades:
@@ -489,7 +486,7 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
             "no adjudication exists at t = 2; the square-branch coefficient is unique"
         )
     ns = _check_grid(n_grid)
-    xs = [_reject_nan(v, "x") for v in x_grid]
+    xs = [_real(v, "x") for v in x_grid]
     if not xs:
         raise DiagnosticsError("empty x grid")
     dens = [gumbel_pdf(x) for x in xs]
@@ -522,7 +519,7 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
     else:
         winner = "inconclusive"
     return DensityCoeffAdjudication(
-        t=t, sigma=float(sigma), x_grid=tuple(xs), ns=tuple(ns),
+        t=t, sigma=p.sigma, x_grid=tuple(xs), ns=tuple(ns),
         sup_dev_consistent=sup_c, sup_dev_classic=sup_p,
         extrapolated_dev_consistent=dev_c, extrapolated_dev_classic=dev_p,
         rel_dev_consistent=rel_c, rel_dev_classic=rel_p, winner=winner,

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, _real
 from .norming import NormingBase, Scheme, validate_scheme
 from .special import gumbel_cdf, gumbel_pdf
 
@@ -243,8 +243,9 @@ def hall_error_leading(n: int, x: float) -> float:
     """Leading error term Lambda(x) e^{-x} log(2 log n)^2 / (16 log n).
 
     Describes the non-powered maximum under the closed-form constants. It is
-    scale-free, so it takes no sigma.
+    scale-free, so it takes no sigma. n is real here, not only an integer.
     """
+    n = _real(n, "n", positive=True)
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
     lam = gumbel_cdf(x)

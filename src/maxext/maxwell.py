@@ -18,13 +18,11 @@ replaces two passes over all n draws.
 from __future__ import annotations
 
 import math
-import numbers
-import reprlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
-from .special import _reject_nan, erf, erfc
+from .errors import DomainError, _domain_error, _integer, _real
+from .special import erf, erfc
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,20 +47,6 @@ _SQRT2 = math.sqrt(2.0)
 _TAIL_COEFFS = (1.0, 1.0, -1.0, 3.0)
 
 
-def _check_sigma(s) -> float:
-    """sigma as a float; DomainError unless it is a positive finite real, not a bool."""
-    # numbers.Real also admits numpy scalars; testing for a float first skips
-    # its abstract-class lookup, which costs more than the rest of the check
-    real = type(s) is float or (not isinstance(s, bool) and isinstance(s, numbers.Real))
-    try:
-        ok = real and math.isfinite(s) and s > 0
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
-        raise DomainError(f"sigma must be a positive finite real, got {reprlib.repr(s)}")
-    return float(s)
-
-
 @dataclass(frozen=True)
 class MaxwellParams:
     """Scale parameter of the Maxwell law."""
@@ -70,7 +54,7 @@ class MaxwellParams:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", _check_sigma(self.sigma))
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma", positive=True))
 
 
 def _z_density(z: float) -> float:
@@ -84,7 +68,7 @@ def _z_density(z: float) -> float:
 
 def pdf(x: float, p: MaxwellParams) -> float:
     """Density sqrt(2/pi) x^2 sigma^-3 exp(-x^2 / 2 sigma^2); 0 for x <= 0 and where exp is 0."""
-    x = _reject_nan(x, "pdf")
+    x = _real(x, "pdf")
     if x <= 0.0:
         return 0.0
     s = p.sigma
@@ -95,7 +79,7 @@ def pdf(x: float, p: MaxwellParams) -> float:
 
 def cdf(x: float, p: MaxwellParams) -> float:
     """Distribution function erf(x / sigma sqrt(2)) - sqrt(2/pi)(x/sigma) e^{-x^2/2s^2}."""
-    x = _reject_nan(x, "cdf")
+    x = _real(x, "cdf")
     if x <= 0.0:
         return 0.0
     z = x / p.sigma
@@ -108,7 +92,7 @@ def survival(x: float, p: MaxwellParams) -> float:
     Both summands of the erfc-based form are nonnegative, so the result can
     never go negative through cancellation.
     """
-    x = _reject_nan(x, "survival")
+    x = _real(x, "survival")
     if x <= 0.0:
         return 1.0
     z = x / p.sigma
@@ -129,11 +113,12 @@ def tail_expansion(x: float, p: MaxwellParams, terms: int = 4) -> float:
     `terms` truncates the bracketed series after 1..4 terms; the remainder of
     the full 4-term form is O((sigma/x)^8).
     """
-    x = _reject_nan(x, "tail_expansion")
+    x = _real(x, "tail_expansion")
     if x <= 0.0:
         raise DomainError(f"tail_expansion requires x > 0, got {x}")
-    if terms not in (1, 2, 3, 4):
-        raise DomainError(f"terms must be in 1..4, got {terms}")
+    terms = _integer(terms, "terms")
+    if not 1 <= terms <= 4:
+        raise _domain_error("terms", "in 1..4", terms)
     return _z_density(x / p.sigma) * _tail_partial_sum(x, p, terms)
 
 
@@ -146,7 +131,7 @@ def tail_remainder(x: float, p: MaxwellParams) -> float:
     """
     from scipy.special import erfcx
 
-    x = _reject_nan(x, "tail_remainder")
+    x = _real(x, "tail_remainder")
     if x <= 0.0:
         raise DomainError(f"tail_remainder requires x > 0, got {x}")
     z = x / (p.sigma * _SQRT2)

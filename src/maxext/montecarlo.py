@@ -39,14 +39,13 @@ importing this module (and the CLI's analytic subcommands) does not load it.
 """
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import maxwell
-from .errors import ConfigurationError, DomainError
-from .maxwell import MaxwellParams, _check_sigma
+from .errors import ConfigurationError, DomainError, _integer, _real
+from .maxwell import MaxwellParams
 from .norming import Scheme, powered_constants, solve_bn, validate_scheme
 
 if TYPE_CHECKING:
@@ -71,22 +70,18 @@ class SimulationConfig:
     scheme: Scheme = Scheme.GENERAL_POWER
 
     def __post_init__(self):
-        for name in ("n", "reps", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+        try:
+            for name in ("n", "reps", "seed"):
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
+            object.__setattr__(self, "sigma", _real(self.sigma, "sigma", positive=True))
+        except DomainError as exc:
+            raise ConfigurationError(str(exc)) from None
         if self.n < 3:
             raise ConfigurationError(f"sample size n must be >= 3, got {self.n}")
         if self.reps < 1:
             raise ConfigurationError(f"reps must be >= 1, got {self.reps}")
         if not 0 <= self.seed < 2**128:
             raise ConfigurationError(f"seed must be in [0, 2**128), got {self.seed}")
-        try:
-            object.__setattr__(self, "sigma", _check_sigma(self.sigma))
-        except DomainError as exc:
-            raise ConfigurationError(str(exc)) from None
         t, scheme = validate_scheme(self.t, self.scheme)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "scheme", scheme)

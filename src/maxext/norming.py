@@ -14,14 +14,10 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
-import operator
-import reprlib
 import sys
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DegenerateError, DomainError, NoRootError
-from .maxwell import _check_sigma
+from .errors import ConfigurationError, DegenerateError, DomainError, NoRootError, _integer, _real
 
 __all__ = [
     "Scheme",
@@ -67,20 +63,9 @@ class PoweredNorming:
     d_n: float
 
 
-def _check_n(n) -> int:
-    # operator.index and numbers.Real also admit numpy scalars without numpy
-    if not isinstance(n, bool):
-        try:
-            return operator.index(n)
-        except TypeError:
-            if isinstance(n, numbers.Real) and float(n).is_integer():
-                return int(n)
-    raise DomainError(f"n must be an integer, got {n!r}")
-
-
 def _check_n_sigma(n, sigma):
-    n = _check_n(n)
-    sigma = _check_sigma(sigma)
+    n = _integer(n, "n")
+    sigma = _real(sigma, "sigma", positive=True)
     # the norming equation works with sigma^2; a subnormal or overflowing
     # square would silently wreck the root, so such sigma is out of domain
     if not sys.float_info.min <= sigma * sigma < math.inf:
@@ -106,9 +91,10 @@ def equation_residual(b: float, n: int, sigma: float) -> float:
 
     exp(h) - 1 where h = log LHS - log n; exact for assessing the solve and
     immune to overflow of exp(b^2/2 sigma^2) at astronomical n. DomainError
-    where b, n or sigma is not positive, or b is so far above the root that
-    the residual overflows.
+    unless b and sigma are reals and n an integer, where one of them is not
+    positive, or where b is so far above the root that the residual overflows.
     """
+    b, n, sigma = _real(b, "b"), _integer(n, "n"), _real(sigma, "sigma", positive=True)
     try:
         residual = math.expm1(_log_residual(b, math.log(n), sigma))
     except (ValueError, OverflowError):  # log of a value <= 0; exp beyond float range
@@ -190,17 +176,10 @@ def validate_scheme(t: float, scheme: Scheme) -> tuple[float, Scheme]:
 
     `scheme` is a Scheme member or its string value; a str-enum member hashes
     and compares equal to its value, so one dict lookup resolves both. Raises
-    DomainError for a t that `float` cannot convert or that is not positive
-    and finite, and ConfigurationError for an unknown or unhashable scheme or
-    a scheme that does not fit t.
+    DomainError unless t is a positive finite real, and ConfigurationError for
+    an unknown or unhashable scheme or a scheme that does not fit t.
     """
-    try:
-        t = float(t)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(
-            f"power index t must be a real number, got {reprlib.repr(t)}") from None
-    if not (math.isfinite(t) and t > 0):
-        raise DomainError(f"power index t must be positive and finite, got {t}")
+    t = _real(t, "power index t", positive=True)
     try:
         scheme = _SCHEMES[scheme]
     except (KeyError, TypeError):

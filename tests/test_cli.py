@@ -300,6 +300,19 @@ def test_sample_size_beyond_float_range_exits_2(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+def test_n_grid_is_read_exactly(capsys):
+    # 1e300 is 10**300, not the float nearest to it
+    code, out, _ = run_cli(capsys, "rate", "--t", "1", "--n-grid", "1e10,1e200,1e300")
+    assert code == 0
+    assert [row[0] for row in parse_csv(out)[1:]] == [str(10**10), str(10**200), str(10**300)]
+
+
+def test_non_integral_n_grid_point_exits_2(capsys):
+    code, out, err = run_cli(capsys, "rate", "--n-grid", "1e4,1e8,10000.5")
+    assert code == 2 and out == ""
+    assert err.startswith("maxext rate: n must be an integer") and len(err.splitlines()) == 1
+
+
 _SWEEP_COMMANDS = [  # (argv, takes --t)
     (["bn", "--n", "1000"], False),
     (["constants", "--n", "1000"], True),

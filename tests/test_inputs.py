@@ -1,0 +1,145 @@
+"""One rule for every number the library takes, at every public entry point.
+
+Each entry point is fed the same awkward values in one numeric argument at a
+time. It must return a finite result or raise a MaxextError, never another
+exception: a real argument goes through errors._real and an integer one
+through errors._integer.
+"""
+import dataclasses
+import math
+import numbers
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from maxext import MaxextError, maxwell
+from maxext.exact import (
+    adjudicate_density_coeffs,
+    compare_schemes,
+    default_scheme,
+    error_table,
+    exact_powered_cdf,
+    exact_powered_pdf,
+    exact_unpowered_cdf,
+    hall_rate_check,
+    rate_diagnostic,
+)
+from maxext.expansions import (
+    cdf_approx,
+    cdf_approx_tabulated,
+    hall_error_leading,
+    pdf_approx,
+    pdf_approx_tabulated,
+)
+from maxext.maxwell import MaxwellParams
+from maxext.montecarlo import SimulationConfig
+from maxext.norming import (
+    Scheme,
+    equation_residual,
+    hall_base,
+    powered_constants,
+    solve_bn,
+    validate_scheme,
+)
+from maxext.special import erf, erfc, gumbel_cdf, gumbel_pdf
+
+VALUES = {
+    "None": None, "str": "3", "True": True, "complex": 1j, "nan": math.nan,
+    "10**400": 10**400, "Fraction(10**400)": Fraction(10**400),
+    "float32": np.float32(3.0), "int64": np.int64(3), "Fraction(7,2)": Fraction(7, 2),
+}
+
+_P = MaxwellParams(1.0)
+_BASE = solve_bn(25, 1.0)
+_PN1 = powered_constants(_BASE, 1.0, Scheme.GENERAL_POWER)
+
+
+def error_table_grid(kind, t, x, sigma, n):
+    return error_table(kind, t, x, sigma, [25, n], "asymptotic")
+
+
+def adjudicate_x_grid(t, x, sigma):
+    return adjudicate_density_coeffs(t, [0.5, x], sigma, [10**6, 10**8])
+
+
+# (entry point, valid positional arguments, {numeric argument: its position})
+ENTRY_POINTS = [
+    *[(fn, (0.5,), {"x": 0}) for fn in (erf, erfc, gumbel_cdf, gumbel_pdf)],
+    *[(fn, (1.0, _P), {"x": 0}) for fn in (maxwell.pdf, maxwell.cdf, maxwell.survival)],
+    (maxwell.tail_expansion, (5.0, _P, 4), {"x": 0, "terms": 2}),
+    (maxwell.tail_remainder, (5.0, _P), {"x": 0}),
+    (MaxwellParams, (1.0,), {"sigma": 0}),
+    (solve_bn, (25, 1.0), {"n": 0, "sigma": 1}),
+    (hall_base, (25, 1.0), {"n": 0, "sigma": 1}),
+    (equation_residual, (3.0, 25, 1.0), {"b": 0, "n": 1, "sigma": 2}),
+    (validate_scheme, (1.0, Scheme.GENERAL_POWER), {"t": 0}),
+    (powered_constants, (_BASE, 1.0, Scheme.GENERAL_POWER), {"t": 1}),
+    (default_scheme, (1.0,), {"t": 0}),
+    *[(fn, (2, 1.0, 0.5, _BASE), {"t": 1, "x": 2}) for fn in (cdf_approx, pdf_approx)],
+    *[(fn, (3, 0.5, _BASE), {"x": 1}) for fn in (cdf_approx_tabulated, pdf_approx_tabulated)],
+    *[(fn, (25, 1.0, 0.7, _PN1, _P), {"n": 0, "t": 1, "x": 2})
+      for fn in (exact_powered_cdf, exact_powered_pdf)],
+    (exact_unpowered_cdf, (25, 3.0, _P), {"n": 0, "y": 1}),
+    (hall_error_leading, (25, 0.7), {"n": 0, "x": 1}),
+    (SimulationConfig, (10, 1.0, 1.0, 1, 0), {"n": 0, "t": 1, "sigma": 2, "reps": 3, "seed": 4}),
+    (error_table_grid, ("cdf", 1.0, 0.7, 1.0, 50), {"t": 1, "x": 2, "sigma": 3, "n": 4}),
+    (rate_diagnostic, ("pdf", 1.0, 0.7, 1.0, [10**4, 10**8]), {"t": 1, "x": 2, "sigma": 3}),
+    *[(fn, (0.7, 1.0, [10**3, 10**6]), {"x": 0, "sigma": 1})
+      for fn in (hall_rate_check, compare_schemes)],
+    (adjudicate_x_grid, (1.0, 1.0, 1.0), {"t": 0, "x": 1, "sigma": 2}),
+]
+CASES = {f"{fn.__name__}({name})": (fn, args, i)
+         for fn, args, numeric in ENTRY_POINTS for name, i in numeric.items()}
+
+
+def _finite(result) -> bool:
+    if isinstance(result, numbers.Integral):  # an exact int, also beyond float range
+        return True
+    if isinstance(result, numbers.Real):
+        return math.isfinite(result)
+    if isinstance(result, (list, tuple)):
+        return all(map(_finite, result))
+    if dataclasses.is_dataclass(result):
+        return all(_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
+    return isinstance(result, str)  # a Scheme member or a verdict
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_valid_arguments_give_a_finite_result(case):
+    fn, args, _ = case
+    assert _finite(fn(*args))
+
+
+@pytest.mark.parametrize("value", VALUES.values(), ids=VALUES.keys())
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_finite_result_or_maxext_error(case, value):
+    fn, args, i = case
+    try:
+        result = fn(*args[:i], value, *args[i + 1:])
+    except MaxextError as exc:
+        assert "\n" not in str(exc)
+        return
+    assert _finite(result), result
+
+
+def test_accepted_values_convert_exactly():
+    assert solve_bn(Fraction(10**400)).n == 10**400
+    assert SimulationConfig(10**400, 1.0, 1.0, Fraction(4, 2), np.int64(0)) == \
+        SimulationConfig(10**400, 1.0, 1.0, 2, 0)
+    assert type(hall_base(np.float32(100.0)).n) is int
+    assert maxwell.tail_expansion(5.0, _P, terms=2.0) == maxwell.tail_expansion(5.0, _P, terms=2)
+    assert hall_error_leading(25, 0.7) == hall_error_leading(25.0, 0.7)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hall_error_leading(math.nan, 0.7),
+    lambda: maxwell.tail_expansion(5.0, _P, terms=True),
+    lambda: SimulationConfig(10, 1.0, 1.0, True, 0),
+    lambda: cdf_approx(2, "2", 0.5, _BASE),
+    lambda: gumbel_cdf(Decimal("0.5")),
+], ids=["nan-n", "bool-terms", "bool-reps", "str-t", "Decimal-x"])
+def test_rejected_values(call):
+    with pytest.raises(MaxextError):
+        call()

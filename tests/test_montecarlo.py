@@ -48,14 +48,22 @@ def test_config_accepts_numpy_integers():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n", 100.0), ("n", "100"), ("reps", 2.5), ("reps", np.float64(4.0)),
-    ("seed", 1.0), ("seed", -1), ("seed", 2**128),
+    ("n", "100"), ("n", True), ("reps", 2.5), ("reps", True),
+    ("seed", False), ("seed", -1), ("seed", 2**128),
 ])
 def test_config_rejects_bad_integer_fields(field, value):
     kwargs = dict(n=10, t=1.0, sigma=1.0, reps=10, seed=0)
     kwargs[field] = value
     with pytest.raises(ConfigurationError, match=field):
         SimulationConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field, value", [("n", 100.0), ("reps", np.float64(4.0)), ("seed", 1.0)])
+def test_config_accepts_integral_floats_as_ints(field, value):
+    kwargs = dict(n=10, t=1.0, sigma=1.0, reps=10, seed=0)
+    cfg = SimulationConfig(**{**kwargs, field: value})
+    assert cfg == SimulationConfig(**{**kwargs, field: int(value)})
+    assert type(getattr(cfg, field)) is int
 
 
 @pytest.mark.parametrize("sigma", ["1", True, None, 1j,

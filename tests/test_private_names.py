@@ -57,3 +57,21 @@ def test_all_lists_exactly_the_public_functions_and_classes():
         listed = {name for name in module.__all__ if _is_function_or_class(getattr(module, name))}
         assert listed == defined, module.__name__
     assert checked >= 6
+
+
+def test_only_errors_and_cli_import_numbers_or_operator():
+    # errors._real and errors._integer hold the rule for every number the
+    # library takes; a module importing numbers or operator is writing its own
+    # (cli needs numbers only to format its output)
+    importers = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = {node.module.split(".")[0]}
+            else:
+                continue
+            if names & {"numbers", "operator"}:
+                importers.add(module)
+    assert importers == {"errors.py", "cli.py"}
