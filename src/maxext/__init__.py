@@ -1,4 +1,12 @@
-"""Powered maxima of Maxwell samples: exact laws, expansions, diagnostics."""
+"""Powered maxima of Maxwell samples: exact laws, expansions, diagnostics.
+
+Every record the package takes or returns is a typing.NamedTuple: immutable,
+shown as ``Name(field=value, ...)``, and a tuple, so it iterates, indexes
+and compares equal to a plain tuple of its values. ``_fields`` names the
+fields and ``_replace`` makes a changed copy. MaxwellParams, ErrorRow and
+SimulationConfig check and convert their values whenever one is built,
+through ``_replace`` too.
+"""
 
 from .errors import (
     ConfigurationError,

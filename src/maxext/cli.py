@@ -6,7 +6,8 @@ library modules. Output is plain CSV (or a plain-text report for
 other decoration is ever emitted, so NO_COLOR is honored trivially.
 
 Exit codes: 0 success, 1 usage error, 2 domain/configuration error. An x
-grid (`plot-data`, `adjudicate`) of more than 10**6 steps is a usage error.
+grid (`plot-data`, `adjudicate`) of more than 10**6 steps and an `--output`
+path that cannot be written are usage errors.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import argparse
 import math
 import numbers
 import sys
-from fractions import Fraction
 
 from . import exact, montecarlo
 from .errors import MaxextError
@@ -60,8 +60,22 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _n_grid(text: str) -> list[Fraction]:
-    # read exactly, so 1e300 is 10**300; a non-integral n is a domain error
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _n_grid(text: str) -> list[numbers.Rational]:
+    # read exactly, so 1e300 is 10**300; a non-integral n is a domain error.
+    # Only a typed grid loads fractions: the defaults are int lists, which
+    # argparse passes through without calling this.
+    from fractions import Fraction
+
     parts = [part for part in text.split(",") if part.strip()]
     try:
         for part in parts:
@@ -228,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       "the golden reference tables)")
     sp.add_argument("--kind", choices=["cdf", "pdf"], default="cdf")
     _add_common(sp)
-    sp.add_argument("--n-start", type=int, default=None)
-    sp.add_argument("--n-end", type=int, default=None)
-    sp.add_argument("--n-step", type=int, default=None)
+    sp.add_argument("--n-start", type=_positive_int, default=None)
+    sp.add_argument("--n-end", type=_positive_int, default=None)
+    sp.add_argument("--n-step", type=_positive_int, default=None)
     sp.add_argument("--convention", choices=["tabulated", "asymptotic", "auto"],
                     default="auto",
                     help="tabulated matches the golden tables (t = 2 only); "
@@ -240,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rate", help="convergence-rate diagnostic of the first-order error")
     sp.add_argument("--kind", choices=["cdf", "pdf"], default="cdf")
     _add_common(sp)
-    sp.add_argument("--n-grid", default="1e4,1e6,1e8,1e10,1e12",
+    sp.add_argument("--n-grid", default=[10**4, 10**6, 10**8, 10**10, 10**12],
                     type=_n_grid, help="comma-separated sample sizes")
     sp.set_defaults(func=_cmd_rate)
 
@@ -248,14 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="order-2 errors: optimal vs alternative square norming")
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--x", type=float, default=0.7)
-    sp.add_argument("--n-grid", type=_n_grid, default="1e3,1e4,1e5,1e6,1e8,1e10")
+    sp.add_argument("--n-grid", type=_n_grid,
+                    default=[10**3, 10**4, 10**5, 10**6, 10**8, 10**10])
     sp.set_defaults(func=_cmd_compare_schemes)
 
     sp = sub.add_parser("compare-hall",
                         help="non-powered maximum vs its leading error term and vs t = 2")
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--x", type=float, default=0.7)
-    sp.add_argument("--n-grid", type=_n_grid, default="1e3,1e4,1e6,1e8,1e10")
+    sp.add_argument("--n-grid", type=_n_grid, default=[10**3, 10**4, 10**6, 10**8, 10**10])
     sp.set_defaults(func=_cmd_compare_hall)
 
     sp = sub.add_parser("adjudicate",
@@ -265,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-min", type=_finite_float, default=-1.0)
     sp.add_argument("--x-max", type=_finite_float, default=3.0)
     sp.add_argument("--x-step", type=_positive_float, default=0.25)
-    sp.add_argument("--n-grid", type=_n_grid, default="1e6,1e8,1e10")
+    sp.add_argument("--n-grid", type=_n_grid, default=[10**6, 10**8, 10**10])
     sp.set_defaults(func=_cmd_adjudicate)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo powered maxima + KS summary")
@@ -308,7 +323,11 @@ def main(argv=None) -> int:
     except MaxextError as exc:
         print(f"maxext {args.command}: {exc}", file=sys.stderr)
         return 2
-    _emit(lines, args.output)
+    try:
+        _emit(lines, args.output)
+    except OSError as exc:  # an --output path that cannot be written
+        print(f"maxext {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

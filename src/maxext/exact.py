@@ -13,13 +13,14 @@ other kind is a ConfigurationError. The grid diagnostics convert their n
 grid through one check, `_check_grid`, so a non-integral n is a DomainError.
 Both line fits, the rate slope and the adjudication limits, go through
 `_fit`, which solves least squares exactly in Python ints; no function here
-imports numpy.
+imports numpy. The diagnostics take x through errors._real, so a numpy
+float32 x is used as its float. Their records are NamedTuples; ErrorRow
+checks its errors whenever one is built.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Sequence
 
 from . import maxwell
@@ -67,20 +68,21 @@ __all__ = [
 Kind = Literal["cdf", "pdf"]
 
 
-@dataclass(frozen=True)
-class ErrorRow:
+class ErrorRow(NamedTuple("ErrorRow", [("n", int), ("err1", float), ("err2", float),
+                                        ("err3", float)])):
     """Absolute errors of the order-1/2/3 approximations at one sample size."""
 
-    n: int
-    err1: float
-    err2: float
-    err3: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("err1", "err2", "err3"):
-            v = getattr(self, name)
+    def __new__(cls, n: int, err1: float, err2: float, err3: float):
+        for name, v in (("err1", err1), ("err2", err2), ("err3", err3)):
             if not (math.isfinite(v) and v >= 0.0):
                 raise DomainError(f"{name} must be finite and >= 0, got {v}")
+        return super().__new__(cls, n, err1, err2, err3)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates too
+        return cls(*fields)
 
 
 def default_scheme(t: float) -> Scheme:
@@ -221,8 +223,7 @@ def error_table(kind: Kind, t: float, x: float, sigma: float,
     return rows
 
 
-@dataclass(frozen=True)
-class RateDiagnostic:
+class RateDiagnostic(NamedTuple):
     """Fitted decay of the first-order error against the norming constant."""
 
     ns: tuple[int, ...]
@@ -309,7 +310,7 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
     law = _kind_laws(kind)
     ns = _check_grid(n_grid, decades=3.0)
     t, scheme = validate_scheme(t, default_scheme(t))
-    p = MaxwellParams(sigma)
+    x, p = _real(x, "x"), MaxwellParams(sigma)
     power = 4 if scheme is Scheme.SQUARE_OPTIMAL else 2
     bs, errs, scaled = [], [], []
     for n in ns:
@@ -337,8 +338,7 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
                           scaled_limit_prediction=prediction)
 
 
-@dataclass(frozen=True)
-class HallRateCheck:
+class HallRateCheck(NamedTuple):
     """Non-powered maximum under closed-form constants vs its leading error term."""
 
     ns: tuple[int, ...]
@@ -356,7 +356,7 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
     is only log(2 log n)^2 / (16 log n).
     """
     ns = _check_grid(n_grid, min_len=1)
-    p = MaxwellParams(sigma)
+    x, p = _real(x, "x"), MaxwellParams(sigma)
     lam = gumbel_cdf(x)
     gaps, leads, ratios, powered = [], [], [], []
     for n in ns:
@@ -383,8 +383,7 @@ def exact_unpowered_cdf(n: int, y: float, p: MaxwellParams) -> float:
     return _cdf_power(maxwell.survival(y, p), _law_n(n))
 
 
-@dataclass(frozen=True)
-class SchemeComparison:
+class SchemeComparison(NamedTuple):
     """Order-2 errors under the optimal vs alternative square schemes."""
 
     ns: tuple[int, ...]
@@ -418,8 +417,7 @@ def compare_schemes(x: float, sigma: float, n_grid: Sequence[int]) -> SchemeComp
                             crossover_n=crossover)
 
 
-@dataclass(frozen=True)
-class DensityCoeffAdjudication:
+class DensityCoeffAdjudication(NamedTuple):
     """Outcome of the first-density-coefficient adjudication for general t.
 
     R(n, x) = [exact density / Lambda'(x) - 1] * b_n^2 tends to the true

@@ -23,7 +23,9 @@ leave the float range, and each keeps its sigma = 1 value at every sigma
 that solve_bn accepts.
 
 The approximations validate their (t, scheme) once, through
-norming.validate_scheme; the coefficient kernels run unchecked.
+norming.validate_scheme, and take x through errors._real, so a numpy float32
+x is used as its float, not carried through the kernels in float32; the
+coefficient kernels run unchecked.
 
 Where the Gumbel factor underflows to 0.0 the approximations return it
 as is, before evaluating any exp(-x) coefficient: far below the mode those
@@ -136,6 +138,7 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
     """
     _check_order(order)
     t, scheme = validate_scheme(t, scheme)
+    x = _real(x, "x")
     lam = gumbel_cdf(x)
     if order == 1 or lam == 0.0:
         return lam
@@ -168,6 +171,7 @@ def pdf_approx(order: int, t: float, x: float, base: NormingBase,
     """Order-1/2/3 approximation of the density of (|M_n|^t - d_n)/c_n."""
     _check_order(order)
     t, scheme = validate_scheme(t, scheme)
+    x = _real(x, "x")
     lamp = gumbel_pdf(x)
     if order == 1 or lamp == 0.0:
         return lamp
@@ -209,6 +213,7 @@ def cdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
     sign to cdf_approx and the second uses the classic coefficient.
     """
     _check_order(order)
+    x = _real(x, "x")
     lam = gumbel_cdf(x)
     if order == 1 or lam == 0.0:
         return lam
@@ -226,6 +231,7 @@ def cdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
 def pdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
     """Square-power density approximation in the golden-table convention."""
     _check_order(order)
+    x = _real(x, "x")
     lamp = gumbel_pdf(x)
     if order == 1 or lamp == 0.0:
         return lamp

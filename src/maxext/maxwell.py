@@ -3,6 +3,9 @@
 The survival function is always evaluated through erfc so that it keeps
 relative accuracy deep into the tail; it is never computed as 1 - cdf.
 
+`MaxwellParams` is a NamedTuple that stores sigma as a positive finite
+float whenever one is built, `_replace` included.
+
 Importing this module loads neither numpy nor scipy: `tail_remainder`
 imports `scipy.special.erfcx` when first called, and `sample` and
 `row_maxima` work on whatever numpy arrays or generator the caller passes.
@@ -18,8 +21,7 @@ replaces two passes over all n draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, _domain_error, _integer, _real
 from .special import erf, erfc
@@ -47,14 +49,17 @@ _SQRT2 = math.sqrt(2.0)
 _TAIL_COEFFS = (1.0, 1.0, -1.0, 3.0)
 
 
-@dataclass(frozen=True)
-class MaxwellParams:
+class MaxwellParams(NamedTuple("MaxwellParams", [("sigma", float)])):
     """Scale parameter of the Maxwell law."""
 
-    sigma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", _real(self.sigma, "sigma", positive=True))
+    def __new__(cls, sigma: float):
+        return super().__new__(cls, _real(sigma, "sigma", positive=True))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates too
+        return cls(*fields)
 
 
 def _z_density(z: float) -> float:

@@ -36,12 +36,16 @@ the loop runs once over all reps in the calling thread.
 
 numpy is imported inside the functions that use it, once per call, so
 importing this module (and the CLI's analytic subcommands) does not load it.
+
+`SimulationConfig` is a NamedTuple that checks and converts its fields
+whenever one is built, `_replace` included; its range messages shorten a
+huge value with reprlib, as errors._real and errors._integer do.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+import reprlib
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import maxwell
 from .errors import ConfigurationError, DomainError, _integer, _real
@@ -54,37 +58,36 @@ if TYPE_CHECKING:
 __all__ = ["SimulationConfig", "simulate_powered_maxima", "ks_distance", "substream"]
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(NamedTuple("SimulationConfig", [
+        ("n", int), ("t", float), ("sigma", float), ("reps", int), ("seed", int),
+        ("scheme", Scheme)])):
     """Inputs of one simulation run; fully determines its output.
 
     n, reps and seed are stored as ints, t and sigma as floats, and scheme as
     a Scheme member.
     """
 
-    n: int
-    t: float
-    sigma: float
-    reps: int
-    seed: int
-    scheme: Scheme = Scheme.GENERAL_POWER
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n: int, t: float, sigma: float, reps: int, seed: int,
+                scheme: Scheme = Scheme.GENERAL_POWER):
         try:
-            for name in ("n", "reps", "seed"):
-                object.__setattr__(self, name, _integer(getattr(self, name), name))
-            object.__setattr__(self, "sigma", _real(self.sigma, "sigma", positive=True))
+            n, reps, seed = _integer(n, "n"), _integer(reps, "reps"), _integer(seed, "seed")
+            sigma = _real(sigma, "sigma", positive=True)
         except DomainError as exc:
             raise ConfigurationError(str(exc)) from None
-        if self.n < 3:
-            raise ConfigurationError(f"sample size n must be >= 3, got {self.n}")
-        if self.reps < 1:
-            raise ConfigurationError(f"reps must be >= 1, got {self.reps}")
-        if not 0 <= self.seed < 2**128:
-            raise ConfigurationError(f"seed must be in [0, 2**128), got {self.seed}")
-        t, scheme = validate_scheme(self.t, self.scheme)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "scheme", scheme)
+        if n < 3:
+            raise ConfigurationError(f"sample size n must be >= 3, got {reprlib.repr(n)}")
+        if reps < 1:
+            raise ConfigurationError(f"reps must be >= 1, got {reprlib.repr(reps)}")
+        if not 0 <= seed < 2**128:
+            raise ConfigurationError(f"seed must be in [0, 2**128), got {reprlib.repr(seed)}")
+        t, scheme = validate_scheme(t, scheme)
+        return super().__new__(cls, n, t, sigma, reps, seed, scheme)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates too
+        return cls(*fields)
 
 
 # Largest number of float64 draws held at once by `simulate_powered_maxima`

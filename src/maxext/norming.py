@@ -8,14 +8,15 @@ and a_n = sigma^2 / b_n. `hall_base` gives the closed-form pair of Hall
 (1979), whose b_hat also seeds the solver. Powered maxima |M_n|^t use linear constants
 (c_n, d_n) that depend on whether t equals 2; at t = 2 two competing
 choices exist (the variance-style pair below marked "optimal" converges
-faster than the "alternative" one).
+faster than the "alternative" one). Both results, NormingBase and
+PoweredNorming, are plain NamedTuples.
 """
 from __future__ import annotations
 
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigurationError, DegenerateError, DomainError, NoRootError, _integer, _real
 
@@ -43,8 +44,7 @@ class Scheme(str, enum.Enum):
     SQUARE_ALTERNATIVE = "square-alternative"
 
 
-@dataclass(frozen=True)
-class NormingBase:
+class NormingBase(NamedTuple):
     """Base constants (b_n, a_n) for n and sigma: solve_bn's root or hall_base's closed form."""
 
     n: int
@@ -53,8 +53,7 @@ class NormingBase:
     a_n: float
 
 
-@dataclass(frozen=True)
-class PoweredNorming:
+class PoweredNorming(NamedTuple):
     """Linear norming (c_n, d_n) for |M_n|^t under a given scheme."""
 
     t: float

@@ -206,12 +206,23 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     (["plot-data", "--n", "500", "--x-max", "inf"], "--x-max"),
     (["rate", "--n-grid", "abc"], "--n-grid"),
     (["rate", "--n-grid", "1e4,1e400"], "--n-grid"),
+    (["table", "--n-step", "0"], "--n-step"),
+    (["table", "--n-start", "-25"], "--n-start"),
+    (["table", "--n-end", "1e4"], "--n-end"),
 ])
 def test_bad_option_values_are_usage_errors(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.splitlines()[-1].startswith(f"maxext {argv[0]}: error: argument {option}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, where):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "bn.csv"
+    code, out, err = run_cli(capsys, "bn", "--n", "100", "--output", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("maxext bn: error: [Errno ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("kind", ["cdf", "pdf"])

@@ -3,7 +3,9 @@
 numpy is needed only for sampling and ks_distance, and scipy only for
 `maxwell.tail_remainder`; each is imported on first use. The line fits of
 `rate` and `adjudicate` are solved in exact integer arithmetic and need
-neither.
+neither. The records are NamedTuples, so no call loads `dataclasses` (nor
+the `inspect` it imports), and `fractions` loads only to read a typed
+`--n-grid` exactly: the default grids are ints.
 The check runs in a fresh interpreter, because this test process has both
 packages loaded already.
 """
@@ -24,17 +26,23 @@ from maxext import cli, maxwell
 from maxext.montecarlo import SimulationConfig, simulate_powered_maxima
 
 
-def loaded():
-    return sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+def loaded(names=("numpy", "scipy")):
+    return sorted({name.split(".")[0] for name in sys.modules} & set(names))
 
 
-assert loaded() == [], loaded()
+LAZY = ("dataclasses", "inspect", "fractions")
+assert loaded() == loaded(LAZY) == [], (loaded(), loaded(LAZY))
 for argv in (["table", "--kind", "cdf"], ["bn", "--n", "25"], ["constants", "--n", "25"],
              ["rate", "--t", "2"], ["compare-schemes"], ["compare-hall"], ["adjudicate"],
              ["plot-data", "--n", "500"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-    assert loaded() == [], (argv, loaded())
+    assert loaded() == loaded(LAZY) == [], (argv, loaded(), loaded(LAZY))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["rate", "--t", "1", "--n-grid", "1e4,1e300"]) == 0
+assert out.getvalue().splitlines()[2].startswith(str(10**300) + ","), out.getvalue()
+assert loaded(LAZY) == ["fractions"], loaded(LAZY)
 simulate_powered_maxima(SimulationConfig(n=10, t=1.0, sigma=1.0, reps=2, seed=1))
 assert loaded() == ["numpy"], loaded()
 maxwell.tail_remainder(10.0, maxwell.MaxwellParams(1.0))

@@ -5,7 +5,6 @@ time. It must return a finite result or raise a MaxextError, never another
 exception: a real argument goes through errors._real and an integer one
 through errors._integer.
 """
-import dataclasses
 import math
 import numbers
 from decimal import Decimal
@@ -16,6 +15,7 @@ import pytest
 
 from maxext import MaxextError, maxwell
 from maxext.exact import (
+    ErrorRow,
     adjudicate_density_coeffs,
     compare_schemes,
     default_scheme,
@@ -99,10 +99,8 @@ def _finite(result) -> bool:
         return True
     if isinstance(result, numbers.Real):
         return math.isfinite(result)
-    if isinstance(result, (list, tuple)):
+    if isinstance(result, (list, tuple)):  # also every record, a NamedTuple
         return all(map(_finite, result))
-    if dataclasses.is_dataclass(result):
-        return all(_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
     return isinstance(result, str)  # a Scheme member or a verdict
 
 
@@ -143,3 +141,40 @@ def test_accepted_values_convert_exactly():
 def test_rejected_values(call):
     with pytest.raises(MaxextError):
         call()
+
+
+_X32 = np.float32(0.7)
+_SQUARE = {"square-optimal": Scheme.SQUARE_OPTIMAL, "square-alternative": Scheme.SQUARE_ALTERNATIVE}
+X_CALLS = {
+    **{f"{fn.__name__}-general": lambda x, fn=fn: fn(3, 1.0, x, _BASE)
+       for fn in (cdf_approx, pdf_approx)},
+    **{f"{fn.__name__}-{name}": lambda x, fn=fn, s=s: fn(3, 2.0, x, _BASE, s)
+       for fn in (cdf_approx, pdf_approx) for name, s in _SQUARE.items()},
+    **{fn.__name__: lambda x, fn=fn: fn(3, x, _BASE)
+       for fn in (cdf_approx_tabulated, pdf_approx_tabulated)},
+    "rate_diagnostic": lambda x: rate_diagnostic("cdf", 1.0, x, 1.0, [10**4, 10**8]),
+    "hall_rate_check": lambda x: hall_rate_check(x, 1.0, [10**3, 10**6]),
+}
+
+
+@pytest.mark.parametrize("call", X_CALLS.values(), ids=X_CALLS.keys())
+def test_float32_x_is_used_as_its_float(call):
+    # a float32 x must not run the kernels in float32: the same bits and
+    # types as the float of its value
+    assert repr(call(_X32)) == repr(call(float(_X32)))
+
+
+@pytest.mark.parametrize("record, field, bad, good, stored", [
+    (MaxwellParams(1.0), "sigma", -1.0, 2, 2.0),
+    (ErrorRow(25, 0.1, 0.01, 0.001), "err2", math.nan, 0.5, 0.5),
+    (SimulationConfig(10, 1.0, 1.0, 1, 0), "seed", -1, Fraction(4, 2), 2),
+])
+def test_validating_records_check_replace_and_stay_immutable(record, field, bad, good, stored):
+    assert isinstance(record, tuple) and field in record._fields
+    with pytest.raises(MaxextError):
+        record._replace(**{field: bad})
+    new = record._replace(**{field: good})
+    assert getattr(new, field) == stored and type(getattr(new, field)) is type(stored)
+    with pytest.raises(AttributeError):
+        setattr(record, field, good)
+    assert repr(record).startswith(f"{type(record).__name__}({record._fields[0]}=")

@@ -73,6 +73,16 @@ def test_config_rejects_non_real_sigma(sigma):
         SimulationConfig(n=10, t=1.0, sigma=sigma, reps=1, seed=0)
 
 
+@pytest.mark.parametrize("field, value", [("n", -10**400), ("reps", -10**400),
+                                          ("seed", 10**400), ("seed", -10**400)],
+                         ids=["n", "reps", "seed-above", "seed-below"])
+def test_config_range_messages_stay_short(field, value):
+    kwargs = dict(n=10, t=1.0, sigma=1.0, reps=1, seed=0)
+    with pytest.raises(ConfigurationError, match=field) as info:
+        SimulationConfig(**{**kwargs, field: value})
+    assert len(str(info.value)) < 100
+
+
 def test_config_seed_bounds_inclusive():
     SimulationConfig(n=10, t=1.0, sigma=1.0, reps=1, seed=0)
     SimulationConfig(n=10, t=1.0, sigma=1.0, reps=1, seed=2**128 - 1)
