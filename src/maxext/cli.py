@@ -7,13 +7,15 @@ other decoration is ever emitted, so NO_COLOR is honored trivially.
 
 Exit codes: 0 success, 1 usage error, 2 domain/configuration error. An x
 grid (`plot-data`, `adjudicate`) of more than 10**6 steps and an `--output`
-path that cannot be written are usage errors.
+path that cannot be written are usage errors; the path is opened before any
+work, and a failed call leaves an existing file as it was.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import numbers
+import os
 import sys
 
 from . import exact, montecarlo
@@ -32,13 +34,15 @@ def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
-def _emit(lines, output):
+def _emit(lines, out):
     text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
-    else:
+    if out is None:
         sys.stdout.write(text)
+        return
+    with out:  # closed here, so a failed flush is an OSError like a failed write
+        if out.seekable():  # a file keeps its old bytes until now; a pipe has none
+            out.truncate(0)
+        out.write(text)
 
 
 # argparse type= converters: bad values become one-line usage errors (exit 1)
@@ -315,20 +319,28 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    out, created, code = None, False, 1
     try:
-        lines = args.func(args)
+        if args.output:
+            # opened before the work, so an unwritable path fails at once; append
+            # mode leaves an existing file byte-identical unless the work succeeds
+            created = not os.path.lexists(args.output)
+            out = open(args.output, "a", newline="")
+        _emit(args.func(args), out)
+        code = 0
     except _UsageError as exc:
         print(f"maxext {args.command}: error: {exc}", file=sys.stderr)
-        return 1
     except MaxextError as exc:
         print(f"maxext {args.command}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _emit(lines, args.output)
-    except OSError as exc:  # an --output path that cannot be written
+        code = 2
+    except OSError as exc:  # an --output path that cannot be opened or written
         print(f"maxext {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    finally:
+        if out is not None:
+            out.close()
+            if code != 0 and created:
+                os.remove(args.output)
+    return code
 
 
 if __name__ == "__main__":

@@ -38,6 +38,9 @@ from .expansions import (
 )
 from .maxwell import MaxwellParams
 from .norming import (
+    _ALTERNATIVE,
+    _GENERAL,
+    _OPTIMAL,
     PoweredNorming,
     Scheme,
     hall_base,
@@ -87,7 +90,7 @@ class ErrorRow(NamedTuple("ErrorRow", [("n", int), ("err1", float), ("err2", flo
 
 def default_scheme(t: float) -> Scheme:
     """Square-optimal at t = 2, general-power otherwise; DomainError for a non-real t."""
-    return Scheme.SQUARE_OPTIMAL if _real(t, "power index t") == 2.0 else Scheme.GENERAL_POWER
+    return _OPTIMAL if _real(t, "power index t") == 2.0 else _GENERAL
 
 
 def _powered_argument(x: float, pn: PoweredNorming, below_support: str):
@@ -102,12 +105,15 @@ def _powered_argument(x: float, pn: PoweredNorming, below_support: str):
     return y
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _law_n(n) -> int:
     """The sample size of an exact law as an int in [1, float max]; DomainError otherwise."""
     n = _integer(n, "n")
     if n < 1:
         raise DomainError(f"sample size n must be >= 1, got {n}")
-    if n > sys.float_info.max:
+    if n > _FLOAT_MAX:
         raise DomainError("sample size n is beyond float range; n * log F cannot be formed")
     return n
 
@@ -207,7 +213,7 @@ def error_table(kind: Kind, t: float, x: float, sigma: float,
     t, scheme = validate_scheme(t, default_scheme(t))
     p = MaxwellParams(sigma)
     if convention == "tabulated":
-        if scheme is not Scheme.SQUARE_OPTIMAL:
+        if scheme is not _OPTIMAL:
             raise ConfigurationError(
                 "the tabulated convention exists only for t = 2; use convention='asymptotic'"
             )
@@ -311,7 +317,7 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
     ns = _check_grid(n_grid, decades=3.0)
     t, scheme = validate_scheme(t, default_scheme(t))
     x, p = _real(x, "x"), MaxwellParams(sigma)
-    power = 4 if scheme is Scheme.SQUARE_OPTIMAL else 2
+    power = 4 if scheme is _OPTIMAL else 2
     bs, errs, scaled = [], [], []
     for n in ns:
         base = solve_bn(n, sigma)
@@ -327,7 +333,7 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
                               f"at n = {n}, sigma = {sigma!r}"))
     slope = _fit([math.log(b) for b in bs], [math.log(e) for e in errs])[0]
     # the first coefficient, stated at sigma = 1, carries sigma^power
-    coeff1 = abs(law.coeff1_square(x) if scheme is Scheme.SQUARE_OPTIMAL
+    coeff1 = abs(law.coeff1_square(x) if scheme is _OPTIMAL
                  else law.coeff1_general(t, x))
     weight, prediction = law.weight(x), 0.0
     if coeff1 * weight != 0.0:
@@ -368,7 +374,7 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
             raise DomainError(f"leading error term underflows to 0 at x = {x}; "
                               "the ratio gap / leading is undefined")
         base = solve_bn(n, sigma)
-        pn = powered_constants(base, 2.0, Scheme.SQUARE_OPTIMAL)
+        pn = powered_constants(base, 2.0, _OPTIMAL)
         e1 = abs(exact_powered_cdf(n, 2.0, x, pn, p) - lam)
         gaps.append(gap)
         leads.append(lead)
@@ -404,7 +410,7 @@ def compare_schemes(x: float, sigma: float, n_grid: Sequence[int]) -> SchemeComp
     opt, alt = [], []
     for n in ns:
         base = solve_bn(n, sigma)
-        for scheme, errs in ((Scheme.SQUARE_OPTIMAL, opt), (Scheme.SQUARE_ALTERNATIVE, alt)):
+        for scheme, errs in ((_OPTIMAL, opt), (_ALTERNATIVE, alt)):
             pn = powered_constants(base, 2.0, scheme)
             errs.append(abs(exact_powered_cdf(n, 2.0, x, pn, p)
                             - cdf_approx(2, 2.0, x, base, scheme)))
@@ -479,7 +485,7 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
     at any grid x.
     """
     t, scheme = validate_scheme(t, default_scheme(t))
-    if scheme is Scheme.SQUARE_OPTIMAL:
+    if scheme is _OPTIMAL:
         raise ConfigurationError(
             "no adjudication exists at t = 2; the square-branch coefficient is unique"
         )

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigurationError, DomainError, _real
-from .norming import NormingBase, Scheme, validate_scheme
+from .norming import _GENERAL, _OPTIMAL, NormingBase, Scheme, validate_scheme
 from .special import gumbel_cdf, gumbel_pdf
 
 __all__ = [
@@ -147,13 +147,13 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
         return lam
     z = base.b_n / base.sigma
     u = 1.0 / (z * z)
-    if scheme is Scheme.GENERAL_POWER:
+    if scheme is _GENERAL:
         a1 = _cdf_coeff1_general(t, x)
         bracket = 1.0 - emx * a1 * u
         if order == 3:
             a2 = _cdf_coeff2_general(t, x)
             bracket += emx * (0.5 * emx * a1 * a1 - a2) * u * u
-    elif scheme is Scheme.SQUARE_OPTIMAL:
+    elif scheme is _OPTIMAL:
         u2 = u * u
         bracket = 1.0 - emx * _cdf_coeff1_square(x) * u2
         if order == 3:
@@ -177,11 +177,11 @@ def pdf_approx(order: int, t: float, x: float, base: NormingBase,
         return lamp
     z = base.b_n / base.sigma
     u = 1.0 / (z * z)
-    if scheme is Scheme.GENERAL_POWER:
+    if scheme is _GENERAL:
         bracket = 1.0 + _pdf_coeff1_general(t, x) * u
         if order == 3:
             bracket += _pdf_coeff2_general(t, x) * u * u
-    elif scheme is Scheme.SQUARE_OPTIMAL:
+    elif scheme is _OPTIMAL:
         u2 = u * u
         bracket = 1.0 + _pdf_coeff1_square(x) * u2
         if order == 3:

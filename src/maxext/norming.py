@@ -10,10 +10,14 @@ and a_n = sigma^2 / b_n. `hall_base` gives the closed-form pair of Hall
 choices exist (the variance-style pair below marked "optimal" converges
 faster than the "alternative" one). Both results, NormingBase and
 PoweredNorming, are plain NamedTuples.
+
+solve_bn memoizes its root per validated (n, sigma) pair, for the last 1024
+pairs, so a repeat call returns the same immutable NormingBase record.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from typing import NamedTuple
@@ -44,6 +48,13 @@ class Scheme(str, enum.Enum):
     SQUARE_ALTERNATIVE = "square-alternative"
 
 
+# Bound once: a member read through its class costs over ten times a module
+# global read (CPython 3.11), and the approximations test the scheme per call.
+_GENERAL, _OPTIMAL, _ALTERNATIVE = (
+    Scheme.GENERAL_POWER, Scheme.SQUARE_OPTIMAL, Scheme.SQUARE_ALTERNATIVE)
+_FLOAT_MIN = sys.float_info.min
+
+
 class NormingBase(NamedTuple):
     """Base constants (b_n, a_n) for n and sigma: solve_bn's root or hall_base's closed form."""
 
@@ -67,7 +78,7 @@ def _check_n_sigma(n, sigma):
     sigma = _real(sigma, "sigma", positive=True)
     # the norming equation works with sigma^2; a subnormal or overflowing
     # square would silently wreck the root, so such sigma is out of domain
-    if not sys.float_info.min <= sigma * sigma < math.inf:
+    if not _FLOAT_MIN <= sigma * sigma < math.inf:
         raise DomainError(
             f"sigma^2 must be a normal finite float, got sigma = {sigma!r}"
         )
@@ -114,12 +125,23 @@ def solve_bn(n: int, sigma: float = 1.0) -> NormingBase:
     alone exceeds 1e-13. Raises DomainError where sigma^2 is not a normal
     finite float, or where b_n^2 overflows before the root is reached (sigma
     of order 1e153 and above).
+
+    The root is memoized per validated (n, sigma), an int and a float, for
+    the last 1024 pairs: a repeat call returns the same immutable record.
+    Validation runs on every call, before the cache is consulted, since
+    True == 1.0 and Fraction(25) == 25 hash equal to valid keys.
     """
     n, sigma = _check_n_sigma(n, sigma)
     if n < _MIN_N:
         raise NoRootError(
             f"no root with b > sigma exists for n = {n}; need n >= {_MIN_N}"
         )
+    return _solve_root(n, sigma)
+
+
+@functools.lru_cache(maxsize=1024)
+def _solve_root(n: int, sigma: float) -> NormingBase:
+    # solve_bn's root for a validated int n >= _MIN_N and float sigma
     log_n = math.log(n)
     s2 = sigma * sigma
     lo = sigma
@@ -185,11 +207,11 @@ def validate_scheme(t: float, scheme: Scheme) -> tuple[float, Scheme]:
         raise ConfigurationError(
             f"unknown scheme {scheme!r}; expected one of {', '.join(_SCHEMES)}"
         ) from None
-    if scheme is Scheme.GENERAL_POWER and t == 2.0:
+    if scheme is _GENERAL and t == 2.0:
         raise ConfigurationError(
             "general-power constants are undefined at t = 2; use a square scheme"
         )
-    if scheme is not Scheme.GENERAL_POWER and t != 2.0:
+    if scheme is not _GENERAL and t != 2.0:
         raise ConfigurationError(f"scheme {scheme.value} requires t = 2, got t = {t}")
     return t, scheme
 
@@ -202,7 +224,7 @@ def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNor
     """
     t, scheme = validate_scheme(t, scheme)
     b = base.b_n
-    if scheme is Scheme.GENERAL_POWER:
+    if scheme is _GENERAL:
         try:
             c = base.sigma * base.sigma * t * b ** (t - 2.0)
             d = b**t
@@ -215,7 +237,7 @@ def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNor
         m = math.frexp(base.sigma)[0]
         k = base.sigma / m
         m2, bk = m * m, b / k
-        sign = 1.0 if scheme is Scheme.SQUARE_OPTIMAL else -1.0
+        sign = 1.0 if scheme is _OPTIMAL else -1.0
         c = 2.0 * m2 * (1.0 + sign * (m2 / (bk * bk))) * k * k
         d = (bk * bk + sign * (2.0 * m2 * m2 / (bk * bk))) * k * k
         if c <= 0.0:

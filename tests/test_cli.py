@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from maxext import exact
+from maxext import cli, exact
 from maxext.cli import main
 from maxext.maxwell import MaxwellParams
 from maxext.norming import Scheme, powered_constants, solve_bn
@@ -223,6 +223,36 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, where):
     code, out, err = run_cli(capsys, "bn", "--n", "100", "--output", str(path))
     assert code == 1 and out == ""
     assert err.startswith("maxext bn: error: [Errno ") and len(err.splitlines()) == 1
+
+
+def test_unwritable_output_fails_before_the_work(capsys, monkeypatch, tmp_path):
+    def never(cfg):
+        raise AssertionError("simulate ran before --output was checked")
+
+    monkeypatch.setattr(cli, "simulate_powered_maxima", never)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "simulate", "--n", "10000", "--reps", "10000",
+                             "--output", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("maxext simulate: error: [Errno ") and len(err.splitlines()) == 1
+
+
+def test_failed_call_leaves_output_as_it_was(capsys, tmp_path):
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_bytes(b"old,bytes\r\n")
+    for path in (kept, absent):
+        code, out, err = run_cli(capsys, "bn", "--n", "2", "--output", str(path))
+        assert code == 2 and out == "" and err.startswith("maxext bn: ")
+    assert kept.read_bytes() == b"old,bytes\r\n"
+    assert not absent.exists()
+
+
+def test_output_replaces_a_longer_file(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "bn", "--n", "100")
+    path = tmp_path / "bn.csv"
+    path.write_text("x" * 10_000)
+    assert main(["bn", "--n", "100", "--output", str(path)]) == 0
+    assert path.read_text() == out
 
 
 @pytest.mark.parametrize("kind", ["cdf", "pdf"])

@@ -1,11 +1,14 @@
 """Norming constants: solver contract, closed forms, powered schemes."""
 import math
+import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from maxext import norming
 from maxext.errors import (
     ConfigurationError,
     DegenerateError,
@@ -157,6 +160,41 @@ def test_numpy_scalar_n_accepted():
     for bad in (True, np.True_, 1000.5, np.float64(1000.5), "1000"):
         with pytest.raises(DomainError):
             solve_bn(bad)
+
+
+# solve_bn memoizes its root per validated (n, sigma); validation comes first
+# because True == 1.0 and Fraction(25) == 25 hash equal to cached keys
+
+def test_bool_sigma_rejected_after_equal_float_is_cached():
+    solve_bn(10, 1.0)
+    with pytest.raises(DomainError, match="sigma"):
+        solve_bn(10, True)
+
+
+def test_rational_n_and_int_sigma_share_the_root_of_int_and_float():
+    base = solve_bn(Fraction(25), 2)
+    assert base == solve_bn(25, 2.0)
+    assert type(base.n) is int and type(base.sigma) is float
+
+
+@pytest.mark.parametrize("sigma", [1e160, 1e154])  # sigma^2 overflows; b_n^2 overflows
+def test_out_of_range_sigma_raises_on_every_call(sigma):
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            solve_bn(1000, sigma)
+
+
+def test_warm_root_is_the_uncached_root_bit_for_bit():
+    rng = random.Random(17)
+    pairs = [(int(10 ** rng.uniform(math.log10(3), 300)), 10 ** rng.uniform(-150, 150))
+             for _ in range(300)]
+    for n, sigma in pairs:
+        solve_bn(n, sigma)
+    for n, sigma in pairs:
+        warm, cold = solve_bn(n, sigma), norming._solve_root.__wrapped__(n, sigma)
+        assert warm is solve_bn(n, sigma)  # the same immutable record
+        assert (warm.n, warm.sigma.hex(), warm.b_n.hex(), warm.a_n.hex()) == \
+            (cold.n, cold.sigma.hex(), cold.b_n.hex(), cold.a_n.hex())
 
 
 def test_hall_constants_values():
