@@ -13,9 +13,14 @@ other kind is a ConfigurationError. The grid diagnostics convert their n
 grid through one check, `_check_grid`, so a non-integral n is a DomainError.
 Both line fits, the rate slope and the adjudication limits, go through
 `_fit`, which solves least squares exactly in Python ints; no function here
-imports numpy. The diagnostics take x through errors._real, so a numpy
-float32 x is used as its float. Their records are NamedTuples; ErrorRow
-checks its errors whenever one is built.
+imports numpy.
+
+Each input is checked once, where it enters the package: the exact laws and
+the diagnostics take t and x through errors._real (so a numpy float32 x is
+used as its float) and n through errors._integer, then evaluate the Maxwell
+and Gumbel laws through the unchecked kernels maxwell._survival and
+maxwell._pdf, special._gumbel_cdf and special._gumbel_pdf. Their records are
+NamedTuples; ErrorRow checks its errors whenever one is built.
 """
 from __future__ import annotations
 
@@ -23,7 +28,6 @@ import math
 import sys
 from typing import Callable, Literal, NamedTuple, Sequence
 
-from . import maxwell
 from .errors import ConfigurationError, DiagnosticsError, DomainError, _integer, _real
 from .expansions import (
     _cdf_coeff1_general,
@@ -36,7 +40,7 @@ from .expansions import (
     pdf_approx,
     pdf_approx_tabulated,
 )
-from .maxwell import MaxwellParams
+from .maxwell import MaxwellParams, _pdf, _survival
 from .norming import (
     _ALTERNATIVE,
     _GENERAL,
@@ -48,7 +52,7 @@ from .norming import (
     solve_bn,
     validate_scheme,
 )
-from .special import gumbel_cdf, gumbel_pdf
+from .special import _gumbel_cdf, _gumbel_pdf
 
 __all__ = [
     "ErrorRow",
@@ -142,7 +146,7 @@ def exact_powered_cdf(n: int, t: float, x: float, pn: PoweredNorming,
         delta = y ** (1.0 / t)
     except OverflowError:  # far above the mode
         return 1.0
-    return _cdf_power(maxwell.survival(delta, p), n)
+    return _cdf_power(_survival(delta, p.sigma), n)
 
 
 def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
@@ -159,10 +163,10 @@ def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
         delta = y ** (1.0 / t)
     except OverflowError:  # far above the mode
         return 0.0
-    f_pow = _cdf_power(maxwell.survival(delta, p), n - 1)
+    f_pow = _cdf_power(_survival(delta, p.sigma), n - 1)
     if f_pow == 0.0:  # also skips y^{1/t-1}, which can overflow where sf rounds to 1
         return 0.0
-    f_delta = maxwell.pdf(delta, p)
+    f_delta = _pdf(delta, p.sigma)
     if f_delta == 0.0:  # also skips n * (...) * 0, which is nan where n * (...) overflows
         return 0.0
     # d delta/dx = c_n y^{1/t-1} / t is of order sigma, while n c_n (order
@@ -181,9 +185,9 @@ class _KindLaws(NamedTuple):
 
 _KINDS = {
     "cdf": _KindLaws(exact_powered_cdf, cdf_approx, cdf_approx_tabulated, _cdf_coeff1_square,
-                     _cdf_coeff1_general, lambda x: math.exp(-x) * gumbel_cdf(x)),
+                     _cdf_coeff1_general, lambda x: math.exp(-x) * _gumbel_cdf(x)),
     "pdf": _KindLaws(exact_powered_pdf, pdf_approx, pdf_approx_tabulated, _pdf_coeff1_square,
-                     _pdf_coeff1_general, gumbel_pdf),
+                     _pdf_coeff1_general, _gumbel_pdf),
 }
 
 
@@ -363,7 +367,7 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
     """
     ns = _check_grid(n_grid, min_len=1)
     x, p = _real(x, "x"), MaxwellParams(sigma)
-    lam = gumbel_cdf(x)
+    lam = _gumbel_cdf(x)
     gaps, leads, ratios, powered = [], [], [], []
     for n in ns:
         hall = hall_base(n, sigma)
@@ -386,7 +390,7 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
 
 def exact_unpowered_cdf(n: int, y: float, p: MaxwellParams) -> float:
     """P(M_n <= y) = F(y)^n via the stable log1p route; n as for exact_powered_cdf."""
-    return _cdf_power(maxwell.survival(y, p), _law_n(n))
+    return _cdf_power(_survival(_real(y, "y"), p.sigma), _law_n(n))
 
 
 class SchemeComparison(NamedTuple):
@@ -493,7 +497,7 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
     xs = [_real(v, "x") for v in x_grid]
     if not xs:
         raise DiagnosticsError("empty x grid")
-    dens = [gumbel_pdf(x) for x in xs]
+    dens = [_gumbel_pdf(x) for x in xs]
     if 0.0 in dens:
         raise DomainError(f"Lambda'(x) underflows to 0 at x = {xs[dens.index(0.0)]}; "
                           "the scaled residual is undefined")

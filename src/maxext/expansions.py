@@ -22,10 +22,12 @@ approximations evaluate it against z = b_n / sigma: no power of sigma can
 leave the float range, and each keeps its sigma = 1 value at every sigma
 that solve_bn accepts.
 
-The approximations validate their (t, scheme) once, through
-norming.validate_scheme, and take x through errors._real, so a numpy float32
-x is used as its float, not carried through the kernels in float32; the
-coefficient kernels run unchecked.
+Each input is checked once, where it enters the package: the approximations
+validate their (t, scheme) through norming.validate_scheme and take x
+through errors._real, so a numpy float32 x is used as its float, not carried
+through the kernels in float32. Below that nothing checks again: they form
+Lambda(x) from emx = exp(-x), with the bits of special.gumbel_cdf, or call
+special._gumbel_pdf, and the coefficient kernels run unchecked.
 
 Where the Gumbel factor underflows to 0.0 the approximations return it
 as is, before evaluating any exp(-x) coefficient: far below the mode those
@@ -42,7 +44,7 @@ import math
 
 from .errors import ConfigurationError, DomainError, _real
 from .norming import _GENERAL, _OPTIMAL, NormingBase, Scheme, validate_scheme
-from .special import gumbel_cdf, gumbel_pdf
+from .special import _exp_neg, _gumbel_pdf
 
 __all__ = [
     "cdf_approx",
@@ -53,10 +55,8 @@ __all__ = [
 ]
 
 
-def _check_order(order: int) -> int:
-    if order not in (1, 2, 3):
-        raise ConfigurationError(f"expansion order must be 1, 2 or 3, got {order!r}")
-    return order
+def _order_error(order) -> ConfigurationError:
+    return ConfigurationError(f"expansion order must be 1, 2 or 3, got {order!r}")
 
 
 # ---------------------------------------------------------------- general t
@@ -136,14 +136,13 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
     Order 1 is the plain Gumbel limit for every scheme; order k adds the
     first k-1 correction terms of the scheme's expansion.
     """
-    _check_order(order)
+    if order not in (1, 2, 3):
+        raise _order_error(order)
     t, scheme = validate_scheme(t, scheme)
     x = _real(x, "x")
-    lam = gumbel_cdf(x)
-    if order == 1 or lam == 0.0:
-        return lam
-    emx = math.exp(-x)
-    if emx == 0.0:
+    emx = _exp_neg(x)
+    lam = math.exp(-emx)
+    if order == 1 or lam == 0.0 or emx == 0.0:
         return lam
     z = base.b_n / base.sigma
     u = 1.0 / (z * z)
@@ -169,10 +168,11 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
 def pdf_approx(order: int, t: float, x: float, base: NormingBase,
                scheme: Scheme = Scheme.GENERAL_POWER) -> float:
     """Order-1/2/3 approximation of the density of (|M_n|^t - d_n)/c_n."""
-    _check_order(order)
+    if order not in (1, 2, 3):
+        raise _order_error(order)
     t, scheme = validate_scheme(t, scheme)
     x = _real(x, "x")
-    lamp = gumbel_pdf(x)
+    lamp = _gumbel_pdf(x)
     if order == 1 or lamp == 0.0:
         return lamp
     z = base.b_n / base.sigma
@@ -212,13 +212,12 @@ def cdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
     (see norming.hall_base): the first correction enters with the opposite
     sign to cdf_approx and the second uses the classic coefficient.
     """
-    _check_order(order)
+    if order not in (1, 2, 3):
+        raise _order_error(order)
     x = _real(x, "x")
-    lam = gumbel_cdf(x)
-    if order == 1 or lam == 0.0:
-        return lam
-    emx = math.exp(-x)
-    if emx == 0.0:
+    emx = _exp_neg(x)
+    lam = math.exp(-emx)
+    if order == 1 or lam == 0.0 or emx == 0.0:
         return lam
     z = base.b_n / base.sigma
     u2 = 1.0 / z ** 4
@@ -230,9 +229,10 @@ def cdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
 
 def pdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
     """Square-power density approximation in the golden-table convention."""
-    _check_order(order)
+    if order not in (1, 2, 3):
+        raise _order_error(order)
     x = _real(x, "x")
-    lamp = gumbel_pdf(x)
+    lamp = _gumbel_pdf(x)
     if order == 1 or lamp == 0.0:
         return lamp
     z = base.b_n / base.sigma
@@ -254,8 +254,9 @@ def hall_error_leading(n: int, x: float) -> float:
     n = _real(n, "n", positive=True)
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
-    lam = gumbel_cdf(x)
+    emx = _exp_neg(_real(x, "x"))
+    lam = math.exp(-emx)
     if lam == 0.0:
         return lam
     log_n = math.log(n)
-    return lam * math.exp(-x) * math.log(2.0 * log_n) ** 2 / (16.0 * log_n)
+    return lam * emx * math.log(2.0 * log_n) ** 2 / (16.0 * log_n)

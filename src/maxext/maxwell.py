@@ -3,6 +3,11 @@
 The survival function is always evaluated through erfc so that it keeps
 relative accuracy deep into the tail; it is never computed as 1 - cdf.
 
+Each input is checked once, where it enters the package: the public
+functions take x through errors._real and sigma through MaxwellParams.
+`_survival` and `_pdf`, of a float x and sigma, hold the formulas and check
+nothing; the exact laws call them on an x they have checked.
+
 `MaxwellParams` is a NamedTuple that stores sigma as a positive finite
 float whenever one is built, `_replace` included.
 
@@ -24,7 +29,6 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, _domain_error, _integer, _real
-from .special import erf, erfc
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,15 +75,17 @@ def _z_density(z: float) -> float:
     return _SQRT_2_OVER_PI * z * e if e else 0.0
 
 
-def pdf(x: float, p: MaxwellParams) -> float:
-    """Density sqrt(2/pi) x^2 sigma^-3 exp(-x^2 / 2 sigma^2); 0 for x <= 0 and where exp is 0."""
-    x = _real(x, "pdf")
+def _pdf(x: float, s: float) -> float:
     if x <= 0.0:
         return 0.0
-    s = p.sigma
     z = x / s
     e = math.exp(-0.5 * z * z)
     return _SQRT_2_OVER_PI * z * z / s * e if e else 0.0
+
+
+def pdf(x: float, p: MaxwellParams) -> float:
+    """Density sqrt(2/pi) x^2 sigma^-3 exp(-x^2 / 2 sigma^2); 0 for x <= 0 and where exp is 0."""
+    return _pdf(_real(x, "pdf"), p.sigma)
 
 
 def cdf(x: float, p: MaxwellParams) -> float:
@@ -88,7 +94,14 @@ def cdf(x: float, p: MaxwellParams) -> float:
     if x <= 0.0:
         return 0.0
     z = x / p.sigma
-    return erf(z / _SQRT2) - _z_density(z)
+    return math.erf(z / _SQRT2) - _z_density(z)
+
+
+def _survival(x: float, s: float) -> float:
+    if x <= 0.0:
+        return 1.0
+    z = x / s
+    return math.erfc(z / _SQRT2) + _z_density(z)
 
 
 def survival(x: float, p: MaxwellParams) -> float:
@@ -97,11 +110,7 @@ def survival(x: float, p: MaxwellParams) -> float:
     Both summands of the erfc-based form are nonnegative, so the result can
     never go negative through cancellation.
     """
-    x = _real(x, "survival")
-    if x <= 0.0:
-        return 1.0
-    z = x / p.sigma
-    return erfc(z / _SQRT2) + _z_density(z)
+    return _survival(_real(x, "survival"), p.sigma)
 
 
 def _tail_partial_sum(x: float, p: MaxwellParams, terms: int) -> float:

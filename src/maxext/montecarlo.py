@@ -202,7 +202,10 @@ def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
 
 
 def ks_distance(samples: Sequence[float], reference: Callable[[float], float]) -> float:
-    """One-sample Kolmogorov-Smirnov distance to a reference cdf."""
+    """One-sample Kolmogorov-Smirnov distance to a reference cdf.
+
+    DomainError unless every value of the reference is a float in [0, 1].
+    """
     import numpy as np
 
     xs = np.sort(np.asarray(samples, dtype=float))
@@ -210,6 +213,14 @@ def ks_distance(samples: Sequence[float], reference: Callable[[float], float]) -
         raise DomainError("ks_distance: empty sample")
     if np.isnan(xs).any():
         raise DomainError("ks_distance: NaN in sample")
-    ref = np.fromiter(map(reference, xs.tolist()), dtype=float, count=xs.size)
+    values = list(map(reference, xs.tolist()))  # the reference's own errors propagate
+    try:  # a str, None, bool or sequence gives another dtype or shape; NaN fails both bounds
+        ref = np.array(values)
+        ok = (ref.dtype.kind in "fiu" and ref.shape == xs.shape
+              and 0.0 <= ref.min() and ref.max() <= 1.0)
+    except ValueError:  # ragged sequences
+        ok = False
+    if not ok:
+        raise DomainError("ks_distance: the reference cdf must return floats in [0, 1]")
     grid = np.arange(xs.size + 1) / xs.size
     return float(max((grid[1:] - ref).max(), (ref - grid[:-1]).max()))

@@ -200,6 +200,10 @@ def validate_scheme(t: float, scheme: Scheme) -> tuple[float, Scheme]:
     DomainError unless t is a positive finite real, and ConfigurationError for
     an unknown or unhashable scheme or a scheme that does not fit t.
     """
+    # fast path: a float t in (0, inf) and a member that fits it pass as they are
+    if type(t) is float and 0.0 < t < math.inf and (
+            scheme is _GENERAL if t != 2.0 else scheme is _OPTIMAL or scheme is _ALTERNATIVE):
+        return t, scheme
     t = _real(t, "power index t", positive=True)
     try:
         scheme = _SCHEMES[scheme]

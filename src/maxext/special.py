@@ -1,10 +1,12 @@
 """Scalar special functions: error function pair and the Gumbel law.
 
-All functions take x through errors._real, so NaN, a bool and anything but
-a real number within float range is a DomainError, and are otherwise pure; they
-are safe for unrestricted concurrent use. The Gumbel functions return 0.0
-far below the mode, where exp(-x) overflows and the true value underflows
-to zero.
+Each input is checked once, where it enters the package: the public
+functions take x through errors._real, so NaN, a bool and anything but a real
+number within float range is a DomainError. Below them, `_gumbel_cdf` and
+`_gumbel_pdf` hold the formulas and check nothing; the package calls them on
+a float it has checked already. All are pure and safe for unrestricted
+concurrent use. The Gumbel functions return 0.0 far below the mode, where
+exp(-x) overflows and the true value underflows to zero.
 """
 from __future__ import annotations
 
@@ -37,15 +39,23 @@ def _exp_neg(x: float) -> float:
         return math.inf
 
 
+def _gumbel_cdf(x: float) -> float:
+    try:
+        return math.exp(-math.exp(-x))
+    except OverflowError:  # exp(-x) overflows; Lambda underflows
+        return 0.0
+
+
+def _gumbel_pdf(x: float) -> float:
+    emx = _exp_neg(x)
+    return 0.0 if emx == math.inf else math.exp(-x - emx)
+
+
 def gumbel_cdf(x: float) -> float:
     """Gumbel distribution function exp(-exp(-x))."""
-    return math.exp(-_exp_neg(_real(x, "gumbel_cdf")))
+    return _gumbel_cdf(_real(x, "gumbel_cdf"))
 
 
 def gumbel_pdf(x: float) -> float:
     """Gumbel density exp(-x - exp(-x))."""
-    x = _real(x, "gumbel_pdf")
-    emx = _exp_neg(x)
-    if emx == math.inf:
-        return 0.0
-    return math.exp(-x - emx)
+    return _gumbel_pdf(_real(x, "gumbel_pdf"))

@@ -143,6 +143,12 @@ def test_rejected_values(call):
         call()
 
 
+def test_hall_error_leading_names_its_own_x():
+    # x is checked at hall_error_leading's boundary, not inside the Gumbel law
+    with pytest.raises(MaxextError, match=r"^x: NaN input$"):
+        hall_error_leading(1000, math.nan)
+
+
 _X32 = np.float32(0.7)
 _SQUARE = {"square-optimal": Scheme.SQUARE_OPTIMAL, "square-alternative": Scheme.SQUARE_ALTERNATIVE}
 X_CALLS = {

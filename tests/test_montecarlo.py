@@ -358,6 +358,23 @@ def test_ks_distance_degenerate():
         ks_distance([float("nan")] * 10, gumbel_cdf)
 
 
+@pytest.mark.parametrize("value", [math.nan, 2.0, -1e-300, "0.5", "a", None, True, 1j,
+                                   [0.5, 0.5]])
+def test_ks_distance_rejects_a_reference_outside_the_unit_interval(value):
+    with pytest.raises(DomainError, match="reference cdf"):
+        ks_distance([0.1, 0.5, 2.0], lambda x: value)
+
+
+def test_ks_distance_takes_ints_and_lets_the_reference_raise():
+    assert ks_distance([0.5, 1.5], lambda x: int(x >= 1.0)) == 0.5
+
+    def failing(x):
+        raise KeyError(x)
+
+    with pytest.raises(KeyError):
+        ks_distance([0.5], failing)
+
+
 def test_ks_decreases_with_n_general_power():
     ks = []
     for n in (100, 10_000):
