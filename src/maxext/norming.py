@@ -200,22 +200,19 @@ def validate_scheme(t: float, scheme: Scheme) -> tuple[float, Scheme]:
     DomainError unless t is a positive finite real, and ConfigurationError for
     an unknown or unhashable scheme or a scheme that does not fit t.
     """
-    # fast path: a float t in (0, inf) and a member that fits it pass as they are
-    if type(t) is float and 0.0 < t < math.inf and (
-            scheme is _GENERAL if t != 2.0 else scheme is _OPTIMAL or scheme is _ALTERNATIVE):
-        return t, scheme
-    t = _real(t, "power index t", positive=True)
-    try:
-        scheme = _SCHEMES[scheme]
-    except (KeyError, TypeError):
-        raise ConfigurationError(
-            f"unknown scheme {scheme!r}; expected one of {', '.join(_SCHEMES)}"
-        ) from None
-    if scheme is _GENERAL and t == 2.0:
-        raise ConfigurationError(
-            "general-power constants are undefined at t = 2; use a square scheme"
-        )
-    if scheme is not _GENERAL and t != 2.0:
+    if type(t) is not float or not 0.0 < t < math.inf:  # a float in (0, inf) passes as is
+        t = _real(t, "power index t", positive=True)
+    if type(scheme) is not Scheme:
+        try:
+            scheme = _SCHEMES[scheme]
+        except (KeyError, TypeError):
+            raise ConfigurationError(
+                f"unknown scheme {scheme!r}; expected one of {', '.join(_SCHEMES)}"
+            ) from None
+    if (scheme is _GENERAL) == (t == 2.0):  # one test for both misfits
+        if scheme is _GENERAL:
+            raise ConfigurationError(
+                "general-power constants are undefined at t = 2; use a square scheme")
         raise ConfigurationError(f"scheme {scheme.value} requires t = 2, got t = {t}")
     return t, scheme
 

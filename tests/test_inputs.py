@@ -36,6 +36,7 @@ from maxext.expansions import (
 from maxext.maxwell import MaxwellParams
 from maxext.montecarlo import SimulationConfig
 from maxext.norming import (
+    PoweredNorming,
     Scheme,
     equation_residual,
     hall_base,
@@ -147,6 +148,34 @@ def test_hall_error_leading_names_its_own_x():
     # x is checked at hall_error_leading's boundary, not inside the Gumbel law
     with pytest.raises(MaxextError, match=r"^x: NaN input$"):
         hall_error_leading(1000, math.nan)
+
+
+# PoweredNorming checks nothing when it is built, so the exact laws check
+# the argument c_n*x + d_n that they form from it
+@pytest.mark.parametrize("law", [exact_powered_cdf, exact_powered_pdf])
+@pytest.mark.parametrize("c_n, d_n, x", [
+    (math.nan, 1.0, 0.7), (1.0, math.nan, 0.7), (math.inf, 1.0, 0.0), (math.inf, -math.inf, 0.7),
+], ids=["nan-c", "nan-d", "inf-c-at-0", "inf-minus-inf"])
+def test_a_nan_powered_argument_is_a_domain_error(law, c_n, d_n, x):
+    pn = PoweredNorming(1.0, Scheme.GENERAL_POWER, c_n, d_n)
+    for below_support in ("error", "zero"):
+        with pytest.raises(MaxextError, match=r"^powered argument c_n\*x \+ d_n is NaN "):
+            law(25, 1.0, x, pn, _P, below_support)
+
+
+@pytest.mark.parametrize("c_n, d_n, x", [(math.inf, 1.0, 0.7), (1.0, math.inf, 0.7)])
+def test_an_infinite_powered_argument_is_far_above_the_mode(c_n, d_n, x):
+    pn = PoweredNorming(1.0, Scheme.GENERAL_POWER, c_n, d_n)
+    assert exact_powered_cdf(25, 1.0, x, pn, _P) == 1.0
+    assert exact_powered_pdf(25, 1.0, x, pn, _P) == 0.0
+
+
+@pytest.mark.parametrize("law", [exact_powered_cdf, exact_powered_pdf])
+def test_a_minus_infinite_powered_argument_is_below_the_support(law):
+    pn = PoweredNorming(1.0, Scheme.GENERAL_POWER, math.inf, 1.0)
+    with pytest.raises(MaxextError, match="below the support edge"):
+        law(25, 1.0, -0.7, pn, _P)
+    assert law(25, 1.0, -0.7, pn, _P, below_support="zero") == 0.0
 
 
 _X32 = np.float32(0.7)

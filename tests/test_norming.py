@@ -292,6 +292,17 @@ def test_validate_scheme_returns_float_t_and_member():
             assert type(got[0]) is float and got[1] is scheme
 
 
+@pytest.mark.parametrize("t, scheme, message", [
+    (2.0, Scheme.GENERAL_POWER, "general-power constants are undefined at t = 2"),
+    (2, "general-power", "general-power constants are undefined at t = 2"),
+    (1.0, Scheme.SQUARE_OPTIMAL, r"scheme square-optimal requires t = 2, got t = 1\.0$"),
+    (3, "square-alternative", r"scheme square-alternative requires t = 2, got t = 3\.0$"),
+])
+def test_a_scheme_that_does_not_fit_t_is_configuration_error(t, scheme, message):
+    with pytest.raises(ConfigurationError, match=message):
+        validate_scheme(t, scheme)
+
+
 @pytest.mark.parametrize("scheme", ["bogus", None, []])
 def test_unknown_scheme_is_configuration_error(scheme):
     base = solve_bn(25, 1.0)
