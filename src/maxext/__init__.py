@@ -6,59 +6,43 @@ and compares equal to a plain tuple of its values. ``_fields`` names the
 fields and ``_replace`` makes a changed copy. MaxwellParams, ErrorRow and
 SimulationConfig check and convert their values whenever one is built,
 through ``_replace`` too.
-"""
 
-from .errors import (
-    ConfigurationError,
-    DegenerateError,
-    DiagnosticsError,
-    DomainError,
-    MaxextError,
-    NoRootError,
-)
-from .exact import (
-    ErrorRow,
-    adjudicate_density_coeffs,
-    compare_schemes,
-    error_table,
-    exact_powered_cdf,
-    exact_powered_pdf,
-    hall_rate_check,
-    rate_diagnostic,
-)
-from .expansions import (
-    cdf_approx,
-    cdf_approx_tabulated,
-    hall_error_leading,
-    pdf_approx,
-    pdf_approx_tabulated,
-)
-from .maxwell import MaxwellParams
-from .montecarlo import SimulationConfig, ks_distance, simulate_powered_maxima
-from .norming import (
-    NormingBase,
-    PoweredNorming,
-    Scheme,
-    hall_base,
-    powered_constants,
-    solve_bn,
-)
-from .special import erf, erfc, gumbel_cdf, gumbel_pdf
+The namespace is lazy (PEP 562): ``import maxext`` loads no submodule. A
+public name, or a submodule such as ``maxext.exact``, loads its home module
+on first access, so a CLI call compiles only the modules it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MaxextError", "DomainError", "NoRootError", "ConfigurationError",
-    "DegenerateError", "DiagnosticsError",
-    "erf", "erfc", "gumbel_cdf", "gumbel_pdf",
-    "MaxwellParams",
-    "Scheme", "NormingBase", "PoweredNorming",
-    "solve_bn", "powered_constants", "hall_base",
-    "cdf_approx", "pdf_approx", "cdf_approx_tabulated", "pdf_approx_tabulated",
-    "hall_error_leading",
-    "ErrorRow", "exact_powered_cdf", "exact_powered_pdf",
-    "error_table", "rate_diagnostic",
-    "hall_rate_check", "compare_schemes", "adjudicate_density_coeffs",
-    "SimulationConfig", "simulate_powered_maxima", "ks_distance",
-    "__version__",
-]
+_EXPORTS = {
+    "errors": "MaxextError DomainError NoRootError ConfigurationError DegenerateError "
+              "DiagnosticsError",
+    "special": "erf erfc gumbel_cdf gumbel_pdf",
+    "maxwell": "MaxwellParams",
+    "norming": "Scheme NormingBase PoweredNorming solve_bn powered_constants hall_base",
+    "expansions": "cdf_approx pdf_approx cdf_approx_tabulated pdf_approx_tabulated "
+                  "hall_error_leading",
+    "exact": "ErrorRow exact_powered_cdf exact_powered_pdf error_table rate_diagnostic "
+             "hall_rate_check compare_schemes adjudicate_density_coeffs",
+    "montecarlo": "SimulationConfig simulate_powered_maxima ks_distance",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = {*_EXPORTS, "cli"}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        # __import__, unlike importlib.import_module, is seen by -X importtime;
+        # importing the submodule binds it here
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__getattr__(_HOME[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -6,9 +6,15 @@ library modules. Output is plain CSV (or a plain-text report for
 other decoration is ever emitted, so NO_COLOR is honored trivially.
 
 Exit codes: 0 success, 1 usage error, 2 domain/configuration error. An x
-grid (`plot-data`, `adjudicate`) of more than 10**6 steps and an `--output`
-path that cannot be written are usage errors; the path is opened before any
-work, and a failed call leaves an existing file as it was.
+grid (`plot-data`, `adjudicate`) of more than 10**6 steps or with `--x-max`
+below `--x-min`, and an `--output` path that cannot be written, are usage
+errors; the path is opened before any work, and a failed call leaves an
+existing file as it was.
+
+At module level only `errors` and `norming` load, which every subcommand
+uses; each `_cmd_*` imports the rest of the package where it runs, so `bn`
+loads neither `exact` nor `montecarlo`, and only `simulate` loads
+`montecarlo`.
 """
 from __future__ import annotations
 
@@ -18,12 +24,8 @@ import numbers
 import os
 import sys
 
-from . import exact, montecarlo
 from .errors import MaxextError
-from .maxwell import MaxwellParams
-from .montecarlo import SimulationConfig, ks_distance, simulate_powered_maxima
 from .norming import Scheme, equation_residual, powered_constants, solve_bn
-from .special import gumbel_cdf
 
 _SCHEMES = [s.value for s in Scheme]
 
@@ -91,8 +93,11 @@ def _n_grid(text: str) -> list[numbers.Rational]:
 
 
 def _scheme_for(t: float, name: str) -> Scheme | str:
-    # validate_scheme, behind every caller, resolves any other name
-    return exact.default_scheme(t) if name == "auto" else name
+    if name != "auto":
+        return name  # validate_scheme, behind every caller, resolves it
+    from .exact import default_scheme
+
+    return default_scheme(t)
 
 
 class _UsageError(Exception):
@@ -103,6 +108,8 @@ _MAX_X_STEPS = 10**6
 
 
 def _x_grid(x_min: float, x_max: float, x_step: float) -> list[float]:
+    if x_max < x_min:
+        raise _UsageError(f"--x-max {x_max!r} is below --x-min {x_min!r}")
     steps = (x_max - x_min) / x_step
     if not steps <= _MAX_X_STEPS:  # also inf, when the bounds are far apart
         raise _UsageError(
@@ -130,6 +137,8 @@ def _cmd_constants(args) -> list[str]:
 
 
 def _cmd_table(args) -> list[str]:
+    from . import exact
+
     if args.n_start is None:
         args.n_start = 25 if args.kind == "cdf" else 375
     if args.n_end is None:
@@ -148,6 +157,8 @@ def _cmd_table(args) -> list[str]:
 
 
 def _cmd_rate(args) -> list[str]:
+    from . import exact
+
     diag = exact.rate_diagnostic(args.kind, args.t, args.x, args.sigma, args.n_grid)
     lines = ["n,b_n,err1,err1_scaled,slope,scaled_limit_prediction"]
     for i, n in enumerate(diag.ns):
@@ -158,6 +169,8 @@ def _cmd_rate(args) -> list[str]:
 
 
 def _cmd_compare_schemes(args) -> list[str]:
+    from . import exact
+
     cmp = exact.compare_schemes(args.x, args.sigma, args.n_grid)
     cross = "" if cmp.crossover_n is None else _fmt(cmp.crossover_n)
     lines = ["n,optimal_err2,alternative_err2,ratio,crossover_n"]
@@ -170,6 +183,8 @@ def _cmd_compare_schemes(args) -> list[str]:
 
 
 def _cmd_compare_hall(args) -> list[str]:
+    from . import exact
+
     chk = exact.hall_rate_check(args.x, args.sigma, args.n_grid)
     lines = ["n,gap,leading,ratio,powered_err1"]
     for i, n in enumerate(chk.ns):
@@ -179,6 +194,8 @@ def _cmd_compare_hall(args) -> list[str]:
 
 
 def _cmd_adjudicate(args) -> list[str]:
+    from . import exact
+
     report = exact.adjudicate_density_coeffs(
         args.t, _x_grid(args.x_min, args.x_max, args.x_step), args.sigma,
         args.n_grid)
@@ -186,6 +203,9 @@ def _cmd_adjudicate(args) -> list[str]:
 
 
 def _cmd_simulate(args) -> list[str]:
+    from .montecarlo import SimulationConfig, ks_distance, simulate_powered_maxima
+    from .special import gumbel_cdf
+
     cfg = SimulationConfig(n=args.n, t=args.t, sigma=args.sigma, reps=args.reps,
                            seed=args.seed, scheme=_scheme_for(args.t, args.scheme))
     values = simulate_powered_maxima(cfg)
@@ -198,6 +218,9 @@ def _cmd_simulate(args) -> list[str]:
 
 
 def _cmd_plot_data(args) -> list[str]:
+    from . import exact
+    from .maxwell import MaxwellParams
+
     xs = _x_grid(args.x_min, args.x_max, args.x_step)
     base = solve_bn(args.n, args.sigma)
     pn = powered_constants(base, args.t, _scheme_for(args.t, args.scheme))

@@ -246,14 +246,14 @@ class RateDiagnostic(NamedTuple):
     scaled_limit_prediction: float
 
 
-def _check_grid(n_grid: Sequence[int], min_len: int = 2, decades: float = 0.0) -> list[int]:
+def _check_grid(n_grid: Sequence[int], min_len: int = 2, decades: int = 0) -> list[int]:
     """The grid as ints: `min_len` (>= 1) or more distinct integers >= 3 spanning `decades`."""
     ns = [_integer(n, "n") for n in n_grid]
     if len(set(ns)) < min_len or min(ns) < 3:
         raise DiagnosticsError(f"need {min_len} or more distinct sample sizes, all >= 3")
-    if decades > 0 and max(ns) / min(ns) < 10.0 ** decades:
+    if max(ns) < min(ns) * 10**decades:  # in ints: a float ratio overflows past 1e308
         raise DiagnosticsError(
-            f"n grid must span at least {decades:g} decades, got {min(ns)}..{max(ns)}"
+            f"n grid must span at least {decades} decades, got {min(ns)}..{max(ns)}"
         )
     return ns
 
@@ -319,7 +319,7 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
     overflows or underflows to 0 (sigma far from 1) is a DomainError.
     """
     law = _kind_laws(kind)
-    ns = _check_grid(n_grid, decades=3.0)
+    ns = _check_grid(n_grid, decades=3)
     t, scheme = validate_scheme(t, default_scheme(t))
     x, p = _real(x, "x"), MaxwellParams(sigma)
     power = 4 if scheme is _OPTIMAL else 2

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from maxext import cli, exact
+from maxext import exact, montecarlo
 from maxext.cli import main
 from maxext.maxwell import MaxwellParams
 from maxext.norming import Scheme, powered_constants, solve_bn
@@ -229,7 +229,8 @@ def test_unwritable_output_fails_before_the_work(capsys, monkeypatch, tmp_path):
     def never(cfg):
         raise AssertionError("simulate ran before --output was checked")
 
-    monkeypatch.setattr(cli, "simulate_powered_maxima", never)
+    # cli imports it from montecarlo when simulate runs
+    monkeypatch.setattr(montecarlo, "simulate_powered_maxima", never)
     path = tmp_path / "missing" / "x.csv"
     code, out, err = run_cli(capsys, "simulate", "--n", "10000", "--reps", "10000",
                              "--output", str(path))
@@ -285,6 +286,16 @@ def test_oversized_x_grid_is_usage_error(capsys, argv):
     assert code == 1 and out == ""
     assert err == (f"maxext {argv[0]}: error: --x-min, --x-max and --x-step "
                    "give more than 1000000 x steps\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot-data", "--n", "500", "--x-min", "3", "--x-max", "0"],
+    ["adjudicate", "--x-min", "3", "--x-max", "0"],
+])
+def test_reversed_x_range_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"maxext {argv[0]}: error: --x-max 0.0 is below --x-min 3.0\n"
 
 
 @pytest.mark.parametrize("argv", [

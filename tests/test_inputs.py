@@ -138,7 +138,9 @@ def test_accepted_values_convert_exactly():
     lambda: SimulationConfig(10, 1.0, 1.0, True, 0),
     lambda: cdf_approx(2, "2", 0.5, _BASE),
     lambda: gumbel_cdf(Decimal("0.5")),
-], ids=["nan-n", "bool-terms", "bool-reps", "str-t", "Decimal-x"])
+    # the grid's span is checked in ints, so the exact law's n check is reached
+    lambda: rate_diagnostic("cdf", 1.0, 0.7, 1.0, [10**4, 10**400]),
+], ids=["nan-n", "bool-terms", "bool-reps", "str-t", "Decimal-x", "n-beyond-float-range"])
 def test_rejected_values(call):
     with pytest.raises(MaxextError):
         call()
