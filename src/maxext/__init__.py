@@ -9,7 +9,9 @@ through ``_replace`` too.
 
 The namespace is lazy (PEP 562): ``import maxext`` loads no submodule. A
 public name, or a submodule such as ``maxext.exact``, loads its home module
-on first access, so a CLI call compiles only the modules it runs.
+on first access, so a CLI call compiles only the modules it runs. A public
+name is bound in the package from its home module's value at that first
+access: a later patch of the home module does not reach ``maxext.<name>``.
 """
 
 __version__ = "0.1.0"

@@ -49,6 +49,7 @@ assert out.getvalue().splitlines()[2].startswith(str(10**300) + ","), out.getval
 assert loaded(LAZY) == ["fractions"], loaded(LAZY)
 from maxext.montecarlo import SimulationConfig, simulate_powered_maxima
 
+assert loaded() == [] and loaded(("dataclasses", "inspect")) == [], (loaded(), loaded(LAZY))
 simulate_powered_maxima(SimulationConfig(n=10, t=1.0, sigma=1.0, reps=2, seed=1))
 assert loaded() == ["numpy"], loaded()
 maxwell.tail_remainder(10.0, maxwell.MaxwellParams(1.0))
