@@ -13,8 +13,8 @@ existing file as it was.
 
 At module level only `errors` and `norming` load, which every subcommand
 uses; each `_cmd_*` imports the rest of the package where it runs, so `bn`
-loads neither `exact` nor `montecarlo`, and only `simulate` loads
-`montecarlo`.
+and `constants` load neither `exact` nor `montecarlo`, and only `simulate`
+loads `montecarlo`.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import os
 import sys
 
 from .errors import MaxextError
-from .norming import Scheme, equation_residual, powered_constants, solve_bn
+from .norming import Scheme, default_scheme, equation_residual, powered_constants, solve_bn
 
 _SCHEMES = [s.value for s in Scheme]
 
@@ -93,11 +93,8 @@ def _n_grid(text: str) -> list[numbers.Rational]:
 
 
 def _scheme_for(t: float, name: str) -> Scheme | str:
-    if name != "auto":
-        return name  # validate_scheme, behind every caller, resolves it
-    from .exact import default_scheme
-
-    return default_scheme(t)
+    # validate_scheme, behind every caller, resolves a named scheme
+    return default_scheme(t) if name == "auto" else name
 
 
 class _UsageError(Exception):

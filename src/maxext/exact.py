@@ -16,9 +16,11 @@ Both line fits, the rate slope and the adjudication limits, go through
 imports numpy. Each input is checked once, where it enters the package: the
 exact laws and the diagnostics take t and x through errors._real (a numpy
 float32 x is used as its float) and n through errors._integer, then call the
-unchecked kernels maxwell._survival/_pdf and special._gumbel_cdf/_gumbel_pdf.
+unchecked kernels maxwell._survival/_survival_pdf and special._gumbel_cdf/_gumbel_pdf.
 PoweredNorming checks nothing, so a NaN c_n*x + d_n is a DomainError here.
 Records are NamedTuples; ErrorRow checks its errors whenever one is built.
+default_scheme, the `auto` rule, lives in norming next to validate_scheme;
+it is imported here, so exact.default_scheme keeps working.
 """
 from __future__ import annotations
 
@@ -38,13 +40,12 @@ from .expansions import (
     pdf_approx,
     pdf_approx_tabulated,
 )
-from .maxwell import MaxwellParams, _pdf, _survival
+from .maxwell import MaxwellParams, _survival, _survival_pdf
 from .norming import (
     _ALTERNATIVE,
-    _GENERAL,
     _OPTIMAL,
     PoweredNorming,
-    Scheme,
+    default_scheme,
     hall_base,
     powered_constants,
     solve_bn,
@@ -66,11 +67,11 @@ __all__ = [
     "hall_rate_check",
     "compare_schemes",
     "adjudicate_density_coeffs",
-    "default_scheme",
     "ADJUDICATION_THRESHOLD",
 ]
 
 Kind = Literal["cdf", "pdf"]
+_FLOAT_MAX = sys.float_info.max
 
 
 class ErrorRow(NamedTuple("ErrorRow", [("n", int), ("err1", float), ("err2", float),
@@ -80,19 +81,16 @@ class ErrorRow(NamedTuple("ErrorRow", [("n", int), ("err1", float), ("err2", flo
     __slots__ = ()
 
     def __new__(cls, n: int, err1: float, err2: float, err3: float):
-        for name, v in (("err1", err1), ("err2", err2), ("err3", err3)):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise DomainError(f"{name} must be finite and >= 0, got {v}")
+        # each error in [0, float max], in one chained comparison; the loop words the error
+        if not 0.0 <= err1 <= _FLOAT_MAX >= err2 >= 0.0 <= err3 <= _FLOAT_MAX:
+            for name, v in (("err1", err1), ("err2", err2), ("err3", err3)):
+                if not (math.isfinite(v) and v >= 0.0):
+                    raise DomainError(f"{name} must be finite and >= 0, got {v}")
         return super().__new__(cls, n, err1, err2, err3)
 
     @classmethod
     def _make(cls, fields):  # so that _replace validates too
         return cls(*fields)
-
-
-def default_scheme(t: float) -> Scheme:
-    """Square-optimal at t = 2, general-power otherwise; DomainError for a non-real t."""
-    return _OPTIMAL if _real(t, "power index t") == 2.0 else _GENERAL
 
 
 def _powered_argument(x: float, pn: PoweredNorming, below_support: str):
@@ -108,9 +106,6 @@ def _powered_argument(x: float, pn: PoweredNorming, below_support: str):
             f"powered argument c_n*x + d_n = {y} <= 0 (x = {x} below the support edge)"
         )
     return y
-
-
-_FLOAT_MAX = sys.float_info.max
 
 
 def _law_n(n) -> int:
@@ -164,10 +159,10 @@ def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
         delta = y ** (1.0 / t)
     except OverflowError:  # far above the mode
         return 0.0
-    f_pow = _cdf_power(_survival(delta, p.sigma), n - 1)
+    sf, f_delta = _survival_pdf(delta, p.sigma)
+    f_pow = _cdf_power(sf, n - 1)
     if f_pow == 0.0:  # also skips y^{1/t-1}, which can overflow where sf rounds to 1
         return 0.0
-    f_delta = _pdf(delta, p.sigma)
     if f_delta == 0.0:  # also skips n * (...) * 0, which is nan where n * (...) overflows
         return 0.0
     # d delta/dx = c_n y^{1/t-1} / t is of order sigma, while n c_n (order
@@ -187,8 +182,9 @@ class _KindLaws(NamedTuple):
 _KINDS = {
     "cdf": _KindLaws(exact_powered_cdf, cdf_approx, cdf_approx_tabulated, _cdf_coeff1_square,
                      _cdf_coeff1_general, lambda x: math.exp(-x) * _gumbel_cdf(x)),
-    "pdf": _KindLaws(exact_powered_pdf, pdf_approx, pdf_approx_tabulated, _pdf_coeff1_square,
-                     _pdf_coeff1_general, _gumbel_pdf),
+    "pdf": _KindLaws(exact_powered_pdf, pdf_approx, pdf_approx_tabulated,
+                     lambda x: _pdf_coeff1_square(x, math.exp(-x)),
+                     lambda t, x: _pdf_coeff1_general(t, x, math.exp(-x)), _gumbel_pdf),
 }
 
 
@@ -210,27 +206,31 @@ def error_table(kind: Kind, t: float, x: float, sigma: float,
     tables: closed-form norming constants and the tabulated coefficient
     signs. convention="asymptotic" uses the exact norming root and the
     derivative-consistent expansion; its errors display the theoretical
-    convergence rates instead.
+    convergence rates instead. Order 1, the Gumbel limit, does not depend
+    on n: it is evaluated once per table.
     """
     if convention not in ("tabulated", "asymptotic"):
         raise ConfigurationError(f"unknown convention {convention!r}")
     law = _kind_laws(kind)
     t, scheme = validate_scheme(t, default_scheme(t))
     p = MaxwellParams(sigma)
-    if convention == "tabulated":
-        if scheme is not _OPTIMAL:
-            raise ConfigurationError(
-                "the tabulated convention exists only for t = 2; use convention='asymptotic'"
-            )
-        make_base, approx = hall_base, lambda k, base: law.tabulated(k, x, base)
-    else:
-        make_base, approx = solve_bn, lambda k, base: law.approx(k, t, x, base, scheme)
-    rows = []
+    tabulated = convention == "tabulated"
+    if tabulated and scheme is not _OPTIMAL:
+        raise ConfigurationError(
+            "the tabulated convention exists only for t = 2; use convention='asymptotic'"
+        )
+    make_base = hall_base if tabulated else solve_bn
+    rows, lam = [], None
     for n in n_grid:
         base = make_base(n, sigma)
         exact = law.exact(n, t, x, powered_constants(base, t, scheme), p)
-        err1, err2, err3 = [abs(exact - approx(k, base)) for k in (1, 2, 3)]
-        rows.append(ErrorRow(n=base.n, err1=err1, err2=err2, err3=err3))
+        if lam is None:  # order 1, the Gumbel limit, is the same at every n
+            lam = law.tabulated(1, x, base) if tabulated else law.approx(1, t, x, base, scheme)
+        if tabulated:
+            a2, a3 = law.tabulated(2, x, base), law.tabulated(3, x, base)
+        else:
+            a2, a3 = law.approx(2, t, x, base, scheme), law.approx(3, t, x, base, scheme)
+        rows.append(ErrorRow(base.n, abs(exact - lam), abs(exact - a2), abs(exact - a3)))
     return rows
 
 
@@ -472,8 +472,8 @@ class DensityCoeffAdjudication(NamedTuple):
 ADJUDICATION_THRESHOLD = 0.05
 
 
-def _pdf_coeff1_classic(t, x):  # (t-2) x^2 where _pdf_coeff1_general has (t-2) x^2 / 2
-    return -math.exp(-x) * _cdf_coeff1_general(t, x) + x * ((t - 2.0) * x + 3.0 - t)
+def _pdf_coeff1_classic(t, x, emx):  # (t-2) x^2 where _pdf_coeff1_general has (t-2) x^2 / 2
+    return -emx * _cdf_coeff1_general(t, x) + x * ((t - 2.0) * x + 3.0 - t)
 
 
 def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
@@ -511,8 +511,9 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
         us.append(1.0 / b2)
         R.append([(exact_powered_pdf(n, t, x, pn, p) / d - 1.0) * b2 for x, d in zip(xs, dens)])
     s2 = p.sigma * p.sigma  # both variants carry sigma^2
-    cons = [s2 * _pdf_coeff1_general(t, x) for x in xs]
-    clas = [s2 * _pdf_coeff1_classic(t, x) for x in xs]
+    emxs = [math.exp(-x) for x in xs]
+    cons = [s2 * _pdf_coeff1_general(t, x, e) for x, e in zip(xs, emxs)]
+    clas = [s2 * _pdf_coeff1_classic(t, x, e) for x, e in zip(xs, emxs)]
     sup_c = tuple(max(abs(R[i][j] - cons[j]) for j in range(len(xs))) for i in range(len(ns)))
     sup_p = tuple(max(abs(R[i][j] - clas[j]) for j in range(len(xs))) for i in range(len(ns)))
     # pointwise linear extrapolation in u = b_n^-2 to u -> 0

@@ -20,7 +20,10 @@ Each coefficient is a private function of (t, x), or of x at t = 2, stated
 at sigma = 1. The coefficient of b_n^-2k carries sigma^2k, so the
 approximations evaluate it against z = b_n / sigma: no power of sigma can
 leave the float range, and each keeps its sigma = 1 value at every sigma
-that solve_bn accepts.
+that solve_bn accepts. A kernel that needs e^{-x} (every density kernel, and
+the alternative scheme's distribution corrections) takes it as its argument
+`emx`, so each approximation evaluates exp(-x) once per call, after its
+Gumbel factor.
 
 Each input is checked once, where it enters the package: the approximations
 validate their (t, scheme) through norming.validate_scheme and take x through
@@ -71,19 +74,18 @@ def _cdf_coeff2_general(t, x):
     return (((c4 * x + c3) * x - 0.5) * x - 1.0) * x - 1.0
 
 
-def _pdf_coeff1_general(t, x):
+def _pdf_coeff1_general(t, x, emx):
     # -e^{-x} A1 + A1 - A1'
-    return -math.exp(-x) * _cdf_coeff1_general(t, x) + x * (0.5 * (t - 2.0) * x + 3.0 - t)
+    return -emx * _cdf_coeff1_general(t, x) + x * (0.5 * (t - 2.0) * x + 3.0 - t)
 
 
-def _pdf_coeff2_general(t, x):
+def _pdf_coeff2_general(t, x, emx):
     a1 = _cdf_coeff1_general(t, x)
     a2 = _cdf_coeff2_general(t, x)
     d1 = 1.0 + (t - 2.0) * x  # A1'
     c3 = (t - 2.0) ** 2 / 2.0
     c2 = (t - 2.0) * (5.0 - 2.0 * t) / 2.0
     d2 = ((c3 * x + c2) * x - 1.0) * x - 1.0  # A2'
-    emx = math.exp(-x)
     return 0.5 * emx * emx * a1 * a1 - emx * (a2 + a1 * (a1 - d1)) + (a2 - d2)
 
 
@@ -97,29 +99,27 @@ def _cdf_coeff2_square(x):
     return ((4.0 / 3.0 * x + 2.0) * x + 2.0) * x + 7.0 / 3.0
 
 
-def _pdf_coeff1_square(x):
-    return ((x + 1.0) * x + 0.5) * math.exp(-x) + (1.0 - x) * x + 0.5
+def _pdf_coeff1_square(x, emx):
+    return ((x + 1.0) * x + 0.5) * emx + (1.0 - x) * x + 0.5
 
 
-def _pdf_coeff2_square(x):
+def _pdf_coeff2_square(x, emx):
     # -e^{-x} B2 + B2 - B2'
     b2 = _cdf_coeff2_square(x)
     d2 = (4.0 * x + 4.0) * x + 2.0  # B2'
-    return -math.exp(-x) * b2 + b2 - d2
+    return -emx * b2 + b2 - d2
 
 
 # ------------------------------------------------- t = 2, alternative scheme
 
-def _square_alt_cdf_corrections(x):
+def _square_alt_cdf_corrections(x, emx):
     # correction coefficients of b^-2 and b^-4
-    emx = math.exp(-x)
     u1 = -2.0 * (x + 1.0) * emx
     u2 = emx * (2.0 * emx * (x + 1.0) ** 2 - (x + 1.0) * x + 0.5)
     return u1, u2
 
 
-def _square_alt_pdf_corrections(x):
-    emx = math.exp(-x)
+def _square_alt_pdf_corrections(x, emx):
     w1 = 2.0 * (x - (x + 1.0) * emx)
     w2 = (2.0 * emx * emx * (x + 1.0) ** 2
           - ((5.0 * x + 5.0) * x - 0.5) * emx
@@ -160,7 +160,7 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
         if order == 3:
             bracket -= emx * _cdf_coeff2_square(x) * u2 * u
     else:
-        k1, k2 = _square_alt_cdf_corrections(x)
+        k1, k2 = _square_alt_cdf_corrections(x, emx)
         bracket = 1.0 + k1 * u
         if order == 3:
             bracket += k2 * u * u
@@ -177,19 +177,20 @@ def pdf_approx(order: int, t: float, x: float, base: NormingBase,
     lamp = _gumbel_pdf(x)
     if order == 1 or lamp == 0.0:
         return lamp
+    emx = math.exp(-x)
     z = base.b_n / base.sigma
     u = 1.0 / (z * z)
     if scheme is _GENERAL:
-        bracket = 1.0 + _pdf_coeff1_general(t, x) * u
+        bracket = 1.0 + _pdf_coeff1_general(t, x, emx) * u
         if order == 3:
-            bracket += _pdf_coeff2_general(t, x) * u * u
+            bracket += _pdf_coeff2_general(t, x, emx) * u * u
     elif scheme is _OPTIMAL:
         u2 = u * u
-        bracket = 1.0 + _pdf_coeff1_square(x) * u2
+        bracket = 1.0 + _pdf_coeff1_square(x, emx) * u2
         if order == 3:
-            bracket += _pdf_coeff2_square(x) * u2 * u
+            bracket += _pdf_coeff2_square(x, emx) * u2 * u
     else:
-        k1, k2 = _square_alt_pdf_corrections(x)
+        k1, k2 = _square_alt_pdf_corrections(x, emx)
         bracket = 1.0 + k1 * u
         if order == 3:
             bracket += k2 * u * u
@@ -202,9 +203,9 @@ def _cdf_coeff2_classic(x):
     return ((4.0 / 3.0 * x + 2.0) * x - 2.0) * x + 7.0 / 3.0
 
 
-def _pdf_coeff2_classic(x):
+def _pdf_coeff2_classic(x, emx):
     poly = ((4.0 / 3.0 * x - 2.0) * x - 2.0) * x + 1.0 / 3.0
-    return -math.exp(-x) * _cdf_coeff2_classic(x) + poly
+    return -emx * _cdf_coeff2_classic(x) + poly
 
 
 def cdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
@@ -239,11 +240,12 @@ def pdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
     lamp = _gumbel_pdf(x)
     if order == 1 or lamp == 0.0:
         return lamp
+    emx = math.exp(-x)
     z = base.b_n / base.sigma
     u2 = 1.0 / z ** 4
-    bracket = 1.0 + _pdf_coeff1_square(x) * u2
+    bracket = 1.0 + _pdf_coeff1_square(x, emx) * u2
     if order == 3:
-        bracket -= _pdf_coeff2_classic(x) * u2 / (z * z)
+        bracket -= _pdf_coeff2_classic(x, emx) * u2 / (z * z)
     return lamp * bracket
 
 

@@ -5,9 +5,11 @@ relative accuracy deep into the tail; it is never computed as 1 - cdf.
 
 Each input is checked once, where it enters the package: the public
 functions take x through errors._real and sigma through MaxwellParams; the
-kernels `_survival` and `_pdf` of a float x and sigma check nothing, and the
-exact laws call them. survival keeps its formula over special.erfc, a call
-the benchmark's tracer follows; `_survival` uses math.erfc, with the same bits.
+kernels `_survival` and `_pdf` of a float x and sigma check nothing. The exact
+laws call `_survival` and, for the density, `_survival_pdf`, which returns
+both from one exp(-z^2/2) with the bits of `(_survival(x, s), _pdf(x, s))`.
+survival keeps its formula over special.erfc, a call the benchmark's tracer
+follows; `_survival` uses math.erfc, with the same bits.
 
 `MaxwellParams` is a NamedTuple that stores sigma as a positive finite
 float whenever one is built, `_replace` included.
@@ -104,6 +106,17 @@ def _survival(x: float, s: float) -> float:
         return 1.0
     z = x / s
     return math.erfc(z / _SQRT2) + _z_density(z)
+
+
+def _survival_pdf(x: float, s: float) -> tuple[float, float]:
+    """(_survival(x, s), _pdf(x, s)) bit for bit, from one exp(-z^2/2)."""
+    if x <= 0.0:
+        return 1.0, 0.0
+    z = x / s
+    e = math.exp(-0.5 * z * z)
+    if not e:
+        return math.erfc(z / _SQRT2), 0.0
+    return math.erfc(z / _SQRT2) + _SQRT_2_OVER_PI * z * e, _SQRT_2_OVER_PI * z * z / s * e
 
 
 def survival(x: float, p: MaxwellParams) -> float:

@@ -8,7 +8,8 @@ and a_n = sigma^2 / b_n. `hall_base` gives the closed-form pair of Hall
 (1979), whose b_hat also seeds the solver. Powered maxima |M_n|^t use linear constants
 (c_n, d_n) that depend on whether t equals 2; at t = 2 two competing
 choices exist (the variance-style pair below marked "optimal" converges
-faster than the "alternative" one). Both results, NormingBase and
+faster than the "alternative" one); default_scheme, next to
+validate_scheme, states the `auto` choice. Both results, NormingBase and
 PoweredNorming, are plain NamedTuples.
 
 solve_bn memoizes its root per validated (n, sigma) pair, for the last 1024
@@ -33,6 +34,7 @@ __all__ = [
     "powered_constants",
     "hall_base",
     "validate_scheme",
+    "default_scheme",
 ]
 
 # Minimum of sqrt(pi/2) (sigma/b) exp(b^2/2s^2) over b > 0 is sqrt(pi/2) e^0.5
@@ -165,7 +167,7 @@ def _solve_root(n: int, sigma: float) -> NormingBase:
         b = b_new
     if not abs(val) < 1e-9:  # b^2 overflows before the root is reached
         raise DomainError(f"b_n^2 overflows for n = {n}, sigma = {sigma!r}")
-    return NormingBase(n=n, sigma=sigma, b_n=b, a_n=s2 / b)
+    return NormingBase(n, sigma, b, s2 / b)
 
 
 def _b_hat(log_n: float, sigma: float) -> float:
@@ -185,8 +187,7 @@ def hall_base(n: int, sigma: float = 1.0) -> NormingBase:
     if n < _MIN_N:
         raise DomainError(f"closed-form constants need n >= {_MIN_N}, got {n}")
     log_n = math.log(n)
-    return NormingBase(n=n, sigma=sigma, b_n=_b_hat(log_n, sigma),
-                       a_n=sigma / math.sqrt(2.0 * log_n))
+    return NormingBase(n, sigma, _b_hat(log_n, sigma), sigma / math.sqrt(2.0 * log_n))
 
 
 _SCHEMES = {s.value: s for s in Scheme}
@@ -215,6 +216,11 @@ def validate_scheme(t: float, scheme: Scheme) -> tuple[float, Scheme]:
                 "general-power constants are undefined at t = 2; use a square scheme")
         raise ConfigurationError(f"scheme {scheme.value} requires t = 2, got t = {t}")
     return t, scheme
+
+
+def default_scheme(t: float) -> Scheme:
+    """Square-optimal at t = 2, general-power otherwise; DomainError for a non-real t."""
+    return _OPTIMAL if _real(t, "power index t") == 2.0 else _GENERAL
 
 
 def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNorming:
@@ -250,4 +256,4 @@ def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNor
             f"powered constants out of range at b_n = {b!r}, t = {t}: "
             f"c_n = {c!r}, d_n = {d!r}; need 0 < c_n and both finite"
         )
-    return PoweredNorming(t=t, scheme=scheme, c_n=c, d_n=d)
+    return PoweredNorming(t, scheme, c, d)

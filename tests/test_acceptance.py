@@ -84,10 +84,10 @@ def test_c04_density_coefficient_identities():
         emx = math.exp(-x)
         b1 = s**4 * _cdf_coeff1_square(x)
         db1 = -(s**4) * (2.0 * x + 1.0)
-        assert abs(s**4 * _pdf_coeff1_square(x) - (-emx * b1 + b1 - db1)) <= 1e-12
+        assert abs(s**4 * _pdf_coeff1_square(x, emx) - (-emx * b1 + b1 - db1)) <= 1e-12
         b2 = s**6 * _cdf_coeff2_square(x)
         db2 = s**6 * (4.0 * x * x + 4.0 * x + 2.0)
-        assert abs(s**6 * _pdf_coeff2_square(x) - (-emx * b2 + b2 - db2)) <= 1e-12
+        assert abs(s**6 * _pdf_coeff2_square(x, emx) - (-emx * b2 + b2 - db2)) <= 1e-12
 
 
 def test_c05_rate_verification():

@@ -51,6 +51,14 @@ def test_maxwell_kernels_match_the_public_functions_bit_for_bit(kernel, public, 
         assert kernel(x, sigma).hex() == public(x, p).hex(), x
 
 
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_the_paired_maxwell_kernel_matches_survival_and_pdf_bit_for_bit(sigma):
+    p = MaxwellParams(sigma)
+    for x in X_EDGES + tuple(sigma * v for v in (0.5, 1.0, 3.0, 40.0)):
+        sf, f = maxwell._survival_pdf(x, sigma)
+        assert (sf.hex(), f.hex()) == (maxwell.survival(x, p).hex(), maxwell.pdf(x, p).hex()), x
+
+
 def test_approximations_form_the_gumbel_law_with_its_bits():
     base = norming.solve_bn(1000, 1.0)
     for x in X_EDGES:

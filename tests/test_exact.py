@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from maxext import maxwell
+from maxext import exact, maxwell
 from maxext.errors import ConfigurationError, DiagnosticsError, DomainError, MaxextError
 from maxext.exact import (
     ErrorRow,
@@ -191,6 +191,30 @@ def test_error_table_asymptotic_convention():
         error_table("cdf", 2.0, 0.7, 1.0, [100], convention="golden")
 
 
+@pytest.mark.parametrize("kind", ["cdf", "pdf"])
+@pytest.mark.parametrize("convention", ["tabulated", "asymptotic"])
+def test_error_table_makes_one_order_1_call_per_table(monkeypatch, kind, convention):
+    # order 1, the Gumbel limit, is free of n: one call per table, while
+    # orders 2 and 3 are called once per row
+    law, orders = exact._KINDS[kind], []
+
+    def counting(fn):
+        def call(order, *args):
+            orders.append(order)
+            return fn(order, *args)
+        return call
+
+    ns = [25, 500, 10**4, 10**6]
+    want = error_table(kind, 2.0, 0.7, 2.0, ns, convention)
+    monkeypatch.setitem(exact._KINDS, kind, law._replace(approx=counting(law.approx),
+                                                         tabulated=counting(law.tabulated)))
+    assert error_table(kind, 2.0, 0.7, 2.0, ns, convention) == want
+    assert sorted(orders) == [1] + [2] * len(ns) + [3] * len(ns)
+    orders.clear()
+    assert error_table(kind, 2.0, 0.7, 2.0, [], convention) == []
+    assert orders == []
+
+
 def test_error_table_single_row_idempotent():
     one = error_table("cdf", 2.0, 0.7, 2.0, [250])
     two = error_table("cdf", 2.0, 0.7, 2.0, [250])
@@ -315,8 +339,8 @@ def test_adjudication_pointwise_at_x2():
     pn = powered_constants(base, 1.0, Scheme.GENERAL_POWER)
     r = (exact_powered_pdf(10**10, 1.0, 2.0, pn, MaxwellParams(1.0))
          / gumbel_pdf(2.0) - 1.0) * base.b_n**2
-    cons = _pdf_coeff1_general(1.0, 2.0)
-    clas = _pdf_coeff1_classic(1.0, 2.0)
+    cons = _pdf_coeff1_general(1.0, 2.0, math.exp(-2.0))
+    clas = _pdf_coeff1_classic(1.0, 2.0, math.exp(-2.0))
     hits = [abs(r - cons) <= 0.05 * abs(cons), abs(r - clas) <= 0.05 * abs(clas)]
     assert hits == [True, False]
 

@@ -66,26 +66,28 @@ def test_general_coefficients_frozen():
     for (t, x, s), (a1, a2, p1c, p2c, p1p) in FROZEN_GENERAL.items():
         assert s**2 * _cdf_coeff1_general(t, x) == pytest.approx(a1, rel=1e-14)
         assert s**4 * _cdf_coeff2_general(t, x) == pytest.approx(a2, rel=1e-14)
-        assert s**2 * _pdf_coeff1_general(t, x) == pytest.approx(p1c, rel=1e-13)
-        assert s**4 * _pdf_coeff2_general(t, x) == pytest.approx(p2c, rel=1e-13)
-        assert s**2 * _pdf_coeff1_classic(t, x) == pytest.approx(p1p, rel=1e-13)
+        emx = math.exp(-x)
+        assert s**2 * _pdf_coeff1_general(t, x, emx) == pytest.approx(p1c, rel=1e-13)
+        assert s**4 * _pdf_coeff2_general(t, x, emx) == pytest.approx(p2c, rel=1e-13)
+        assert s**2 * _pdf_coeff1_classic(t, x, emx) == pytest.approx(p1p, rel=1e-13)
 
 
 def test_square_coefficients_frozen():
     for (x, s), (b1, b2c, b2p, q1, q2c, q2p) in FROZEN_SQUARE.items():
         assert s**4 * _cdf_coeff1_square(x) == pytest.approx(b1, rel=1e-14)
         assert s**6 * _cdf_coeff2_square(x) == pytest.approx(b2c, rel=1e-14)
-        assert s**4 * _pdf_coeff1_square(x) == pytest.approx(q1, rel=1e-13)
-        assert s**6 * _pdf_coeff2_square(x) == pytest.approx(q2c, rel=1e-13)
+        emx = math.exp(-x)
+        assert s**4 * _pdf_coeff1_square(x, emx) == pytest.approx(q1, rel=1e-13)
+        assert s**6 * _pdf_coeff2_square(x, emx) == pytest.approx(q2c, rel=1e-13)
         assert s**6 * _cdf_coeff2_classic(x) == pytest.approx(b2p, rel=1e-14)
-        assert s**6 * _pdf_coeff2_classic(x) == pytest.approx(q2p, rel=1e-13)
+        assert s**6 * _pdf_coeff2_classic(x, emx) == pytest.approx(q2p, rel=1e-13)
 
 
 def test_alternative_corrections_frozen():
     for (x, s), (u1, u2, w1, w2) in FROZEN_ALT.items():
-        k1, k2 = _square_alt_cdf_corrections(x)
+        k1, k2 = _square_alt_cdf_corrections(x, math.exp(-x))
         assert (s**2 * k1, s**4 * k2) == pytest.approx((u1, u2), rel=1e-13)
-        k1, k2 = _square_alt_pdf_corrections(x)
+        k1, k2 = _square_alt_pdf_corrections(x, math.exp(-x))
         assert (s**2 * k1, s**4 * k2) == pytest.approx((w1, w2), rel=1e-13)
 
 
@@ -96,15 +98,15 @@ def test_handpicked_point_values():
     assert 2.0**4 * _cdf_coeff1_square(1.0) == -40.0
     assert _cdf_coeff2_square(0.0) == pytest.approx(7.0 / 3.0, abs=1e-15)
     assert _cdf_coeff2_classic(0.0) == pytest.approx(7.0 / 3.0, abs=1e-15)
-    assert _pdf_coeff1_square(0.0) == pytest.approx(1.0, abs=1e-15)
-    assert _pdf_coeff2_square(0.0) == pytest.approx(-2.0, abs=1e-14)
-    assert _pdf_coeff2_classic(0.0) == pytest.approx(-2.0, abs=1e-14)
+    assert _pdf_coeff1_square(0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert _pdf_coeff2_square(0.0, 1.0) == pytest.approx(-2.0, abs=1e-14)
+    assert _pdf_coeff2_classic(0.0, 1.0) == pytest.approx(-2.0, abs=1e-14)
     # first density coefficient at x = 0 is -sigma^2 in both variants
     for fn in (_pdf_coeff1_general, _pdf_coeff1_classic):
         for s in (1.0, 2.0):
-            assert s * s * fn(3.0, 0.0) == pytest.approx(-s * s, abs=1e-15)
+            assert s * s * fn(3.0, 0.0, 1.0) == pytest.approx(-s * s, abs=1e-15)
     # classic value at t=1, x=1: -(3/2) e^{-1} + 1
-    assert _pdf_coeff1_classic(1.0, 1.0) == pytest.approx(
+    assert _pdf_coeff1_classic(1.0, 1.0, math.exp(-1.0)) == pytest.approx(
         1.0 - 1.5 * math.exp(-1.0), rel=1e-14)
 
 
@@ -123,7 +125,8 @@ def test_variant_gap_is_half_t_minus_2_x_squared():
             continue
         x = rng.uniform(-3.0, 6.0)
         s = rng.uniform(0.5, 3.0)
-        gap = s * s * (_pdf_coeff1_classic(t, x) - _pdf_coeff1_general(t, x))
+        emx = math.exp(-x)
+        gap = s * s * (_pdf_coeff1_classic(t, x, emx) - _pdf_coeff1_general(t, x, emx))
         assert gap == pytest.approx(0.5 * (t - 2.0) * s * s * x * x, rel=1e-10, abs=1e-12)
 
 
@@ -140,10 +143,10 @@ def _b2_slope(x, s):
 def test_density_coefficient_identity_property(x):
     s = 1.0
     b1 = s**4 * _cdf_coeff1_square(x)
-    q1 = s**4 * _pdf_coeff1_square(x)
+    q1 = s**4 * _pdf_coeff1_square(x, math.exp(-x))
     assert abs(q1 - (-math.exp(-x) * b1 + b1 - _b1_slope(x, s))) <= 1e-12
     b2 = s**6 * _cdf_coeff2_square(x)
-    q2 = s**6 * _pdf_coeff2_square(x)
+    q2 = s**6 * _pdf_coeff2_square(x, math.exp(-x))
     assert abs(q2 - (-math.exp(-x) * b2 + b2 - _b2_slope(x, s))) <= 1e-12
 
 
@@ -178,7 +181,7 @@ def test_horner_against_monomial_forms():
             [s6 * 4 * x**3 / 3, s6 * 2 * x**2, s6 * 2 * x, s6 * 7 / 3])
         emx = math.exp(-x)
         _assert_close_conditioned(
-            s4 * _pdf_coeff1_square(x),
+            s4 * _pdf_coeff1_square(x, emx),
             [s4 * x**2 * emx, s4 * x * emx, s4 * 0.5 * emx,
              -s4 * x**2, s4 * x, s4 * 0.5])
 
@@ -321,10 +324,10 @@ def test_outputs_match_recorded_bits(data_dir):
     general = {
         "cdf_coeff1_general": (1, _cdf_coeff1_general),
         "cdf_coeff2_general": (2, _cdf_coeff2_general),
-        "pdf_coeff1_general": (1, _pdf_coeff1_general),
-        "pdf_coeff2_general": (2, _pdf_coeff2_general),
+        "pdf_coeff1_general": (1, lambda t, x: _pdf_coeff1_general(t, x, math.exp(-x))),
+        "pdf_coeff2_general": (2, lambda t, x: _pdf_coeff2_general(t, x, math.exp(-x))),
     }
-    classic = {"pdf_coeff1_general": (1, _pdf_coeff1_classic)}
+    classic = {"pdf_coeff1_general": (1, lambda t, x: _pdf_coeff1_classic(t, x, math.exp(-x)))}
     approx = {"cdf_approx": cdf_approx, "pdf_approx": pdf_approx}
     with open(data_dir / "approx_bits.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -2,7 +2,8 @@
 
 `maxext` is a lazy namespace: `import maxext` loads no submodule, and each
 CLI subcommand loads only the modules it runs, so no analytic call loads
-`maxext.montecarlo` and `bn` loads neither it nor `maxext.exact`.
+`maxext.montecarlo`, and `bn` and `constants` (whose `auto` scheme rule is
+`norming.default_scheme`) load neither it nor `maxext.exact`.
 
 numpy is needed only for sampling and ks_distance, and scipy only for
 `maxwell.tail_remainder`; each is imported on first use. The line fits of
@@ -94,9 +95,10 @@ else:
 assert loaded() == [], loaded()
 from maxext import cli
 
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["bn", "--n", "25"]) == 0
-assert loaded() == ["maxext.cli", "maxext.errors", "maxext.norming"], loaded()
+for argv in (["bn", "--n", "25"], ["constants", "--n", "25"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert loaded() == ["maxext.cli", "maxext.errors", "maxext.norming"], (argv, loaded())
 assert maxext.exact is sys.modules["maxext.exact"]
 assert maxext.exact_powered_cdf is maxext.exact.exact_powered_cdf
 assert "maxext.montecarlo" not in sys.modules

@@ -2,6 +2,7 @@
 import math
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -363,6 +364,35 @@ def test_ks_distance_degenerate():
 def test_ks_distance_rejects_a_reference_outside_the_unit_interval(value):
     with pytest.raises(DomainError, match="reference cdf"):
         ks_distance([0.1, 0.5, 2.0], lambda x: value)
+
+
+@pytest.mark.parametrize("samples", [
+    0.5, np.float64(0.5), np.array(0.5), [[0.1, 0.2]], np.zeros((2, 2)), iter([0.5]),
+    [0.1, "x"], ["0.5"], np.array(["0.5"]), [True, False], np.array([True]), [None], [1j],
+    [10**400], [[0.1], [0.2, 0.3]], [0.1, math.nan],
+], ids=["scalar", "float64-scalar", "0-d-array", "2-d-list", "2-d-array", "iterator",
+        "str-element", "str-list", "str-array", "bools", "bool-array", "None", "complex",
+        "int-beyond-float", "ragged", "nan"])
+def test_ks_distance_checks_its_sample(samples):
+    with pytest.raises(DomainError, match="sample"):
+        ks_distance(samples, gumbel_cdf)
+
+
+def test_ks_distance_takes_any_real_sequence_as_its_floats():
+    want = ks_distance([0.5, 1.0, 2.0], gumbel_cdf)
+    for samples in ([0.5, 1, 2.0], (0.5, 1.0, 2.0), np.array([0.5, 1.0, 2.0], dtype=np.float32),
+                    [np.float64(0.5), np.int64(1), Fraction(2)]):
+        assert ks_distance(samples, gumbel_cdf) == want
+
+
+def test_ks_distance_takes_a_float64_array_without_a_per_value_check(monkeypatch):
+    # simulate_powered_maxima's output, which the mc workloads time
+    def no_check(*args):
+        raise AssertionError("a float64 sample went through errors._real")
+
+    want = ks_distance([0.5, 1.0, 2.0], gumbel_cdf)
+    monkeypatch.setattr(montecarlo, "_real", no_check)
+    assert ks_distance(np.array([0.5, 1.0, 2.0]), gumbel_cdf) == want
 
 
 def test_ks_distance_takes_ints_and_lets_the_reference_raise():
