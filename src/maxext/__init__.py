@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "MaxextError DomainError NoRootError ConfigurationError DegenerateError "
               "DiagnosticsError",
-    "special": "erf erfc gumbel_cdf gumbel_pdf",
+    "special": "erfc gumbel_cdf gumbel_pdf",
     "maxwell": "MaxwellParams",
     "norming": "Scheme NormingBase PoweredNorming solve_bn powered_constants hall_base",
     "expansions": "cdf_approx pdf_approx cdf_approx_tabulated pdf_approx_tabulated "

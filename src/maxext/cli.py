@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Thin orchestration only: every number printed here is produced by the
-library modules. Output is plain CSV (or a plain-text report for
-`adjudicate`) with LF line endings and 12 significant digits; no color or
-other decoration is ever emitted, so NO_COLOR is honored trivially.
+library modules. One row writer, `_csv`, prints every table as CSV with LF
+line endings, floats to 12 significant digits and ints exactly (`adjudicate`
+prints a plain-text report); no color or other decoration is ever emitted,
+so NO_COLOR is honored trivially.
 
 Exit codes: 0 success, 1 usage error, 2 domain/configuration error. An x
 grid (`plot-data`, `adjudicate`) of more than 10**6 steps or with `--x-max`
-below `--x-min`, and an `--output` path that cannot be written, are usage
-errors; the path is opened before any work, and a failed call leaves an
-existing file as it was.
+below `--x-min`, a `table` `--n-end` below `--n-start`, and an `--output`
+path that cannot be written, are usage errors; the path is opened before any
+work, and a failed call leaves an existing file as it was.
 
 At module level only `errors` and `norming` load, which every subcommand
 uses; each `_cmd_*` imports the rest of the package where it runs, so `bn`
@@ -31,9 +32,13 @@ _SCHEMES = [s.value for s in Scheme]
 
 
 def _fmt(v) -> str:
-    if isinstance(v, numbers.Integral):
-        return str(int(v))
-    return format(float(v), ".12g")
+    return str(int(v)) if isinstance(v, numbers.Integral) else format(float(v), ".12g")
+
+
+def _csv(header: str, rows) -> list[str]:
+    """The header, then one line per row of comma-joined fields: a str as it is, others by _fmt."""
+    return [header, *(",".join(v if isinstance(v, str) else _fmt(v) for v in row)
+                      for row in rows)]
 
 
 def _emit(lines, out):
@@ -117,85 +122,65 @@ def _x_grid(x_min: float, x_max: float, x_step: float) -> list[float]:
 def _cmd_bn(args) -> list[str]:
     base = solve_bn(args.n, args.sigma)
     res = equation_residual(base.b_n, base.n, base.sigma)
-    return [
-        "n,sigma,b_n,a_n,residual",
-        ",".join([_fmt(base.n), _fmt(base.sigma), _fmt(base.b_n), _fmt(base.a_n), _fmt(res)]),
-    ]
+    return _csv("n,sigma,b_n,a_n,residual", [(base.n, base.sigma, base.b_n, base.a_n, res)])
 
 
 def _cmd_constants(args) -> list[str]:
     base = solve_bn(args.n, args.sigma)
     pn = powered_constants(base, args.t, _scheme_for(args.t, args.scheme))
-    return [
-        "n,sigma,t,scheme,c_n,d_n,b_n",
-        ",".join([_fmt(args.n), _fmt(args.sigma), _fmt(pn.t), pn.scheme.value,
-                  _fmt(pn.c_n), _fmt(pn.d_n), _fmt(base.b_n)]),
-    ]
+    return _csv("n,sigma,t,scheme,c_n,d_n,b_n",
+                [(args.n, args.sigma, pn.t, pn.scheme.value, pn.c_n, pn.d_n, base.b_n)])
 
 
 def _cmd_table(args) -> list[str]:
     from . import exact
 
-    if args.n_start is None:
-        args.n_start = 25 if args.kind == "cdf" else 375
-    if args.n_end is None:
-        args.n_end = 1000 if args.kind == "cdf" else 15000
-    if args.n_step is None:
-        args.n_step = 25 if args.kind == "cdf" else 375
-    grid = range(args.n_start, args.n_end + 1, args.n_step)
+    default = (25, 1000, 25) if args.kind == "cdf" else (375, 15000, 375)
+    start, end, step = (d if v is None else v
+                        for v, d in zip((args.n_start, args.n_end, args.n_step), default))
+    if end < start:
+        raise _UsageError(f"--n-end {end} is below --n-start {start}")
     convention = args.convention
     if convention == "auto":
         convention = "tabulated" if args.t == 2.0 else "asymptotic"
-    rows = exact.error_table(args.kind, args.t, args.x, args.sigma, grid,
-                             convention=convention)
-    lines = ["n,err1,err2,err3"]
-    lines += [",".join([_fmt(r.n), _fmt(r.err1), _fmt(r.err2), _fmt(r.err3)]) for r in rows]
-    return lines
+    rows = exact.error_table(args.kind, args.t, args.x, args.sigma,
+                             range(start, end + 1, step), convention=convention)
+    return _csv("n,err1,err2,err3", rows)
 
 
 def _cmd_rate(args) -> list[str]:
     from . import exact
 
     diag = exact.rate_diagnostic(args.kind, args.t, args.x, args.sigma, args.n_grid)
-    lines = ["n,b_n,err1,err1_scaled,slope,scaled_limit_prediction"]
-    for i, n in enumerate(diag.ns):
-        lines.append(",".join([_fmt(n), _fmt(diag.b_values[i]), _fmt(diag.errors[i]),
-                               _fmt(diag.scaled[i]), _fmt(diag.slope),
-                               _fmt(diag.scaled_limit_prediction)]))
-    return lines
+    return _csv("n,b_n,err1,err1_scaled,slope,scaled_limit_prediction",
+                [(*row, diag.slope, diag.scaled_limit_prediction)
+                 for row in zip(diag.ns, diag.b_values, diag.errors, diag.scaled)])
 
 
 def _cmd_compare_schemes(args) -> list[str]:
     from . import exact
 
     cmp = exact.compare_schemes(args.x, args.sigma, args.n_grid)
-    cross = "" if cmp.crossover_n is None else _fmt(cmp.crossover_n)
-    lines = ["n,optimal_err2,alternative_err2,ratio,crossover_n"]
-    for i, n in enumerate(cmp.ns):
-        # an order-2 error of exactly 0 (far above the mode) has no ratio
-        ratio = "" if cmp.optimal[i] == 0.0 else _fmt(cmp.alternative[i] / cmp.optimal[i])
-        lines.append(",".join([_fmt(n), _fmt(cmp.optimal[i]), _fmt(cmp.alternative[i]),
-                               ratio, cross]))
-    return lines
+    cross = "" if cmp.crossover_n is None else cmp.crossover_n
+    # an order-2 error of exactly 0 (far above the mode) has no ratio
+    return _csv("n,optimal_err2,alternative_err2,ratio,crossover_n",
+                [(n, opt, alt, "" if opt == 0.0 else alt / opt, cross)
+                 for n, opt, alt in zip(cmp.ns, cmp.optimal, cmp.alternative)])
 
 
 def _cmd_compare_hall(args) -> list[str]:
     from . import exact
 
     chk = exact.hall_rate_check(args.x, args.sigma, args.n_grid)
-    lines = ["n,gap,leading,ratio,powered_err1"]
-    for i, n in enumerate(chk.ns):
-        lines.append(",".join([_fmt(n), _fmt(chk.gaps[i]), _fmt(chk.leading[i]),
-                               _fmt(chk.ratios[i]), _fmt(chk.powered_err1[i])]))
-    return lines
+    return _csv("n,gap,leading,ratio,powered_err1",
+                zip(chk.ns, chk.gaps, chk.leading, chk.ratios, chk.powered_err1))
 
 
 def _cmd_adjudicate(args) -> list[str]:
     from . import exact
 
-    report = exact.adjudicate_density_coeffs(
-        args.t, _x_grid(args.x_min, args.x_max, args.x_step), args.sigma,
-        args.n_grid)
+    xs = _x_grid(args.x_min, args.x_max, args.x_step)
+    report = exact.adjudicate_density_coeffs(args.t, xs, args.sigma, args.n_grid)
     return report.summary().splitlines()
 
 
@@ -206,12 +191,9 @@ def _cmd_simulate(args) -> list[str]:
     cfg = SimulationConfig(n=args.n, t=args.t, sigma=args.sigma, reps=args.reps,
                            seed=args.seed, scheme=_scheme_for(args.t, args.scheme))
     values = simulate_powered_maxima(cfg)
-    ks = ks_distance(values, gumbel_cdf)
-    lines = ["n,t,sigma,scheme,reps,seed,ks_gumbel,mean,std"]
-    lines.append(",".join([_fmt(cfg.n), _fmt(cfg.t), _fmt(cfg.sigma), cfg.scheme.value,
-                           _fmt(cfg.reps), _fmt(cfg.seed), _fmt(ks),
-                           _fmt(values.mean()), _fmt(values.std())]))
-    return lines
+    return _csv("n,t,sigma,scheme,reps,seed,ks_gumbel,mean,std",
+                [(cfg.n, cfg.t, cfg.sigma, cfg.scheme.value, cfg.reps, cfg.seed,
+                  ks_distance(values, gumbel_cdf), values.mean(), values.std())])
 
 
 def _cmd_plot_data(args) -> list[str]:
@@ -223,12 +205,10 @@ def _cmd_plot_data(args) -> list[str]:
     pn = powered_constants(base, args.t, _scheme_for(args.t, args.scheme))
     p = MaxwellParams(args.sigma)
     law = exact._kind_laws(args.kind)
-    lines = ["x,exact,order1,order2,order3"]
-    for x in xs:
-        ex = law.exact(args.n, args.t, x, pn, p, below_support="zero")
-        approx = [law.approx(k, args.t, x, base, pn.scheme) for k in (1, 2, 3)]
-        lines.append(",".join([_fmt(x), _fmt(ex)] + [_fmt(a) for a in approx]))
-    return lines
+    return _csv("x,exact,order1,order2,order3",
+                [(x, law.exact(args.n, args.t, x, pn, p, below_support="zero"),
+                  *[law.approx(k, args.t, x, base, pn.scheme) for k in (1, 2, 3)])
+                 for x in xs])
 
 
 class _Parser(argparse.ArgumentParser):

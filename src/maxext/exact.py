@@ -18,6 +18,11 @@ exact laws and the diagnostics take t and x through errors._real (a numpy
 float32 x is used as its float) and n through errors._integer, then call the
 unchecked kernels maxwell._survival/_survival_pdf and special._gumbel_cdf/_gumbel_pdf.
 PoweredNorming checks nothing, so a NaN c_n*x + d_n is a DomainError here.
+Both exact laws take the root (c_n x + d_n)^{1/t} from `_powered_argument`,
+which holds the one far-above-the-mode rule: where the root overflows it is
+inf, and below the support edge under below_support="zero" it is 0. The
+kernels give each law its limit there (F = 1, f = 0 at inf; F = 0, f = 0 at
+0), so neither law has a branch of its own.
 Records are NamedTuples; ErrorRow checks its errors whenever one is built.
 default_scheme, the `auto` rule, lives in norming next to validate_scheme;
 it is imported here, so exact.default_scheme keeps working.
@@ -93,7 +98,9 @@ class ErrorRow(NamedTuple("ErrorRow", [("n", int), ("err1", float), ("err2", flo
         return cls(*fields)
 
 
-def _powered_argument(x: float, pn: PoweredNorming, below_support: str):
+def _powered_argument(x: float, t: float, pn: PoweredNorming,
+                      below_support: str) -> tuple[float, float]:
+    """(y, y^{1/t}) for y = c_n x + d_n; the root is inf where it overflows, 0 below support."""
     x = _real(x, "x")
     y = pn.c_n * x + pn.d_n
     if not y > 0.0:
@@ -101,11 +108,14 @@ def _powered_argument(x: float, pn: PoweredNorming, below_support: str):
             raise DomainError(f"powered argument c_n*x + d_n is NaN "
                               f"(c_n = {pn.c_n}, d_n = {pn.d_n}, x = {x})")
         if below_support == "zero":
-            return None
+            return y, 0.0
         raise DomainError(
             f"powered argument c_n*x + d_n = {y} <= 0 (x = {x} below the support edge)"
         )
-    return y
+    try:
+        return y, y ** (1.0 / t)
+    except OverflowError:  # far above the mode
+        return y, math.inf
 
 
 def _law_n(n) -> int:
@@ -135,13 +145,7 @@ def exact_powered_cdf(n: int, t: float, x: float, pn: PoweredNorming,
     integer >= 1 within float range and t a positive finite real (DomainError otherwise).
     """
     n, t = _law_n(n), _real(t, "power index t", positive=True)
-    y = _powered_argument(x, pn, below_support)
-    if y is None:
-        return 0.0
-    try:
-        delta = y ** (1.0 / t)
-    except OverflowError:  # far above the mode
-        return 1.0
+    delta = _powered_argument(x, t, pn, below_support)[1]
     return _cdf_power(_survival(delta, p.sigma), n)
 
 
@@ -152,13 +156,7 @@ def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
     below_support and n as for exact_powered_cdf; 0 wherever F^{n-1} or f is 0.
     """
     n, t = _law_n(n), _real(t, "power index t", positive=True)
-    y = _powered_argument(x, pn, below_support)
-    if y is None:
-        return 0.0
-    try:
-        delta = y ** (1.0 / t)
-    except OverflowError:  # far above the mode
-        return 0.0
+    y, delta = _powered_argument(x, t, pn, below_support)
     sf, f_delta = _survival_pdf(delta, p.sigma)
     f_pow = _cdf_power(sf, n - 1)
     if f_pow == 0.0:  # also skips y^{1/t-1}, which can overflow where sf rounds to 1
@@ -323,12 +321,12 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
     t, scheme = validate_scheme(t, default_scheme(t))
     x, p = _real(x, "x"), MaxwellParams(sigma)
     power = 4 if scheme is _OPTIMAL else 2
+    # the order-1 approximation, the Gumbel limit, does not depend on n
+    lam = law.approx(1, t, x, solve_bn(ns[0], sigma), scheme)
     bs, errs, scaled = [], [], []
     for n in ns:
         base = solve_bn(n, sigma)
-        pn = powered_constants(base, t, scheme)
-        # the order-1 approximation is the Gumbel limit
-        err = abs(law.exact(n, t, x, pn, p) - law.approx(1, t, x, base, scheme))
+        err = abs(law.exact(n, t, x, powered_constants(base, t, scheme), p) - lam)
         if err == 0.0:
             raise DiagnosticsError(f"first-order error is 0 at n = {n}, x = {x}; "
                                    "the log-log slope is undefined")

@@ -5,9 +5,10 @@ relative accuracy deep into the tail; it is never computed as 1 - cdf.
 
 Each input is checked once, where it enters the package: the public
 functions take x through errors._real and sigma through MaxwellParams; the
-kernels `_survival` and `_pdf` of a float x and sigma check nothing. The exact
-laws call `_survival` and, for the density, `_survival_pdf`, which returns
-both from one exp(-z^2/2) with the bits of `(_survival(x, s), _pdf(x, s))`.
+kernels `_survival` and `_survival_pdf` of a float x and sigma check nothing.
+The exact laws call `_survival` and, for the density, `_survival_pdf`, which
+returns both from one exp(-z^2/2), the survival with the bits of `_survival`.
+The density is written once, there: `pdf` is its second value.
 survival keeps its formula over special.erfc, a call the benchmark's tracer
 follows; `_survival` uses math.erfc, with the same bits.
 
@@ -79,17 +80,9 @@ def _z_density(z: float) -> float:
     return _SQRT_2_OVER_PI * z * e if e else 0.0
 
 
-def _pdf(x: float, s: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    z = x / s
-    e = math.exp(-0.5 * z * z)
-    return _SQRT_2_OVER_PI * z * z / s * e if e else 0.0
-
-
 def pdf(x: float, p: MaxwellParams) -> float:
     """Density sqrt(2/pi) x^2 sigma^-3 exp(-x^2 / 2 sigma^2); 0 for x <= 0 and where exp is 0."""
-    return _pdf(_real(x, "pdf"), p.sigma)
+    return _survival_pdf(_real(x, "pdf"), p.sigma)[1]
 
 
 def cdf(x: float, p: MaxwellParams) -> float:
@@ -109,7 +102,7 @@ def _survival(x: float, s: float) -> float:
 
 
 def _survival_pdf(x: float, s: float) -> tuple[float, float]:
-    """(_survival(x, s), _pdf(x, s)) bit for bit, from one exp(-z^2/2)."""
+    """(_survival(x, s), density at x) from one exp(-z^2/2); `pdf` returns the second."""
     if x <= 0.0:
         return 1.0, 0.0
     z = x / s

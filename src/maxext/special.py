@@ -1,4 +1,4 @@
-"""Scalar special functions: error function pair and the Gumbel law.
+"""Scalar special functions: the complementary error function and the Gumbel law.
 
 Each input is checked once, where it enters the package: the public
 functions take x through errors._real, so NaN, a bool and anything but a real
@@ -15,12 +15,7 @@ import math
 
 from .errors import _real
 
-__all__ = ["erf", "erfc", "gumbel_cdf", "gumbel_pdf"]
-
-
-def erf(x: float) -> float:
-    """Error function, odd-symmetric, absolute error below 1e-15."""
-    return math.erf(_real(x, "erf"))
+__all__ = ["erfc", "gumbel_cdf", "gumbel_pdf"]
 
 
 def erfc(x: float) -> float:

@@ -1,12 +1,15 @@
 """CLI behaviour: CSV contracts, exit codes, and thin-orchestration checks."""
+import ast
 import csv
 import io
 import math
+import pathlib
 import re
+import sys
 
 import pytest
 
-from maxext import exact, montecarlo
+from maxext import cli, exact, montecarlo
 from maxext.cli import main
 from maxext.maxwell import MaxwellParams
 from maxext.norming import Scheme, powered_constants, solve_bn
@@ -288,14 +291,17 @@ def test_oversized_x_grid_is_usage_error(capsys, argv):
                    "give more than 1000000 x steps\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["plot-data", "--n", "500", "--x-min", "3", "--x-max", "0"],
-    ["adjudicate", "--x-min", "3", "--x-max", "0"],
+@pytest.mark.parametrize("argv, message", [
+    (["plot-data", "--n", "500", "--x-min", "3", "--x-max", "0"],
+     "--x-max 0.0 is below --x-min 3.0"),
+    (["adjudicate", "--x-min", "3", "--x-max", "0"], "--x-max 0.0 is below --x-min 3.0"),
+    (["table", "--n-start", "1000", "--n-end", "25"], "--n-end 25 is below --n-start 1000"),
+    (["table", "--n-end", "10"], "--n-end 10 is below --n-start 25"),  # the default start
 ])
-def test_reversed_x_range_is_usage_error(capsys, argv):
+def test_reversed_range_is_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert err == f"maxext {argv[0]}: error: --x-max 0.0 is below --x-min 3.0\n"
+    assert err == f"maxext {argv[0]}: error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -419,3 +425,54 @@ def test_extreme_x_sweep_prints_finite_values_or_exits_2(capsys, argv):
     assert code in (0, 2), err
     assert re.search(r"\b(?:inf|nan)\b", out, re.IGNORECASE) is None, out
     assert "must be finite" not in err, err
+
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _readme_calls():
+    # the README's CLI calls, imported from the benchmark as its CI step does,
+    # so that the two lists cannot drift apart
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import CLI_COMMANDS
+    finally:
+        sys.path.remove(str(BENCH))
+    return CLI_COMMANDS
+
+
+README_CALLS = _readme_calls()
+
+
+@pytest.mark.parametrize("name, argv", README_CALLS, ids=[name for name, _ in README_CALLS])
+def test_readme_call_prints_its_expected_bytes(capsys, name, argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (BENCH / "expected" / f"{name}.out").read_bytes()
+
+
+def _row_formatters(tree):
+    """(line, function) of every `_fmt` use or `",".join` outside `_csv` in one module."""
+    found = []
+    for top in tree.body:
+        scope = getattr(top, "name", "<module>")
+        if scope == "_csv":
+            continue
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id == "_fmt")
+                    or (isinstance(node, ast.Attribute) and node.attr == "join"
+                        and isinstance(node.value, ast.Constant) and node.value.value == ",")):
+                found.append((node.lineno, scope))
+    return found
+
+
+def test_the_row_scan_flags_formatting_outside_the_writer():
+    tree = ast.parse("def _csv(h, rows):\n    return [h, ','.join(map(_fmt, rows))]\n"
+                     "def _cmd_a(args):\n    return ','.join([_fmt(1)])\n"
+                     "def _cmd_b(args):\n    return '\\n'.join(_csv('a', []))\n")
+    assert _row_formatters(tree) == [(4, "_cmd_a"), (4, "_cmd_a")]
+
+
+def test_only_the_row_writer_formats_cli_rows():
+    assert _row_formatters(ast.parse(pathlib.Path(cli.__file__).read_text())) == []

@@ -54,12 +54,17 @@ def test_exact_cdf_saturates():
     assert exact_powered_cdf(50, 2.0, 40.0, pn, P2) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n, t, x, sigma", [(500, 0.1, 1e40, 1.0), (500, 3.0, 1e300, 1.0),
-                                            (10**300, 1.0, 1e3, 1.0), (10**300, 1.0, 1e3, 1e152)],
-                         ids=["t0.1", "t3", "n1e300", "n1e300-sigma1e152"])
+@pytest.mark.parametrize("n, t, x, sigma", [
+    (500, 0.1, 1e40, 1.0), (500, 3.0, 1e300, 1.0),
+    (500, 0.01, 1e300, 1.0), (500, 0.5, 1e300, 1.0), (3, 0.25, 1e300, 1.0),
+    (500, 0.1, 1e40, 1e152), (10**300, 0.1, 1e40, 1.0),
+    (10**300, 1.0, 1e3, 1.0), (10**300, 1.0, 1e3, 1e152),
+], ids=["t0.1", "t3", "t0.01", "t0.5", "t0.25-n3", "t0.1-sigma1e152", "t0.1-n1e300",
+        "n1e300", "n1e300-sigma1e152"])
 def test_exact_laws_saturate_far_above_mode(n, t, x, sigma):
-    # (c_n x + d_n)^(1/t) overflows in the first two cases; in the others the
-    # Maxwell density at delta underflows to 0 while F^(n-1) is 1, and at
+    # (c_n x + d_n)^(1/t) overflows in every case with t < 1, where both laws
+    # take the kernels' limits at delta = inf; in the others the Maxwell
+    # density at delta underflows to 0 while F^(n-1) is 1, and at
     # sigma = 1e152 the factor n c_n / t overflows, which gave inf * 0 = nan
     pn = powered_constants(solve_bn(n, sigma), t, Scheme.GENERAL_POWER)
     p = MaxwellParams(sigma)
@@ -192,10 +197,10 @@ def test_error_table_asymptotic_convention():
 
 
 @pytest.mark.parametrize("kind", ["cdf", "pdf"])
-@pytest.mark.parametrize("convention", ["tabulated", "asymptotic"])
+@pytest.mark.parametrize("convention", ["tabulated", "asymptotic", "rate_diagnostic"])
 def test_error_table_makes_one_order_1_call_per_table(monkeypatch, kind, convention):
-    # order 1, the Gumbel limit, is free of n: one call per table, while
-    # orders 2 and 3 are called once per row
+    # order 1, the Gumbel limit, is free of n: one call per table (and per
+    # rate_diagnostic grid), while an error table calls orders 2 and 3 once a row
     law, orders = exact._KINDS[kind], []
 
     def counting(fn):
@@ -204,14 +209,22 @@ def test_error_table_makes_one_order_1_call_per_table(monkeypatch, kind, convent
             return fn(order, *args)
         return call
 
+    def table(ns):
+        if convention == "rate_diagnostic":
+            return rate_diagnostic(kind, 2.0, 0.7, 2.0, ns)
+        return error_table(kind, 2.0, 0.7, 2.0, ns, convention)
+
     ns = [25, 500, 10**4, 10**6]
-    want = error_table(kind, 2.0, 0.7, 2.0, ns, convention)
+    want = table(ns)
     monkeypatch.setitem(exact._KINDS, kind, law._replace(approx=counting(law.approx),
                                                          tabulated=counting(law.tabulated)))
-    assert error_table(kind, 2.0, 0.7, 2.0, ns, convention) == want
+    assert table(ns) == want
+    if convention == "rate_diagnostic":
+        assert orders == [1]
+        return
     assert sorted(orders) == [1] + [2] * len(ns) + [3] * len(ns)
     orders.clear()
-    assert error_table(kind, 2.0, 0.7, 2.0, [], convention) == []
+    assert table([]) == []
     assert orders == []
 
 

@@ -44,7 +44,7 @@ from maxext.norming import (
     solve_bn,
     validate_scheme,
 )
-from maxext.special import erf, erfc, gumbel_cdf, gumbel_pdf
+from maxext.special import erfc, gumbel_cdf, gumbel_pdf
 
 VALUES = {
     "None": None, "str": "3", "True": True, "complex": 1j, "nan": math.nan,
@@ -67,7 +67,7 @@ def adjudicate_x_grid(t, x, sigma):
 
 # (entry point, valid positional arguments, {numeric argument: its position})
 ENTRY_POINTS = [
-    *[(fn, (0.5,), {"x": 0}) for fn in (erf, erfc, gumbel_cdf, gumbel_pdf)],
+    *[(fn, (0.5,), {"x": 0}) for fn in (erfc, gumbel_cdf, gumbel_pdf)],
     *[(fn, (1.0, _P), {"x": 0}) for fn in (maxwell.pdf, maxwell.cdf, maxwell.survival)],
     (maxwell.tail_expansion, (5.0, _P, 4), {"x": 0, "terms": 2}),
     (maxwell.tail_remainder, (5.0, _P), {"x": 0}),

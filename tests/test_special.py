@@ -3,23 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from maxext.errors import DomainError
-from maxext.special import erf, erfc, gumbel_cdf, gumbel_pdf
+from maxext.special import erfc, gumbel_cdf, gumbel_pdf
 
 # 30+ significant digit reference values, generated with an arbitrary-precision
 # evaluator before the implementation was written.
-ERF_TABLE = {
-    0.1: 0.1124629160182848984,
-    0.5: 0.52049987781304653768,
-    1.0: 0.84270079294971486934,
-    1.5: 0.96610514647531072707,
-    2.0: 0.99532226501895273416,
-    3.0: 0.99997790950300141456,
-    4.0: 0.99999998458274209972,
-    6.0: 0.99999999999999997848,
-}
 ERFC_TABLE = {
     0.5: 0.47950012218695346232,
     1.0: 0.15729920705028513066,
@@ -35,17 +24,6 @@ ERFC_TABLE = {
 }
 
 
-def test_erf_against_oracle():
-    for x, ref in ERF_TABLE.items():
-        assert abs(erf(x) - ref) <= 1e-15
-
-
-def test_erf_examples():
-    assert erf(0.0) == 0.0
-    assert abs(erf(10.0) - 1.0) <= 1e-15
-    assert abs(erf(1.0) - 0.8427007929497149) <= 1e-15
-
-
 def test_erfc_relative_accuracy():
     for x, ref in ERFC_TABLE.items():
         assert abs(erfc(x) / ref - 1.0) <= 1e-13
@@ -59,33 +37,13 @@ def test_erfc_examples():
 
 def test_erfc_complements_erf_near_origin():
     for x in np.linspace(-1.0, 1.0, 201):
-        assert abs(erfc(x) - (1.0 - erf(x))) <= 1e-15
-
-
-def test_erf_odd_symmetry_bulk():
-    rng = np.random.default_rng(2024)
-    for x in rng.uniform(-8.0, 8.0, size=10_000):
-        assert erf(-x) == -erf(x)
+        assert abs(erfc(x) - (1.0 - math.erf(x))) <= 1e-15
 
 
 def test_erfc_reflection_bulk():
     rng = np.random.default_rng(99)
     for x in rng.uniform(0.0, 3.0, size=10_000):
         assert abs(erfc(-x) - (2.0 - erfc(x))) <= 1e-15
-
-
-@given(st.floats(min_value=-10, max_value=10, allow_nan=False))
-@settings(max_examples=300)
-def test_erf_bounded_and_odd(x):
-    v = erf(x)
-    assert -1.0 <= v <= 1.0
-    assert erf(-x) == -v
-
-
-@given(st.floats(min_value=-5, max_value=5), st.floats(min_value=1e-6, max_value=1.0))
-@settings(max_examples=300)
-def test_erf_monotone(x, h):
-    assert erf(x + h) >= erf(x)
 
 
 def test_gumbel_cdf_values():
@@ -131,13 +89,13 @@ def test_gumbel_pdf_integrates_to_one():
     assert abs(total - 1.0) <= 1e-9
 
 
-@pytest.mark.parametrize("fn", [erf, erfc, gumbel_cdf, gumbel_pdf])
+@pytest.mark.parametrize("fn", [erfc, gumbel_cdf, gumbel_pdf])
 def test_nan_rejected(fn):
     with pytest.raises(DomainError):
         fn(float("nan"))
 
 
-@pytest.mark.parametrize("fn", [erf, erfc, gumbel_cdf, gumbel_pdf])
+@pytest.mark.parametrize("fn", [erfc, gumbel_cdf, gumbel_pdf])
 @pytest.mark.parametrize("bad", [None, "abc", [], 1j, 10**400],
                          ids=["None", "str", "list", "complex", "huge"])
 def test_non_float_rejected(fn, bad):
