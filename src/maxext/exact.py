@@ -48,6 +48,7 @@ from .expansions import (
 from .maxwell import MaxwellParams, _survival, _survival_pdf
 from .norming import (
     _ALTERNATIVE,
+    _MIN_N,
     _OPTIMAL,
     PoweredNorming,
     default_scheme,
@@ -215,7 +216,7 @@ def error_table(kind: Kind, t: float, x: float, sigma: float,
     tabulated = convention == "tabulated"
     if tabulated and scheme is not _OPTIMAL:
         raise ConfigurationError(
-            "the tabulated convention exists only for t = 2; use convention='asymptotic'"
+            "the tabulated convention exists only for t = 2; use the asymptotic convention"
         )
     make_base = hall_base if tabulated else solve_bn
     rows, lam = [], None
@@ -245,10 +246,10 @@ class RateDiagnostic(NamedTuple):
 
 
 def _check_grid(n_grid: Sequence[int], min_len: int = 2, decades: int = 0) -> list[int]:
-    """The grid as ints: `min_len` (>= 1) or more distinct integers >= 3 spanning `decades`."""
+    """The grid as ints: `min_len` (>= 1) or more distinct n >= _MIN_N spanning `decades`."""
     ns = [_integer(n, "n") for n in n_grid]
-    if len(set(ns)) < min_len or min(ns) < 3:
-        raise DiagnosticsError(f"need {min_len} or more distinct sample sizes, all >= 3")
+    if len(set(ns)) < min_len or min(ns) < _MIN_N:
+        raise DiagnosticsError(f"need {min_len} or more distinct sample sizes, all >= {_MIN_N}")
     if max(ns) < min(ns) * 10**decades:  # in ints: a float ratio overflows past 1e308
         raise DiagnosticsError(
             f"n grid must span at least {decades} decades, got {min(ns)}..{max(ns)}"

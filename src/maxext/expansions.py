@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigurationError, DomainError, _real
-from .norming import _GENERAL, _OPTIMAL, NormingBase, Scheme, validate_scheme
+from .norming import _GENERAL, _MIN_N, _OPTIMAL, NormingBase, Scheme, validate_scheme
 from .special import _gumbel_cdf, _gumbel_pdf, gumbel_cdf
 
 __all__ = [
@@ -258,8 +258,8 @@ def hall_error_leading(n: int, x: float) -> float:
     scale-free, so it takes no sigma. n is real here, not only an integer.
     """
     n = _real(n, "n", positive=True)
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
+    if n < _MIN_N:
+        raise DomainError(f"need n >= {_MIN_N}, got {n}")
     x = _real(x, "x")
     lam = _gumbel_cdf(x)
     if lam == 0.0:

@@ -15,9 +15,10 @@ follows; `_survival` uses math.erfc, with the same bits.
 `MaxwellParams` is a NamedTuple that stores sigma as a positive finite
 float whenever one is built, `_replace` included.
 
-Importing this module loads neither numpy nor scipy: `tail_remainder`
-imports `scipy.special.erfcx` when first called, and `sample` and
-`row_maxima` work on whatever numpy arrays or generator the caller passes.
+Everything but sampling runs on the standard library alone, and importing
+this module loads no numpy: `sample` and `row_maxima` work on whatever numpy
+arrays or generator the caller passes. `tail_remainder` forms the quadrature
+nodes it sums on each call, so importing the module does no work for it.
 
 `row_maxima` turns a block of Gamma(3/2) draws into the maxima of Maxwell
 variates: a chi-square(3) variate is twice a Gamma(3/2) variate (numpy draws
@@ -52,6 +53,7 @@ __all__ = [
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT2 = math.sqrt(2.0)
+_HALF_PI = 0.5 * math.pi
 
 # Coefficients of the tail series 1 + (s/x)^2 - (s/x)^4 + 3 (s/x)^6; the first
 # omitted term is -15 (s/x)^8.
@@ -151,19 +153,41 @@ def tail_expansion(x: float, p: MaxwellParams, terms: int = 4) -> float:
 def tail_remainder(x: float, p: MaxwellParams) -> float:
     """Relative remainder survival(x)/(sigma^2 x^-1 f(x)) minus the 4-term series.
 
-    Evaluated through the scaled complementary error function, so it stays
-    meaningful even where survival itself underflows double precision
-    (x beyond roughly 37 sigma). Scaled by (x/sigma)^8 it tends to -15.
-    """
-    from scipy.special import erfcx
+    Within a few ulp of the exact value for every x/sigma from 1e-50 to 1e38,
+    where it leaves the normal floats, also where survival itself underflows
+    (x beyond roughly 37 sigma); scaled by (x/sigma)^8 it tends to -15.
+    With z = x/sigma:
 
+    - below z = 2 it is that difference, which does not cancel there: the
+      ratio is 1 + sqrt(pi) erfcx(w) / (2 w) at w = z/sqrt(2), with
+      erfcx(w) = exp(w^2) erfc(w);
+    - from z = 2 up it is -15 z^-8 J(z), the Mills-ratio remainder after three
+      terms integrated by parts (Abramowitz & Stegun 7.1.23), where
+      J(z) = int_0^inf exp(-v - v^2/(2 z^2)) (1 + v/z^2)^-6 dv. Every term is
+      positive, so nothing cancels, and J -> 1 as z -> inf. J is summed by
+      exp-sinh quadrature over v = exp((pi/2) sinh tau) at tau = k/16,
+      k = -72..48 (v from 2e-31 to 7e6). Where z^-8 underflows, so does the
+      value, and the result is -0.0.
+
+    Below z = 1e-50 the value, about -3 z^-6, nears the float range: DomainError.
+    """
     x = _real(x, "tail_remainder")
     if x <= 0.0:
         raise DomainError(f"tail_remainder requires x > 0, got {x}")
-    z = x / (p.sigma * _SQRT2)
-    # survival / leading = 1 + sqrt(pi) erfcx(z) / (2 z)
-    ratio = 1.0 + math.sqrt(math.pi) * float(erfcx(z)) / (2.0 * z)
-    return ratio - _tail_partial_sum(x, p, 4)
+    z = x / p.sigma
+    if z < 1e-50:
+        raise DomainError(f"tail_remainder requires x/sigma >= 1e-50, got {z}")
+    if z < 2.0:
+        w = z / _SQRT2
+        ratio = 1.0 + math.sqrt(math.pi) * math.exp(w * w) * math.erfc(w) / (2.0 * w)
+        return ratio - _tail_partial_sum(x, p, 4)
+    a = 1.0 / (z * z)  # 0 where z * z overflows: then J = 1
+    total = 0.0
+    for k in range(-72, 49):
+        tau = k / 16
+        v = math.exp(_HALF_PI * math.sinh(tau))
+        total += math.cosh(tau) * v * math.exp(-v * (1.0 + 0.5 * a * v)) / (1.0 + a * v) ** 6
+    return -15.0 * (a * a) ** 2 * (total * _HALF_PI / 16)
 
 
 def sample(rng: Generator, p: MaxwellParams, size=None):

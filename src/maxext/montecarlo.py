@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from . import maxwell
 from .errors import ConfigurationError, DomainError, _integer, _real
 from .maxwell import MaxwellParams
-from .norming import Scheme, powered_constants, solve_bn, validate_scheme
+from .norming import _MIN_N, Scheme, powered_constants, solve_bn, validate_scheme
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,8 +76,8 @@ class SimulationConfig(NamedTuple("SimulationConfig", [
             sigma = _real(sigma, "sigma", positive=True)
         except DomainError as exc:
             raise ConfigurationError(str(exc)) from None
-        if n < 3:
-            raise ConfigurationError(f"sample size n must be >= 3, got {reprlib.repr(n)}")
+        if n < _MIN_N:
+            raise ConfigurationError(f"sample size n must be >= {_MIN_N}, got {reprlib.repr(n)}")
         if reps < 1:
             raise ConfigurationError(f"reps must be >= 1, got {reprlib.repr(reps)}")
         if not 0 <= seed < 2**128:

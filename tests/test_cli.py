@@ -83,6 +83,11 @@ def test_domain_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "table", "--t", "1", "--convention", "tabulated",
                              "--n-start", "25", "--n-end", "50", "--n-step", "25")
     assert code == 2
+    # the message names the convention as a CLI user and a library caller both spell it
+    code, out, err = run_cli(capsys, "table", "--t", "1", "--convention", "tabulated")
+    assert (code, out) == (2, "")
+    assert err == ("maxext table: the tabulated convention exists only for t = 2; "
+                   "use the asymptotic convention\n")
     code, out, err = run_cli(capsys, "constants", "--n", "50", "--t", "2",
                              "--scheme", "general-power")
     assert code == 2

@@ -1,17 +1,18 @@
-"""Import contract: the analytic layers and CLI paths load neither numpy nor scipy.
+"""Import contract: the analytic layers and CLI paths load no numpy, and nothing loads scipy.
 
 `maxext` is a lazy namespace: `import maxext` loads no submodule, and each
 CLI subcommand loads only the modules it runs, so no analytic call loads
 `maxext.montecarlo`, and `bn` and `constants` (whose `auto` scheme rule is
 `norming.default_scheme`) load neither it nor `maxext.exact`.
 
-numpy is needed only for sampling and ks_distance, and scipy only for
-`maxwell.tail_remainder`; each is imported on first use. The line fits of
-`rate` and `adjudicate` are solved in exact integer arithmetic and need
-neither. The records are NamedTuples, so no call loads `dataclasses` (nor
-the `inspect` it imports), and `fractions` loads only to read a typed
+numpy is needed only for sampling and ks_distance, and is imported on first
+use. scipy is not a dependency: maxext runs where it cannot be imported, and
+`maxwell.tail_remainder` sums its own quadrature. The line fits of `rate`
+and `adjudicate` are solved in exact integer arithmetic and need neither.
+The records are NamedTuples, so no call loads `dataclasses` (nor the
+`inspect` it imports), and `fractions` loads only to read a typed
 `--n-grid` exactly: the default grids are ints.
-The check runs in a fresh interpreter, because this test process has both
+Each check runs in a fresh interpreter, because this test process has both
 packages loaded already.
 """
 import os
@@ -54,7 +55,7 @@ assert loaded() == [] and loaded(("dataclasses", "inspect")) == [], (loaded(), l
 simulate_powered_maxima(SimulationConfig(n=10, t=1.0, sigma=1.0, reps=2, seed=1))
 assert loaded() == ["numpy"], loaded()
 maxwell.tail_remainder(10.0, maxwell.MaxwellParams(1.0))
-assert loaded() == ["numpy", "scipy"], loaded()
+assert loaded() == ["numpy"], loaded()
 print("ok")
 '''
 
@@ -71,6 +72,45 @@ def _run_fresh(script):
 
 def test_numpy_and_scipy_load_only_on_demand():
     _run_fresh(SCRIPT)
+
+
+NO_SCIPY_SCRIPT = r'''
+import contextlib
+import io
+import sys
+
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
+
+from maxext import cli, maxwell
+from maxext.montecarlo import SimulationConfig, ks_distance, simulate_powered_maxima
+from maxext.special import gumbel_cdf
+
+p = maxwell.MaxwellParams(2.0)
+for x in (0.5, 3.0, 30.0, 3000.0):
+    maxwell.pdf(x, p), maxwell.cdf(x, p), maxwell.survival(x, p)
+    maxwell.tail_expansion(x, p), maxwell.tail_remainder(x, p)
+rng = np.random.default_rng(1)
+maxwell.sample(rng, p), maxwell.sample(rng, p, 4)
+maxwell.row_maxima(rng.standard_gamma(1.5, size=(3, 5)), p)
+# the README's ten analytic calls
+for argv in (["table", "--kind", "cdf"], ["table", "--kind", "pdf"],
+             ["table", "--t", "1", "--convention", "asymptotic"],
+             ["bn", "--n", "25", "--sigma", "2"],
+             ["constants", "--n", "25", "--sigma", "2", "--t", "2"], ["rate", "--t", "2"],
+             ["compare-schemes"], ["compare-hall"], ["adjudicate"],
+             ["plot-data", "--kind", "cdf", "--n", "500"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+sample = simulate_powered_maxima(SimulationConfig(n=50, t=1.0, sigma=1.0, reps=20, seed=7))
+assert 0.0 < ks_distance(sample, gumbel_cdf) < 1.0
+assert sys.modules["scipy"] is None
+print("ok")
+'''
+
+
+def test_maxext_runs_where_scipy_cannot_be_imported():
+    _run_fresh(NO_SCIPY_SCRIPT)
 
 
 LAZY_SCRIPT = r'''

@@ -1,4 +1,5 @@
 """Maxwell distribution layer: closed forms vs quadrature, tails, sampling."""
+import csv
 import math
 
 import numpy as np
@@ -162,6 +163,39 @@ def test_tail_remainder_scaled_band():
         assert all(v < 0 for v in vals)
         assert max(abs(v) for v in vals) / min(abs(v) for v in vals) <= 10.0
         assert abs(vals[-1] + 15.0) <= 0.1
+
+
+def test_tail_remainder_matches_mp_reference(data_dir):
+    """Within 1e-14 relative of every tail_remainder row of mp_reference.csv.
+
+    Each value was recorded with mpmath 1.3.0 at mp.dps = 140 as, with
+    z = mpf(x) / mpf(sigma),
+    sqrt(pi/2) * erfc(z/sqrt(2)) * exp(z**2/2) / z - (z**-2 - z**-4 + 3*z**-6)
+    for z = 10**(k/20), k = -26..120 (0.05 to 1e6), and 1.999, 2, 2.001, 8
+    and 25, at sigma = 2**-500, 1 and 2**500, so that x = z * sigma is exact.
+    """
+    with open(data_dir / "mp_reference.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["function"] == "tail_remainder"]
+    assert len(rows) == 456
+    worst = max(
+        abs(tail_remainder(float(row["x"]), MaxwellParams(float(row["sigma"])))
+            / float(row["value"]) - 1.0)
+        for row in rows
+    )
+    assert worst <= 1e-14
+
+
+def test_tail_remainder_tiny_and_huge_ratios():
+    p = MaxwellParams(1.0)
+    # the value, about -3 (sigma/x)^6, nears the float range below 1e-50
+    assert tail_remainder(1e-50, p) == pytest.approx(-3e300, rel=1e-14)
+    with pytest.raises(DomainError, match=r"x/sigma >= 1e-50"):
+        tail_remainder(1e-51, p)
+    with pytest.raises(DomainError):
+        tail_remainder(1e-300, MaxwellParams(1e300))  # x/sigma underflows to 0
+    # -15 (sigma/x)^8 underflows, and so does the result
+    for x, sigma in ((1e41, 1.0), (1e300, 1e-300), (1.7e308, 1.0)):
+        assert tail_remainder(x, MaxwellParams(sigma)) == 0.0
 
 
 def test_tail_expansion_domain():

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import kstwo
 
 from maxext import maxwell, montecarlo
 from maxext.errors import ConfigurationError, DomainError
+from maxext.exact import exact_powered_cdf
 from maxext.maxwell import MaxwellParams, sample
 from maxext.montecarlo import (
     SimulationConfig,
@@ -421,3 +423,34 @@ def test_ks_decreases_with_n_cubed():
         cfg = SimulationConfig(n=n, t=3.0, sigma=1.0, reps=10_000, seed=205)
         ks.append(ks_distance(simulate_powered_maxima(cfg), gumbel_cdf))
     assert ks[0] > ks[1] > ks[2]
+
+
+# simulate against the exact finite-n law F(c_n y + d_n)^n, not the Gumbel
+# limit, whose bias at these n is larger than the KS noise. For a fixed
+# (n, seed) the KS distance is the same at every t and sigma (the
+# normalization is monotone and sigma is a pure scale), so the cases vary n
+# and the seed. Each group holds a family-wise level FAMILY_ALPHA (Bonferroni).
+FAMILY_ALPHA = 1e-3
+NULL_CASES = [(n, reps, seed) for n, reps in ((3, 10**4), (100, 10**4), (10**4, 200))
+              for seed in (1, 2, 3)]
+# sampled at n, tested against the law at law_n under the same constants
+WRONG_N_CASES = [(3, 4, 2000), (10, 11, 10**4), (100, 110, 5000)]
+
+
+def _exact_law_p_value(n, reps, seed, law_n):
+    cfg = SimulationConfig(n=n, t=1.0, sigma=1.0, reps=reps, seed=seed)
+    pn = powered_constants(solve_bn(n, 1.0), cfg.t, cfg.scheme)
+    p = MaxwellParams(cfg.sigma)
+    d = ks_distance(simulate_powered_maxima(cfg),
+                    lambda y: exact_powered_cdf(law_n, cfg.t, y, pn, p, below_support="zero"))
+    return kstwo.sf(d, reps)
+
+
+@pytest.mark.parametrize("n, reps, seed", NULL_CASES)
+def test_simulate_follows_the_exact_finite_n_law(n, reps, seed):
+    assert _exact_law_p_value(n, reps, seed, n) > FAMILY_ALPHA / len(NULL_CASES)
+
+
+@pytest.mark.parametrize("n, law_n, reps", WRONG_N_CASES)
+def test_exact_law_check_rejects_a_wrong_n(n, law_n, reps):
+    assert _exact_law_p_value(n, reps, 1, law_n) < FAMILY_ALPHA / len(WRONG_N_CASES)
