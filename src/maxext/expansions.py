@@ -11,6 +11,12 @@ distribution approximation reproduces the order-k density approximation
 exactly. The adjudication experiment and the large-n rate diagnostics
 validate these forms, and cdf_approx and pdf_approx use them.
 
+A square pair is the general-power pair shifted by s sigma^2 / b_n^2
+(norming._SHIFT); _shifted_coefficients states once the coefficients of
+-log F = e^{-x} (1 + A1 u + A2 u^2) under that shift. The alternative scheme
+(s = -1) uses them in the general-power brackets. The optimal scheme (s = +1,
+where A1 = 0) keeps its own kernels, as its b_n^-6 term needs A3.
+
 The ``*_tabulated`` approximations reproduce the golden reference error
 tables exactly, with the classic second-order pair at t = 2, sign
 conventions and closed-form norming inherited from the original tabulation
@@ -20,10 +26,9 @@ Each coefficient is a private function of (t, x), or of x at t = 2, stated
 at sigma = 1. The coefficient of b_n^-2k carries sigma^2k, so the
 approximations evaluate it against z = b_n / sigma: no power of sigma can
 leave the float range, and each keeps its sigma = 1 value at every sigma
-that solve_bn accepts. A kernel that needs e^{-x} (every density kernel, and
-the alternative scheme's distribution corrections) takes it as its argument
-`emx`, so each approximation evaluates exp(-x) once per call, after its
-Gumbel factor.
+that solve_bn accepts. A kernel that needs e^{-x} (every density kernel)
+takes it as its argument `emx`, so each approximation evaluates exp(-x)
+once per call, after its Gumbel factor.
 
 Each input is checked once, where it enters the package: the approximations
 validate their (t, scheme) through norming.validate_scheme and take x through
@@ -46,7 +51,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigurationError, DomainError, _real
-from .norming import _GENERAL, _MIN_N, _OPTIMAL, NormingBase, Scheme, validate_scheme
+from .norming import _GENERAL, _MIN_N, _OPTIMAL, _SHIFT, NormingBase, Scheme, validate_scheme
 from .special import _gumbel_cdf, _gumbel_pdf, gumbel_cdf
 
 __all__ = [
@@ -79,13 +84,25 @@ def _pdf_coeff1_general(t, x, emx):
     return -emx * _cdf_coeff1_general(t, x) + x * (0.5 * (t - 2.0) * x + 3.0 - t)
 
 
-def _pdf_coeff2_general(t, x, emx):
-    a1 = _cdf_coeff1_general(t, x)
-    a2 = _cdf_coeff2_general(t, x)
-    d1 = 1.0 + (t - 2.0) * x  # A1'
+def _general_coefficients(t, x):
+    # (A1, A2, A1', A2') of the general-power expansion
     c3 = (t - 2.0) ** 2 / 2.0
     c2 = (t - 2.0) * (5.0 - 2.0 * t) / 2.0
-    d2 = ((c3 * x + c2) * x - 1.0) * x - 1.0  # A2'
+    return (_cdf_coeff1_general(t, x), _cdf_coeff2_general(t, x), 1.0 + (t - 2.0) * x,
+            ((c3 * x + c2) * x - 1.0) * x - 1.0)
+
+
+def _shifted_coefficients(t, x, s):
+    # _general_coefficients under the shift x -> x + g u, g = s (1 + x); A1'' = t - 2
+    a1, a2, d1, d2 = _general_coefficients(t, x)
+    g = s * (1.0 + x)
+    return (a1 - g, a2 + g * (d1 - a1) + 0.5 * g * g, d1 - s,
+            d2 + s * (d1 - a1) + g * (t - 2.0 - d1) + g * s)
+
+
+def _pdf_coeff2(coeffs, emx):
+    # e^{-2x} A1^2 / 2 - e^{-x} (A2 + A1 (A1 - A1')) + A2 - A2' of (A1, A2, A1', A2')
+    a1, a2, d1, d2 = coeffs
     return 0.5 * emx * emx * a1 * a1 - emx * (a2 + a1 * (a1 - d1)) + (a2 - d2)
 
 
@@ -108,23 +125,6 @@ def _pdf_coeff2_square(x, emx):
     b2 = _cdf_coeff2_square(x)
     d2 = (4.0 * x + 4.0) * x + 2.0  # B2'
     return -emx * b2 + b2 - d2
-
-
-# ------------------------------------------------- t = 2, alternative scheme
-
-def _square_alt_cdf_corrections(x, emx):
-    # correction coefficients of b^-2 and b^-4
-    u1 = -2.0 * (x + 1.0) * emx
-    u2 = emx * (2.0 * emx * (x + 1.0) ** 2 - (x + 1.0) * x + 0.5)
-    return u1, u2
-
-
-def _square_alt_pdf_corrections(x, emx):
-    w1 = 2.0 * (x - (x + 1.0) * emx)
-    w2 = (2.0 * emx * emx * (x + 1.0) ** 2
-          - ((5.0 * x + 5.0) * x - 0.5) * emx
-          + (x - 1.0) * x - 1.5)
-    return w1, w2
 
 
 # ------------------------------------------------------------ approximations
@@ -150,20 +150,19 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
     u = 1.0 / (z * z)
     if scheme is _GENERAL:
         a1 = _cdf_coeff1_general(t, x)
-        bracket = 1.0 - emx * a1 * u
-        if order == 3:
-            a2 = _cdf_coeff2_general(t, x)
-            bracket += emx * (0.5 * emx * a1 * a1 - a2) * u * u
     elif scheme is _OPTIMAL:
         u2 = u * u
         bracket = 1.0 - emx * _cdf_coeff1_square(x) * u2
         if order == 3:
             bracket -= emx * _cdf_coeff2_square(x) * u2 * u
+        return lam * bracket
     else:
-        k1, k2 = _square_alt_cdf_corrections(x, emx)
-        bracket = 1.0 + k1 * u
-        if order == 3:
-            bracket += k2 * u * u
+        a1, a2, _, _ = _shifted_coefficients(t, x, _SHIFT[scheme])
+    bracket = 1.0 - emx * a1 * u
+    if order == 3:
+        if scheme is _GENERAL:  # A2 only at order 3
+            a2 = _cdf_coeff2_general(t, x)
+        bracket += emx * (0.5 * emx * a1 * a1 - a2) * u * u
     return lam * bracket
 
 
@@ -183,17 +182,17 @@ def pdf_approx(order: int, t: float, x: float, base: NormingBase,
     if scheme is _GENERAL:
         bracket = 1.0 + _pdf_coeff1_general(t, x, emx) * u
         if order == 3:
-            bracket += _pdf_coeff2_general(t, x, emx) * u * u
+            bracket += _pdf_coeff2(_general_coefficients(t, x), emx) * u * u
     elif scheme is _OPTIMAL:
         u2 = u * u
         bracket = 1.0 + _pdf_coeff1_square(x, emx) * u2
         if order == 3:
             bracket += _pdf_coeff2_square(x, emx) * u2 * u
     else:
-        k1, k2 = _square_alt_pdf_corrections(x, emx)
-        bracket = 1.0 + k1 * u
+        coeffs = a1, _, d1, _ = _shifted_coefficients(t, x, _SHIFT[scheme])
+        bracket = 1.0 + (-emx * a1 + a1 - d1) * u
         if order == 3:
-            bracket += k2 * u * u
+            bracket += _pdf_coeff2(coeffs, emx) * u * u
     return lamp * bracket
 
 

@@ -198,7 +198,11 @@ def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
             parts = list(pool.map(lambda lo, hi: _range_maxima(cfg.seed, lo, hi, n, budget, p),
                                   bounds[:-1], bounds[1:]))
         maxima = [m for part in parts for m in part]
-    return np.array([(m ** t - d) / c for m in maxima])
+    try:
+        return np.array([(m ** t - d) / c for m in maxima])
+    except OverflowError:  # float ** float raises instead of returning inf
+        raise DomainError(
+            f"a sampled maximum to the power t = {t} overflows; use a smaller t") from None
 
 
 def ks_distance(samples: Sequence[float], reference: Callable[[float], float]) -> float:

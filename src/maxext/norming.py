@@ -6,11 +6,12 @@ The base constant b_n solves
 
 and a_n = sigma^2 / b_n. `hall_base` gives the closed-form pair of Hall
 (1979), whose b_hat also seeds the solver. Powered maxima |M_n|^t use linear constants
-(c_n, d_n) that depend on whether t equals 2; at t = 2 two competing
-choices exist (the variance-style pair below marked "optimal" converges
-faster than the "alternative" one); default_scheme, next to
-validate_scheme, states the `auto` choice. Both results, NormingBase and
-PoweredNorming, are plain NamedTuples.
+(c_n, d_n) of one family: the general-power pair c = sigma^2 t b_n^(t-2),
+d = b_n^t, shifted by u = s sigma^2 / b_n^2 to c (1 + u), d + c u. The
+general-power scheme has s = 0; at t = 2 the "optimal" pair (s = +1)
+converges faster than the "alternative" one (s = -1). _SHIFT states s per
+scheme; default_scheme, next to validate_scheme, states the `auto` choice.
+Both results, NormingBase and PoweredNorming, are plain NamedTuples.
 
 solve_bn memoizes its root per validated (n, sigma) pair, for the last 1024
 pairs, so a repeat call returns the same immutable NormingBase record.
@@ -54,6 +55,7 @@ class Scheme(str, enum.Enum):
 # global read (CPython 3.11), and the approximations test the scheme per call.
 _GENERAL, _OPTIMAL, _ALTERNATIVE = (
     Scheme.GENERAL_POWER, Scheme.SQUARE_OPTIMAL, Scheme.SQUARE_ALTERNATIVE)
+_SHIFT = {_GENERAL: 0.0, _OPTIMAL: 1.0, _ALTERNATIVE: -1.0}
 _FLOAT_MIN = sys.float_info.min
 
 
@@ -227,30 +229,23 @@ def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNor
     """Construct (c_n, d_n) for |M_n|^t from solved base constants.
 
     Raises DomainError where c_n or d_n overflows, or c_n underflows to zero
-    (a large t, or an extreme b_n or sigma).
+    (a large t, or an extreme b_n or sigma), and DegenerateError where a
+    shift leaves c_n <= 0 (b_n <= sigma, only in a hand-built NormingBase).
     """
     t, scheme = validate_scheme(t, scheme)
-    b = base.b_n
-    if scheme is _GENERAL:
-        try:
-            c = base.sigma * base.sigma * t * b ** (t - 2.0)
-            d = b**t
-        except OverflowError:  # float ** float raises instead of returning inf
-            c = d = math.inf
-    else:
-        # c_n and d_n are homogeneous of degree 2 in (sigma, b_n), so they are
-        # evaluated at both divided by k = 2**e, which is exact and keeps
-        # sigma^4 in float range; the two square schemes differ in one sign
-        m = math.frexp(base.sigma)[0]
-        k = base.sigma / m
-        m2, bk = m * m, b / k
-        sign = 1.0 if scheme is _OPTIMAL else -1.0
-        c = 2.0 * m2 * (1.0 + sign * (m2 / (bk * bk))) * k * k
-        d = (bk * bk + sign * (2.0 * m2 * m2 / (bk * bk))) * k * k
+    b, s2 = base.b_n, base.sigma * base.sigma
+    try:
+        c = s2 * t * b ** (t - 2.0)
+        d = b * b if t == 2.0 else b**t
+    except OverflowError:  # float ** float raises instead of returning inf
+        c = d = math.inf
+    shift = _SHIFT[scheme]
+    if shift:  # a square pair; u < 1 (b_n > sigma), so no power past sigma^2 is formed
+        u = shift * s2 / (b * b)
+        c, d = c * (1.0 + u), d + c * u
         if c <= 0.0:
             raise DegenerateError(
-                f"alternative square constants degenerate: c_n = {c} <= 0 at b_n = {b}"
-            )
+                f"alternative square constants degenerate: c_n = {c} <= 0 at b_n = {b}")
     if not (0.0 < c < math.inf and math.isfinite(d)):
         raise DomainError(
             f"powered constants out of range at b_n = {b!r}, t = {t}: "

@@ -97,6 +97,13 @@ def test_domain_errors_exit_2(capsys):
         assert err == f"maxext simulate: seed must be in [0, 2**128), got {seed}\n"
 
 
+def test_simulate_overflowing_power_exits_2_without_traceback(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--n", "3", "--t", "570", "--reps", "2000")
+    assert (code, out) == (2, "")
+    assert err == ("maxext simulate: a sampled maximum to the power t = 570.0 overflows; "
+                   "use a smaller t\n")
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "table", "--help")[0] == 0

@@ -15,20 +15,20 @@ from maxext.expansions import (
     _cdf_coeff2_classic,
     _cdf_coeff2_general,
     _cdf_coeff2_square,
+    _general_coefficients,
     _pdf_coeff1_general,
     _pdf_coeff1_square,
+    _pdf_coeff2,
     _pdf_coeff2_classic,
-    _pdf_coeff2_general,
     _pdf_coeff2_square,
-    _square_alt_cdf_corrections,
-    _square_alt_pdf_corrections,
+    _shifted_coefficients,
     cdf_approx,
     cdf_approx_tabulated,
     hall_error_leading,
     pdf_approx,
     pdf_approx_tabulated,
 )
-from maxext.norming import Scheme, hall_base, solve_bn
+from maxext.norming import _SHIFT, Scheme, hall_base, solve_bn
 from maxext.special import gumbel_cdf, gumbel_pdf
 
 # Frozen values from an independent symbolic derivation evaluated in
@@ -68,7 +68,8 @@ def test_general_coefficients_frozen():
         assert s**4 * _cdf_coeff2_general(t, x) == pytest.approx(a2, rel=1e-14)
         emx = math.exp(-x)
         assert s**2 * _pdf_coeff1_general(t, x, emx) == pytest.approx(p1c, rel=1e-13)
-        assert s**4 * _pdf_coeff2_general(t, x, emx) == pytest.approx(p2c, rel=1e-13)
+        assert s**4 * _pdf_coeff2(_general_coefficients(t, x), emx) == pytest.approx(
+            p2c, rel=1e-13)
         assert s**2 * _pdf_coeff1_classic(t, x, emx) == pytest.approx(p1p, rel=1e-13)
 
 
@@ -84,11 +85,41 @@ def test_square_coefficients_frozen():
 
 
 def test_alternative_corrections_frozen():
+    # the alternative pair's b_n^-2 and b_n^-4 corrections are the general
+    # t = 2 expansion under its shift
     for (x, s), (u1, u2, w1, w2) in FROZEN_ALT.items():
-        k1, k2 = _square_alt_cdf_corrections(x, math.exp(-x))
+        emx = math.exp(-x)
+        coeffs = a1, a2, d1, _ = _shifted_coefficients(2.0, x, _SHIFT[Scheme.SQUARE_ALTERNATIVE])
+        k1, k2 = -emx * a1, emx * (0.5 * emx * a1 * a1 - a2)
         assert (s**2 * k1, s**4 * k2) == pytest.approx((u1, u2), rel=1e-13)
-        k1, k2 = _square_alt_pdf_corrections(x, math.exp(-x))
+        k1, k2 = -emx * a1 + a1 - d1, _pdf_coeff2(coeffs, emx)
         assert (s**2 * k1, s**4 * k2) == pytest.approx((w1, w2), rel=1e-13)
+
+
+def test_optimal_shift_reproduces_the_square_kernels():
+    # at t = 2 the optimal shift removes the b_n^-2 term exactly, and its
+    # b_n^-4 term is the hand-typed square kernel pair
+    s = _SHIFT[Scheme.SQUARE_OPTIMAL]
+    for x in np.linspace(-5.0, 40.0, 901):
+        x = float(x)
+        emx = math.exp(-x)
+        a1, a2, d1, d2 = _shifted_coefficients(2.0, x, s)
+        assert a1 == 0.0
+        scale = 1.0 + abs(x) + x * x
+        assert abs(a2 - _cdf_coeff1_square(x)) <= 4e-16 * scale, x
+        assert abs(-emx * a2 + a2 - d2 - _pdf_coeff1_square(x, emx)) <= 4e-16 * scale * (2.0 + emx), x
+
+
+def test_zero_shift_returns_the_general_kernels_bit_for_bit():
+    s = _SHIFT[Scheme.GENERAL_POWER]
+    for t, x in itertools.product((0.5, 1.0, 2.0, 3.0, 7.0), (-4.0, -0.45, 0.0, 0.7, 1.3, 12.0)):
+        coeffs = _shifted_coefficients(t, x, s)
+        assert coeffs == _general_coefficients(t, x)
+        a1, a2, d1, _ = coeffs
+        assert (a1, a2) == (_cdf_coeff1_general(t, x), _cdf_coeff2_general(t, x))
+        emx = math.exp(-x)
+        assert -emx * a1 + a1 - d1 == pytest.approx(_pdf_coeff1_general(t, x, emx),
+                                                    rel=1e-14, abs=1e-14)
 
 
 def test_handpicked_point_values():
@@ -320,12 +351,17 @@ def test_outputs_match_recorded_bits(data_dir):
     # rounding order of that argument and were deleted with it. The
     # consistent column reads 0 for the classic first density coefficient,
     # which the adjudication consumes, and 1 or empty otherwise. The 36 rows
-    # of the classic second density coefficient left with that form.
+    # of the classic second density coefficient left with that form. The 6
+    # square-alternative pdf_approx rows at orders 2 and 3, n = 25 and
+    # (sigma, x) = (1, 1.3), (1.7, -0.45), (2, 1.3) were re-recorded, each
+    # within 2.6e-16 relative, when the alternative scheme's corrections
+    # became the general t = 2 expansion under its shift.
     general = {
         "cdf_coeff1_general": (1, _cdf_coeff1_general),
         "cdf_coeff2_general": (2, _cdf_coeff2_general),
         "pdf_coeff1_general": (1, lambda t, x: _pdf_coeff1_general(t, x, math.exp(-x))),
-        "pdf_coeff2_general": (2, lambda t, x: _pdf_coeff2_general(t, x, math.exp(-x))),
+        "pdf_coeff2_general": (2, lambda t, x: _pdf_coeff2(_general_coefficients(t, x),
+                                                           math.exp(-x))),
     }
     classic = {"pdf_coeff1_general": (1, lambda t, x: _pdf_coeff1_classic(t, x, math.exp(-x)))}
     approx = {"cdf_approx": cdf_approx, "pdf_approx": pdf_approx}

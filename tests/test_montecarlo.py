@@ -308,6 +308,14 @@ def test_single_rep_finite():
     assert math.isfinite(out[0])
 
 
+def test_a_maximum_whose_power_overflows_is_domain_error():
+    # b_3^570 is finite, so the constants exist, but a sampled maximum far
+    # enough above b_3 overflows at that power
+    cfg = SimulationConfig(n=3, t=570.0, sigma=1.0, reps=2000, seed=0)
+    with pytest.raises(DomainError, match=r"^a sampled maximum to the power t = 570\.0 overflows"):
+        simulate_powered_maxima(cfg)
+
+
 def test_deterministic_given_config():
     cfg = SimulationConfig(n=50, t=2.0, sigma=1.5, reps=64, seed=99,
                            scheme=Scheme.SQUARE_OPTIMAL)

@@ -75,3 +75,23 @@ def test_only_errors_and_cli_import_numbers_or_operator():
             if names & {"numbers", "operator"}:
                 importers.add(module)
     assert importers == {"errors.py", "cli.py"}
+
+
+def _unused_imports(tree):
+    # names an import binds that no expression of the module reads
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_imported_name_is_used_in_its_module():
+    # an import left behind when its last reader is deleted is dead code too
+    assert _unused_imports(ast.parse(
+        "from __future__ import annotations\nimport os.path\nimport math as m\n"
+        "from .norming import _GENERAL, _ALTERNATIVE\nm.pi, _GENERAL\n")) == {"os", "_ALTERNATIVE"}
+    assert {module: sorted(names) for module, tree in _trees().items()
+            if (names := _unused_imports(tree))} == {}
