@@ -6,11 +6,12 @@ line endings, floats to 12 significant digits and ints exactly (`adjudicate`
 prints a plain-text report); no color or other decoration is ever emitted,
 so NO_COLOR is honored trivially.
 
-Exit codes: 0 success, 1 usage error, 2 domain/configuration error. An x
-grid (`plot-data`, `adjudicate`) of more than 10**6 steps or with `--x-max`
-below `--x-min`, a `table` `--n-end` below `--n-start`, and an `--output`
-path that cannot be written, are usage errors; the path is opened before any
-work, and a failed call leaves an existing file as it was.
+Exit codes: 0 success, 1 usage error, 2 domain/configuration error, 130
+interrupted (Ctrl-C prints one stderr line, no traceback). An x grid
+(`plot-data`, `adjudicate`) of more than 10**6 steps or with `--x-max` below
+`--x-min`, a `table` `--n-end` below `--n-start`, and an `--output` path
+that cannot be written, are usage errors; the path is opened before any
+work, and a failed or interrupted call leaves an existing file as it was.
 
 At module level only `errors` and `norming` load, which every subcommand
 uses; each `_cmd_*` imports the rest of the package where it runs, so `bn`
@@ -335,6 +336,9 @@ def main(argv=None) -> int:
         code = 2
     except OSError as exc:  # an --output path that cannot be opened or written
         print(f"maxext {args.command}: error: {exc}", file=sys.stderr)
+    except KeyboardInterrupt:
+        print(f"maxext {args.command}: interrupted", file=sys.stderr)
+        code = 130
     finally:
         if out is not None:
             out.close()

@@ -19,20 +19,18 @@ Python float, because numpy's array power does not round like the scalar
 power for t != 1 (numpy 2.4). The bytes are those of
 ``sample(substream(seed, i), p, n).max()`` for each rep i.
 
-From n = ``_THREAD_MIN_N`` up, the reps are split into contiguous ranges, one
-per CPU the process may run on (never more than reps, and never so many that
-a range holds fewer than ``_THREAD_MIN_DRAWS`` draws), and each range runs
-that loop in its own thread with its own generator and block; numpy releases
-the GIL while it draws. The blocks share the budget of ``_BLOCK_SIZE``
-float64s: each holds ``_BLOCK_SIZE // (n * workers)`` rows of n draws. Where
-that is less than one row, each rep is drawn into one row of
-``_BLOCK_SIZE // workers`` draws, refilled until it has all n, and its
-running maximum is kept; numpy's draws continue the stream from one call to
-the next, so the bits are those of one call of size n. Since a
-rep's draws depend only on its counter, and the caller joins the ranges in
-rep order before it applies the power and the norming, the output bytes are
-the same for any number of threads. Below either threshold, and on one CPU,
-the loop runs once over all reps in the calling thread.
+A chunk of reps fills one block, ``_BLOCK_SIZE // (n * workers)`` rows. Where
+n exceeds a worker's share ``_BLOCK_SIZE // workers``, a chunk is one rep,
+drawn into one row of that share, refilled until it has all n, the row
+keeping the running maximum; numpy's draws continue the stream from one call
+to the next, so the bits are those of one call of size n. From n =
+``_THREAD_MIN_N`` up, one thread per CPU the process may run on (never more
+than reps, nor so many that one makes fewer than ``_THREAD_MIN_DRAWS`` draws)
+builds its own generator and block, then takes chunks from one shared, locked
+queue until none is left or a worker or the caller has raised; numpy releases
+the GIL while it draws. A chunk's maxima land at their reps' indices, so the
+bytes are the same for any number of threads and any order of finishing.
+Below either threshold, or on one CPU, one worker runs in the calling thread.
 
 numpy is imported inside the functions that use it, once per call, so
 importing this module (and the CLI's analytic subcommands) does not load it.
@@ -45,6 +43,7 @@ from __future__ import annotations
 
 import os
 import reprlib
+import threading
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import maxwell
@@ -131,73 +130,74 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _range_maxima(seed: int, lo: int, hi: int, n: int, budget: int,
-                  p: MaxwellParams) -> list[float]:
-    """Largest Maxwell variate of each rep in [lo, hi), in rep order.
+def _draw_chunks(seed: int, n: int, rows: int, width: int, p: MaxwellParams,
+                 take: Callable[[], int | None], maxima: list[float]) -> None:
+    """Write the largest Maxwell variate of rep i to maxima[i], a chunk at a time.
 
-    Uses its own generator and a block of at most `budget` float64s, so
-    ranges can run in parallel threads.
+    A chunk is reps [start, start + rows) for each start `take` returns until
+    None. The generator and the rows-by-`width` block are built once per worker.
     """
     import numpy as np
 
     bits = np.random.Philox(key=seed)
     gamma = np.random.Generator(bits).standard_gamma
-    # A fresh state also carries an empty output buffer, so assigning it
-    # before each rep starts that rep exactly where substream(seed, i) would.
-    # Lists, not arrays: the state setter reads them about twice as fast.
+    # A fresh state also carries an empty output buffer, so assigning it before
+    # each rep starts that rep exactly where substream(seed, i) would.
     state = bits.state
     words = state["state"]
     words["key"] = words["key"].tolist()
     state["buffer"] = state["buffer"].tolist()
-    rows = budget // n
-    if rows == 0:  # n > budget: one row of budget draws, refilled until the rep has n
-        row, tops = np.empty(budget), []
-        for i in range(lo, hi):
-            words["counter"] = _counter(i)
-            bits.state = state
-            top = 0.0
-            for start in range(0, n, budget):
-                part = row[: min(budget, n - start)]
-                gamma(1.5, out=part)  # continues the stream where the last part stopped
-                top = max(top, part.max())
-            tops.append(top)
-        return maxwell.row_maxima(np.array(tops)[:, None], p).tolist()
-    block = np.empty((min(rows, hi - lo), n))
-    block_rows = list(block)  # row views, made once for all blocks
-    out = []
-    for start in range(lo, hi, rows):
-        stop = min(start + rows, hi)
+    block = np.empty((min(rows, len(maxima)), width))
+    block_rows = list(block)  # row views, made once for all chunks
+    while (start := take()) is not None:
+        stop = min(start + rows, len(maxima))
         for i, row in zip(range(start, stop), block_rows):
             words["counter"] = _counter(i)
             bits.state = state
             gamma(1.5, out=row)
-        out.extend(maxwell.row_maxima(block[: stop - start], p).tolist())
-    return out
+        for done in range(width, n, width):  # n > width: the chunk's one rep, refilled to n
+            top = row.max()
+            gamma(1.5, out=row[: n - done])  # continues the stream where the last part stopped
+            row[0] = max(row[0], top)  # carries the maximum; no stale draw exceeds top
+        maxima[start:stop] = maxwell.row_maxima(block[: stop - start], p).tolist()
 
 
 def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
     """reps values of (M_n^t - d_n) / c_n, one per substream, in rep order."""
     import numpy as np
 
-    base = solve_bn(cfg.n, cfg.sigma)
-    pn = powered_constants(base, cfg.t, cfg.scheme)
+    pn = powered_constants(solve_bn(cfg.n, cfg.sigma), cfg.t, cfg.scheme)
     p = MaxwellParams(cfg.sigma)
     n, reps, t, d, c = cfg.n, cfg.reps, cfg.t, pn.d_n, pn.c_n
-    workers = 1
-    if n >= _THREAD_MIN_N:
-        workers = max(1, min(_cpus(), reps, n * reps // _THREAD_MIN_DRAWS))
+    workers = (max(1, min(_cpus(), reps, n * reps // _THREAD_MIN_DRAWS))
+               if n >= _THREAD_MIN_N else 1)
     budget = _BLOCK_SIZE // workers
+    rows = max(1, budget // n)  # n > budget: a chunk is one rep, drawn budget at a time
+    maxima, starts = [0.0] * reps, iter(range(0, reps, rows))
+    lock, halt = threading.Lock(), threading.Event()
+
+    def take() -> int | None:
+        with lock:
+            return None if halt.is_set() else next(starts, None)
+
+    def work() -> None:
+        try:
+            _draw_chunks(cfg.seed, n, rows, min(n, budget), p, take, maxima)
+        except BaseException:
+            halt.set()  # no chunk starts after a worker's error
+            raise
+
     if workers == 1:
-        maxima = _range_maxima(cfg.seed, 0, reps, n, budget, p)
+        work()
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        bounds = [reps * k // workers for k in range(workers + 1)]
-        # leaving the block joins every thread; map raises a worker's error here
-        with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(lambda lo, hi: _range_maxima(cfg.seed, lo, hi, n, budget, p),
-                                  bounds[:-1], bounds[1:]))
-        maxima = [m for part in parts for m in part]
+        with ThreadPoolExecutor(workers) as pool:  # leaving it joins every thread
+            try:
+                for future in [pool.submit(work) for _ in range(workers)]:
+                    future.result()  # raises a worker's error here
+            finally:
+                halt.set()  # nor after an interrupt; each thread ends its chunk in hand
     try:
         return np.array([(m ** t - d) / c for m in maxima])
     except OverflowError:  # float ** float raises instead of returning inf

@@ -228,12 +228,15 @@ def default_scheme(t: float) -> Scheme:
 def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNorming:
     """Construct (c_n, d_n) for |M_n|^t from solved base constants.
 
-    Raises DomainError where c_n or d_n overflows, or c_n underflows to zero
-    (a large t, or an extreme b_n or sigma), and DegenerateError where a
-    shift leaves c_n <= 0 (b_n <= sigma, only in a hand-built NormingBase).
+    Raises DomainError unless 0 < b_n < inf, where c_n or d_n overflows, or
+    c_n underflows to zero (a large t, or an extreme b_n or sigma), and
+    DegenerateError where a shift leaves c_n <= 0 (b_n <= sigma, only in a
+    hand-built NormingBase).
     """
     t, scheme = validate_scheme(t, scheme)
     b, s2 = base.b_n, base.sigma * base.sigma
+    if not 0.0 < b < math.inf:
+        raise DomainError(f"powered constants need 0 < b_n < inf, got b_n = {b!r}")
     try:
         c = s2 * t * b ** (t - 2.0)
         d = b * b if t == 2.0 else b**t
@@ -241,7 +244,7 @@ def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNor
         c = d = math.inf
     shift = _SHIFT[scheme]
     if shift:  # a square pair; u < 1 (b_n > sigma), so no power past sigma^2 is formed
-        u = shift * s2 / (b * b)
+        u = shift * s2 / (b * b) if b * b else shift * math.inf  # b_n^2 may underflow
         c, d = c * (1.0 + u), d + c * u
         if c <= 0.0:
             raise DegenerateError(

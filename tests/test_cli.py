@@ -263,6 +263,22 @@ def test_failed_call_leaves_output_as_it_was(capsys, tmp_path):
     assert not absent.exists()
 
 
+def test_interrupt_exits_130_with_one_line(capsys, monkeypatch, tmp_path):
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    # cli imports it from montecarlo when simulate runs
+    monkeypatch.setattr(montecarlo, "simulate_powered_maxima", interrupted)
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_bytes(b"old,bytes\r\n")
+    for output in ((), ("--output", str(kept)), ("--output", str(absent))):
+        code, out, err = run_cli(capsys, "simulate", "--n", "10000", "--reps", "20000",
+                                 *output)
+        assert (code, out, err) == (130, "", "maxext simulate: interrupted\n")
+    assert kept.read_bytes() == b"old,bytes\r\n"
+    assert not absent.exists()
+
+
 def test_output_replaces_a_longer_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "bn", "--n", "100")
     path = tmp_path / "bn.csv"

@@ -1,6 +1,8 @@
 """Simulation determinism, substream independence, and KS machinery."""
 import math
+import signal
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -171,34 +173,42 @@ def test_simulate_matches_jumped_oracle_any_workers(force_workers, n, reps, t, s
     assert np.array_equal(simulate_powered_maxima(cfg), _jumped_oracle(cfg))
 
 
-@pytest.mark.parametrize("n, reps, cpus, ranges", [
+@pytest.mark.parametrize("n, reps, cpus, workers", [
     # below either threshold, or on one CPU, every rep runs in the calling thread
-    (2**10 - 1, 300, 7, [(0, 300)]),
-    (2**10, 10, 1, [(0, 10)]),
-    (2**10, 2, 7, [(0, 2)]),
-    (2**10, 10, 3, [(0, 10)]),
-    (2**12, 2, 7, [(0, 2)]),
-    (2**10, 2**7 - 1, 7, [(0, 127)]),
+    (2**10 - 1, 300, 7, 1),
+    (2**10, 10, 1, 1),
+    (2**10, 2, 7, 1),
+    (2**10, 10, 3, 1),
+    (2**12, 2, 7, 1),
+    (2**10, 2**7 - 1, 7, 1),
     # never more workers than reps
-    (2**16, 2, 7, [(0, 1), (1, 2)]),
-    (2**15, 10, 3, [(0, 3), (3, 6), (6, 10)]),
+    (2**16, 2, 7, 2),
+    (2**15, 10, 3, 3),
     # never fewer than 2**16 draws per worker
-    (2**10, 2**7, 7, [(0, 64), (64, 128)]),
-    (2**14, 12, 7, [(0, 4), (4, 8), (8, 12)]),
+    (2**10, 2**7, 7, 2),
+    (2**14, 12, 7, 3),
 ])
-def test_reps_split_into_one_range_per_worker(monkeypatch, n, reps, cpus, ranges):
-    calls = []
-    range_maxima = montecarlo._range_maxima
+def test_workers_share_the_reps(monkeypatch, n, reps, cpus, workers):
+    lock = threading.Lock()
+    runs, drawn = [], []
+    draw_chunks, counter = montecarlo._draw_chunks, montecarlo._counter
 
-    def spy(seed, lo, hi, *args):
-        calls.append(((lo, hi), threading.current_thread() is threading.main_thread()))
-        return range_maxima(seed, lo, hi, *args)
+    def spy_draw_chunks(*args):
+        with lock:
+            runs.append(threading.current_thread() is threading.main_thread())
+        return draw_chunks(*args)
+
+    def spy_counter(rep):
+        with lock:
+            drawn.append(rep)
+        return counter(rep)
 
     monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
-    monkeypatch.setattr(montecarlo, "_range_maxima", spy)
+    monkeypatch.setattr(montecarlo, "_draw_chunks", spy_draw_chunks)
+    monkeypatch.setattr(montecarlo, "_counter", spy_counter)
     simulate_powered_maxima(SimulationConfig(n=n, t=1.0, sigma=1.0, reps=reps, seed=5))
-    assert sorted(r for r, _ in calls) == ranges
-    assert all(main is (len(ranges) == 1) for _, main in calls)
+    assert runs == [workers == 1] * workers
+    assert sorted(drawn) == list(range(reps))  # every rep drawn exactly once
 
 
 def test_worker_error_reaches_caller(monkeypatch, capsys, force_workers):
@@ -225,6 +235,86 @@ def test_worker_error_reaches_caller(monkeypatch, capsys, force_workers):
     assert [th for th in threading.enumerate() if th not in before] == []
     assert hooked == []
     assert capsys.readouterr().err == ""
+
+
+def _rooted_chunks(monkeypatch, first):
+    """The last rep of each chunk rooted, in the order they finish.
+
+    The first rooting to start calls first() before it roots its chunk.
+    """
+    lock, last, started, finished = threading.Lock(), threading.local(), [], []
+    counter, row_maxima = montecarlo._counter, maxwell.row_maxima
+
+    def spy_counter(rep):
+        last.rep = rep
+        return counter(rep)
+
+    def spy_row_maxima(block, p):
+        with lock:
+            started.append(None)
+            is_first = len(started) == 1
+        if is_first:
+            first()
+        out = row_maxima(block, p)
+        with lock:
+            finished.append(last.rep)
+        return out
+
+    monkeypatch.setattr(montecarlo, "_counter", spy_counter)
+    monkeypatch.setattr(maxwell, "row_maxima", spy_row_maxima)
+    return finished
+
+
+def test_simulate_matches_jumped_oracle_when_chunks_finish_out_of_order(monkeypatch,
+                                                                        force_workers):
+    # 150 reps in chunks of 32 (two workers share 2**16 draws at n = 1000):
+    # the first chunk to be rooted is held back while the other worker roots the rest
+    force_workers(2)
+    finished = _rooted_chunks(monkeypatch, lambda: time.sleep(0.2))
+    cfg = SimulationConfig(n=1000, t=2.5, sigma=1.7, reps=150, seed=2**64 + 3)
+    got = simulate_powered_maxima(cfg)
+    assert sorted(finished) == [31, 63, 95, 127, 149] != finished
+    assert np.array_equal(got, _jumped_oracle(cfg))
+
+
+def test_worker_error_stops_the_queue(monkeypatch, force_workers):
+    # 5 chunks of 32 as above; after the first fails, the other worker ends the
+    # chunk in hand and takes no other
+    force_workers(2)
+
+    def fail():
+        raise RuntimeError("worker failed")
+
+    finished = _rooted_chunks(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        simulate_powered_maxima(SimulationConfig(n=1000, t=1.0, sigma=1.0, reps=150, seed=1))
+    assert len(finished) < 4
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+def test_caller_interrupt_stops_the_queue(monkeypatch, force_workers):
+    # a signal to the caller raises there, while it waits on a worker or starts
+    # one; 2000 reps make 63 chunks of 32
+    force_workers(2)
+    main = threading.main_thread().ident
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGUSR1, interrupt)
+    try:
+        finished = _rooted_chunks(monkeypatch,
+                                  lambda: signal.pthread_kill(main, signal.SIGUSR1))
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            simulate_powered_maxima(SimulationConfig(n=1000, t=1.0, sigma=1.0, reps=2000, seed=1))
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
+    # a thread interrupted while starting is not joined by the call; it ends on its own
+    for th in set(threading.enumerate()) - before:
+        th.join(10)
+        assert not th.is_alive()
+    assert len(finished) < 63
 
 
 @pytest.mark.parametrize("t, scheme", [

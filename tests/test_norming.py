@@ -336,6 +336,26 @@ def test_non_numeric_power_is_domain_error(t):
         assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("b_n, t, scheme", [
+    (0.0, 1.0, Scheme.GENERAL_POWER),  # was a bare ZeroDivisionError from 0.0 ** -1.0
+    (0.0, 2.0, Scheme.SQUARE_OPTIMAL),  # was a bare ZeroDivisionError from sigma^2 / b_n^2
+    (-1.5, 2.0, Scheme.SQUARE_OPTIMAL),  # returned c_n = 2.89, d_n = 3.14
+])
+def test_powered_constants_reject_a_base_outside_zero_to_inf(b_n, t, scheme):
+    fake = NormingBase(n=10, sigma=1.0, b_n=b_n, a_n=1.0)
+    with pytest.raises(DomainError, match=r"0 < b_n < inf"):
+        powered_constants(fake, t, scheme)
+
+
+@pytest.mark.parametrize("scheme, error", [(Scheme.SQUARE_OPTIMAL, DomainError),
+                                           (Scheme.SQUARE_ALTERNATIVE, DegenerateError)])
+def test_square_constants_at_an_underflowing_b_n_squared(scheme, error):
+    # b_n^2 = 0.0 in floats: the shift sigma^2 / b_n^2 is unbounded, not a division by zero
+    fake = NormingBase(n=10, sigma=1.0, b_n=1e-200, a_n=1.0)
+    with pytest.raises(error):
+        powered_constants(fake, 2.0, scheme)
+
+
 def test_alternative_degenerates_below_sigma():
     fake = NormingBase(n=10, sigma=2.0, b_n=1.0, a_n=4.0)
     with pytest.raises(DegenerateError):
