@@ -6,12 +6,17 @@ line endings, floats to 12 significant digits and ints exactly (`adjudicate`
 prints a plain-text report); no color or other decoration is ever emitted,
 so NO_COLOR is honored trivially.
 
-Exit codes: 0 success, 1 usage error, 2 domain/configuration error, 130
-interrupted (Ctrl-C prints one stderr line, no traceback). An x grid
-(`plot-data`, `adjudicate`) of more than 10**6 steps or with `--x-max` below
-`--x-min`, a `table` `--n-end` below `--n-start`, and an `--output` path
-that cannot be written, are usage errors; the path is opened before any
-work, and a failed or interrupted call leaves an existing file as it was.
+Each option is declared once, in `_OPTIONS` (its converter or choices and its
+help), and `_COMMANDS` gives each subcommand its handler, its help and its
+options with their defaults; `build_parser` is one loop over the two.
+
+Exit codes: 0 success, 1 usage error, 2 domain/configuration error or out
+of memory, 130 interrupted (out of memory and Ctrl-C each print one stderr
+line, no traceback). An x grid (`plot-data`, `adjudicate`) or a `table` n
+range of more than 10**6 steps or with its upper end below its lower one,
+and an `--output` path that cannot be written, are usage errors; the path is
+opened before any work, and a failed or interrupted call leaves an existing
+file as it was.
 
 At module level only `errors` and `norming` load, which every subcommand
 uses; each `_cmd_*` imports the rest of the package where it runs, so `bn`
@@ -107,16 +112,22 @@ class _UsageError(Exception):
     """A bad combination of option values, found after parsing (exit 1)."""
 
 
-_MAX_X_STEPS = 10**6
+_MAX_STEPS = 10**6  # the most steps of an x grid or of a table's n range
+
+
+def _check_range(var, lo, hi, steps, ends=("min", "max")):
+    """Usage errors for a grid of `steps` steps from lo to hi, set by --{var}-{end}."""
+    low, high = (f"--{var}-{end}" for end in ends)
+    if hi < lo:
+        raise _UsageError(f"{high} {hi!r} is below {low} {lo!r}")
+    if not steps <= _MAX_STEPS:  # also inf, when the bounds are far apart
+        raise _UsageError(
+            f"{low}, {high} and --{var}-step give more than {_MAX_STEPS} {var} steps")
 
 
 def _x_grid(x_min: float, x_max: float, x_step: float) -> list[float]:
-    if x_max < x_min:
-        raise _UsageError(f"--x-max {x_max!r} is below --x-min {x_min!r}")
     steps = (x_max - x_min) / x_step
-    if not steps <= _MAX_X_STEPS:  # also inf, when the bounds are far apart
-        raise _UsageError(
-            f"--x-min, --x-max and --x-step give more than {_MAX_X_STEPS} x steps")
+    _check_range("x", x_min, x_max, steps)
     return [x_min + k * x_step for k in range(int(round(steps)) + 1)]
 
 
@@ -139,8 +150,7 @@ def _cmd_table(args) -> list[str]:
     default = (25, 1000, 25) if args.kind == "cdf" else (375, 15000, 375)
     start, end, step = (d if v is None else v
                         for v, d in zip((args.n_start, args.n_end, args.n_step), default))
-    if end < start:
-        raise _UsageError(f"--n-end {end} is below --n-start {start}")
+    _check_range("n", start, end, (end - start) // step, ("start", "end"))
     convention = args.convention
     if convention == "auto":
         convention = "tabulated" if args.t == 2.0 else "asymptotic"
@@ -219,10 +229,58 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sp, sigma=2.0, t=2.0, x=0.7):
-    sp.add_argument("--sigma", type=float, default=sigma, help=f"scale parameter (default {sigma})")
-    sp.add_argument("--t", type=float, default=t, help=f"power index (default {t})")
-    sp.add_argument("--x", type=float, default=x, help=f"evaluation point (default {x})")
+_OPTIONS = {
+    "--kind": dict(choices=["cdf", "pdf"], help="distribution or density (default %(default)s)"),
+    "--n": dict(type=int, required=True, help="sample size"),
+    "--sigma": dict(type=float, help="scale parameter (default %(default)s)"),
+    "--t": dict(type=float, help="power index (default %(default)s)"),
+    "--x": dict(type=float, help="evaluation point (default %(default)s)"),
+    "--scheme": dict(choices=_SCHEMES + ["auto"], help="norming scheme (default %(default)s)"),
+    "--n-start": dict(type=_positive_int, help="first n (default set by --kind)"),
+    "--n-end": dict(type=_positive_int, help="last n (default set by --kind)"),
+    "--n-step": dict(type=_positive_int, help="n step (default set by --kind)"),
+    "--convention": dict(choices=["tabulated", "asymptotic", "auto"],
+                         help="tabulated matches the golden tables (t = 2 only); "
+                              "asymptotic uses the exact norming root (default %(default)s)"),
+    "--n-grid": dict(type=_n_grid, help="comma-separated sample sizes"),
+    "--x-min": dict(type=_finite_float, help="first x (default %(default)s)"),
+    "--x-max": dict(type=_finite_float, help="last x (default %(default)s)"),
+    "--x-step": dict(type=_positive_float, help="x step (default %(default)s)"),
+    "--reps": dict(type=int, help="repetitions (default %(default)s)"),
+    "--seed": dict(type=int, help="Philox key (default %(default)s)"),
+    "--output": dict(metavar="PATH", help="write to file instead of stdout"),
+}
+
+# subcommand: (handler, help, {option: default} in usage order); each also takes --output
+_COMMANDS = {
+    "bn": (_cmd_bn, "solve the norming equation for b_n",
+           {"--n": None, "--sigma": 2.0}),
+    "constants": (_cmd_constants, "powered norming constants (c_n, d_n)",
+                  {"--n": None, "--sigma": 2.0, "--t": 2.0, "--scheme": "auto"}),
+    "table": (_cmd_table, "absolute-error table (defaults regenerate the golden reference tables)",
+              {"--kind": "cdf", "--sigma": 2.0, "--t": 2.0, "--x": 0.7, "--n-start": None,
+               "--n-end": None, "--n-step": None, "--convention": "auto"}),
+    "rate": (_cmd_rate, "convergence-rate diagnostic of the first-order error",
+             {"--kind": "cdf", "--sigma": 2.0, "--t": 2.0, "--x": 0.7,
+              "--n-grid": [10**4, 10**6, 10**8, 10**10, 10**12]}),
+    "compare-schemes": (_cmd_compare_schemes,
+                        "order-2 errors: optimal vs alternative square norming",
+                        {"--sigma": 1.0, "--x": 0.7,
+                         "--n-grid": [10**3, 10**4, 10**5, 10**6, 10**8, 10**10]}),
+    "compare-hall": (_cmd_compare_hall,
+                     "non-powered maximum vs its leading error term and vs t = 2",
+                     {"--sigma": 1.0, "--x": 0.7,
+                      "--n-grid": [10**3, 10**4, 10**6, 10**8, 10**10]}),
+    "adjudicate": (_cmd_adjudicate, "report which first-density-coefficient variant is correct",
+                   {"--t": 1.0, "--sigma": 1.0, "--x-min": -1.0, "--x-max": 3.0,
+                    "--x-step": 0.25, "--n-grid": [10**6, 10**8, 10**10]}),
+    "simulate": (_cmd_simulate, "Monte-Carlo powered maxima + KS summary",
+                 {"--n": None, "--t": 2.0, "--sigma": 1.0, "--scheme": "auto",
+                  "--reps": 10_000, "--seed": 205}),
+    "plot-data": (_cmd_plot_data, "x-sweep of exact vs order-1/2/3 approximations (CSV)",
+                  {"--kind": "cdf", "--n": None, "--sigma": 2.0, "--t": 2.0, "--scheme": "auto",
+                   "--x-min": -3.0, "--x-max": 8.0, "--x-step": 0.05}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,87 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Powered maxima of Maxwell samples: exact laws, "
                                  "expansions, error tables, and diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("bn", parents=[], help="solve the norming equation for b_n")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--sigma", type=float, default=2.0)
-    sp.set_defaults(func=_cmd_bn)
-
-    sp = sub.add_parser("constants", help="powered norming constants (c_n, d_n)")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--sigma", type=float, default=2.0)
-    sp.add_argument("--t", type=float, default=2.0)
-    sp.add_argument("--scheme", choices=_SCHEMES + ["auto"], default="auto")
-    sp.set_defaults(func=_cmd_constants)
-
-    sp = sub.add_parser("table", help="absolute-error table (defaults regenerate "
-                                      "the golden reference tables)")
-    sp.add_argument("--kind", choices=["cdf", "pdf"], default="cdf")
-    _add_common(sp)
-    sp.add_argument("--n-start", type=_positive_int, default=None)
-    sp.add_argument("--n-end", type=_positive_int, default=None)
-    sp.add_argument("--n-step", type=_positive_int, default=None)
-    sp.add_argument("--convention", choices=["tabulated", "asymptotic", "auto"],
-                    default="auto",
-                    help="tabulated matches the golden tables (t = 2 only); "
-                         "asymptotic uses the exact norming root (default: auto)")
-    sp.set_defaults(func=_cmd_table)
-
-    sp = sub.add_parser("rate", help="convergence-rate diagnostic of the first-order error")
-    sp.add_argument("--kind", choices=["cdf", "pdf"], default="cdf")
-    _add_common(sp)
-    sp.add_argument("--n-grid", default=[10**4, 10**6, 10**8, 10**10, 10**12],
-                    type=_n_grid, help="comma-separated sample sizes")
-    sp.set_defaults(func=_cmd_rate)
-
-    sp = sub.add_parser("compare-schemes",
-                        help="order-2 errors: optimal vs alternative square norming")
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--x", type=float, default=0.7)
-    sp.add_argument("--n-grid", type=_n_grid,
-                    default=[10**3, 10**4, 10**5, 10**6, 10**8, 10**10])
-    sp.set_defaults(func=_cmd_compare_schemes)
-
-    sp = sub.add_parser("compare-hall",
-                        help="non-powered maximum vs its leading error term and vs t = 2")
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--x", type=float, default=0.7)
-    sp.add_argument("--n-grid", type=_n_grid, default=[10**3, 10**4, 10**6, 10**8, 10**10])
-    sp.set_defaults(func=_cmd_compare_hall)
-
-    sp = sub.add_parser("adjudicate",
-                        help="report which first-density-coefficient variant is correct")
-    sp.add_argument("--t", type=float, default=1.0)
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--x-min", type=_finite_float, default=-1.0)
-    sp.add_argument("--x-max", type=_finite_float, default=3.0)
-    sp.add_argument("--x-step", type=_positive_float, default=0.25)
-    sp.add_argument("--n-grid", type=_n_grid, default=[10**6, 10**8, 10**10])
-    sp.set_defaults(func=_cmd_adjudicate)
-
-    sp = sub.add_parser("simulate", help="Monte-Carlo powered maxima + KS summary")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--t", type=float, default=2.0)
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--scheme", choices=_SCHEMES + ["auto"], default="auto")
-    sp.add_argument("--reps", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=205)
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser("plot-data",
-                        help="x-sweep of exact vs order-1/2/3 approximations (CSV)")
-    sp.add_argument("--kind", choices=["cdf", "pdf"], default="cdf")
-    sp.add_argument("--n", type=int, required=True)
-    _add_common(sp)
-    sp.add_argument("--scheme", choices=_SCHEMES + ["auto"], default="auto")
-    sp.add_argument("--x-min", type=_finite_float, default=-3.0)
-    sp.add_argument("--x-max", type=_finite_float, default=8.0)
-    sp.add_argument("--x-step", type=_positive_float, default=0.05)
-    sp.set_defaults(func=_cmd_plot_data)
-
-    for name, subparser in sub.choices.items():
-        subparser.add_argument("--output", default=None, metavar="PATH",
-                               help="write to file instead of stdout")
+    for name, (func, summary, defaults) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        for option, default in [*defaults.items(), ("--output", None)]:
+            sp.add_argument(option, default=default, **_OPTIONS[option])
+        sp.set_defaults(func=func)
     return parser
 
 
@@ -336,6 +318,9 @@ def main(argv=None) -> int:
         code = 2
     except OSError as exc:  # an --output path that cannot be opened or written
         print(f"maxext {args.command}: error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print(f"maxext {args.command}: out of memory", file=sys.stderr)
+        code = 2
     except KeyboardInterrupt:
         print(f"maxext {args.command}: interrupted", file=sys.stderr)
         code = 130

@@ -1,4 +1,5 @@
 """CLI behaviour: CSV contracts, exit codes, and thin-orchestration checks."""
+import argparse
 import ast
 import csv
 import io
@@ -23,6 +24,12 @@ def run_cli(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def subcommands():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
 
 
 def test_table_defaults_reproduce_golden_first_row(capsys, data_dir):
@@ -75,6 +82,7 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "no-such-command")[0] == 1
     assert run_cli(capsys)[0] == 1
     assert run_cli(capsys, "bn")[0] == 1  # --n is required
+    assert run_cli(capsys, "plot-data", "--n", "500", "--x", "1")[0] == 1  # it has no --x
 
 
 def test_domain_errors_exit_2(capsys):
@@ -105,8 +113,35 @@ def test_simulate_overflowing_power_exits_2_without_traceback(capsys):
 
 
 def test_help_exits_0(capsys):
+    # a help string with a stray % fails only here, when argparse formats it
     assert run_cli(capsys, "--help")[0] == 0
-    assert run_cli(capsys, "table", "--help")[0] == 0
+    for name in subcommands():
+        code, out, _ = run_cli(capsys, name, "--help")
+        assert code == 0 and out.startswith(f"usage: maxext {name} "), name
+
+
+def _args_reads(tree):
+    """{function: the `args.<name>` attributes it reads} for every top-level `_cmd_*`."""
+    return {node.name: {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                        and isinstance(n.value, ast.Name) and n.value.id == "args"}
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")}
+
+
+def test_the_args_scan_finds_every_read():
+    tree = ast.parse("def _cmd_a(args):\n    return f(args.n, g(args.x_min)), args.n\n"
+                     "def _other(args):\n    return args.t\n")
+    assert _args_reads(tree) == {"_cmd_a": {"n", "x_min"}}
+
+
+def test_each_handler_reads_exactly_the_options_its_subcommand_declares():
+    # command, func and output are main's; an option no handler reads is a dead knob
+    reads = _args_reads(ast.parse(pathlib.Path(cli.__file__).read_text()))
+    for name, subparser in subcommands().items():
+        declared = {action.dest for action in subparser._actions
+                    if action.option_strings and action.dest not in ("help", "output")}
+        assert reads.pop(subparser.get_default("func").__name__) == declared, name
+    assert reads == {}  # every handler serves a subcommand
 
 
 def test_simulate_deterministic_output(capsys, tmp_path):
@@ -279,6 +314,20 @@ def test_interrupt_exits_130_with_one_line(capsys, monkeypatch, tmp_path):
     assert not absent.exists()
 
 
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, tmp_path):
+    def out_of_memory(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(montecarlo, "simulate_powered_maxima", out_of_memory)
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_bytes(b"old,bytes\r\n")
+    for output in ((), ("--output", str(kept)), ("--output", str(absent))):
+        code, out, err = run_cli(capsys, "simulate", "--n", "3", "--reps", str(10**12), *output)
+        assert (code, out, err) == (2, "", "maxext simulate: out of memory\n")
+    assert kept.read_bytes() == b"old,bytes\r\n"
+    assert not absent.exists()
+
+
 def test_output_replaces_a_longer_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "bn", "--n", "100")
     path = tmp_path / "bn.csv"
@@ -317,6 +366,31 @@ def test_oversized_x_grid_is_usage_error(capsys, argv):
     assert code == 1 and out == ""
     assert err == (f"maxext {argv[0]}: error: --x-min, --x-max and --x-step "
                    "give more than 1000000 x steps\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--t", "1", "--convention", "asymptotic", "--n-start", "3",
+     "--n-end", "1000000000000", "--n-step", "1"],
+    ["table", "--n-start", "1", "--n-end", "1000002", "--n-step", "1"],
+    ["table", "--kind", "pdf", "--n-end", str(10**400)],
+])
+def test_oversized_n_range_is_usage_error_before_any_work(capsys, monkeypatch, argv):
+    def unreached(*args, **kwargs):
+        raise AssertionError("error_table was reached")
+
+    monkeypatch.setattr(exact, "error_table", unreached)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == ("maxext table: error: --n-start, --n-end and --n-step "
+                   "give more than 1000000 n steps\n")
+
+
+def test_n_range_of_the_cap_runs(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(exact, "error_table", lambda kind, t, x, sigma, ns, convention:
+                        seen.append(ns) or [])
+    assert run_cli(capsys, "table", "--n-start", "1", "--n-end", "1000001", "--n-step", "1")[0] == 0
+    assert seen == [range(1, 1000002)]
 
 
 @pytest.mark.parametrize("argv, message", [
