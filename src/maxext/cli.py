@@ -10,6 +10,13 @@ Each option is declared once, in `_OPTIONS` (its converter or choices and its
 help), and `_COMMANDS` gives each subcommand its handler, its help and its
 options with their defaults; `build_parser` is one loop over the two.
 
+Only `bn`, `constants`, `rate` and `simulate` take `--sigma`: they print
+b_n, c_n, d_n, sigma^k-scaled errors or raw samples, which scale with sigma.
+The other five print only normalized quantities. The law of the normalized
+maximum (|M_n|^t - d_n)/c_n is free of sigma, a pure scale (b_n = sigma z_n;
+c_n and d_n scale as sigma^t), so there `--sigma` is a usage error, and a
+fixed sigma sets only the rounding.
+
 Exit codes: 0 success, 1 usage error, 2 domain/configuration error or out
 of memory, 130 interrupted (out of memory and Ctrl-C each print one stderr
 line, no traceback). An x grid (`plot-data`, `adjudicate`) or a `table` n
@@ -103,6 +110,13 @@ def _n_grid(text: str) -> list[numbers.Rational]:
             f"expected comma-separated finite numbers, got {text!r}") from None
 
 
+# The sigma of each subcommand without --sigma: the one its recorded output
+# was made at, which sets only the rounding (and the scale of adjudicate's
+# absolute deviations). The golden tables' 2.0 serves table and plot-data,
+# and 1.0 compare-schemes, compare-hall and adjudicate.
+_SIGMA_GOLDEN, _SIGMA_UNIT = 2.0, 1.0
+
+
 def _scheme_for(t: float, name: str) -> Scheme | str:
     # validate_scheme, behind every caller, resolves a named scheme
     return default_scheme(t) if name == "auto" else name
@@ -154,7 +168,7 @@ def _cmd_table(args) -> list[str]:
     convention = args.convention
     if convention == "auto":
         convention = "tabulated" if args.t == 2.0 else "asymptotic"
-    rows = exact.error_table(args.kind, args.t, args.x, args.sigma,
+    rows = exact.error_table(args.kind, args.t, args.x, _SIGMA_GOLDEN,
                              range(start, end + 1, step), convention=convention)
     return _csv("n,err1,err2,err3", rows)
 
@@ -171,7 +185,7 @@ def _cmd_rate(args) -> list[str]:
 def _cmd_compare_schemes(args) -> list[str]:
     from . import exact
 
-    cmp = exact.compare_schemes(args.x, args.sigma, args.n_grid)
+    cmp = exact.compare_schemes(args.x, _SIGMA_UNIT, args.n_grid)
     cross = "" if cmp.crossover_n is None else cmp.crossover_n
     # an order-2 error of exactly 0 (far above the mode) has no ratio
     return _csv("n,optimal_err2,alternative_err2,ratio,crossover_n",
@@ -182,7 +196,7 @@ def _cmd_compare_schemes(args) -> list[str]:
 def _cmd_compare_hall(args) -> list[str]:
     from . import exact
 
-    chk = exact.hall_rate_check(args.x, args.sigma, args.n_grid)
+    chk = exact.hall_rate_check(args.x, _SIGMA_UNIT, args.n_grid)
     return _csv("n,gap,leading,ratio,powered_err1",
                 zip(chk.ns, chk.gaps, chk.leading, chk.ratios, chk.powered_err1))
 
@@ -191,7 +205,7 @@ def _cmd_adjudicate(args) -> list[str]:
     from . import exact
 
     xs = _x_grid(args.x_min, args.x_max, args.x_step)
-    report = exact.adjudicate_density_coeffs(args.t, xs, args.sigma, args.n_grid)
+    report = exact.adjudicate_density_coeffs(args.t, xs, _SIGMA_UNIT, args.n_grid)
     return report.summary().splitlines()
 
 
@@ -212,9 +226,9 @@ def _cmd_plot_data(args) -> list[str]:
     from .maxwell import MaxwellParams
 
     xs = _x_grid(args.x_min, args.x_max, args.x_step)
-    base = solve_bn(args.n, args.sigma)
+    base = solve_bn(args.n, _SIGMA_GOLDEN)
     pn = powered_constants(base, args.t, _scheme_for(args.t, args.scheme))
-    p = MaxwellParams(args.sigma)
+    p = MaxwellParams(_SIGMA_GOLDEN)
     law = exact._kind_laws(args.kind)
     return _csv("x,exact,order1,order2,order3",
                 [(x, law.exact(args.n, args.t, x, pn, p, below_support="zero"),
@@ -258,27 +272,27 @@ _COMMANDS = {
     "constants": (_cmd_constants, "powered norming constants (c_n, d_n)",
                   {"--n": None, "--sigma": 2.0, "--t": 2.0, "--scheme": "auto"}),
     "table": (_cmd_table, "absolute-error table (defaults regenerate the golden reference tables)",
-              {"--kind": "cdf", "--sigma": 2.0, "--t": 2.0, "--x": 0.7, "--n-start": None,
+              {"--kind": "cdf", "--t": 2.0, "--x": 0.7, "--n-start": None,
                "--n-end": None, "--n-step": None, "--convention": "auto"}),
     "rate": (_cmd_rate, "convergence-rate diagnostic of the first-order error",
              {"--kind": "cdf", "--sigma": 2.0, "--t": 2.0, "--x": 0.7,
               "--n-grid": [10**4, 10**6, 10**8, 10**10, 10**12]}),
     "compare-schemes": (_cmd_compare_schemes,
                         "order-2 errors: optimal vs alternative square norming",
-                        {"--sigma": 1.0, "--x": 0.7,
+                        {"--x": 0.7,
                          "--n-grid": [10**3, 10**4, 10**5, 10**6, 10**8, 10**10]}),
     "compare-hall": (_cmd_compare_hall,
                      "non-powered maximum vs its leading error term and vs t = 2",
-                     {"--sigma": 1.0, "--x": 0.7,
+                     {"--x": 0.7,
                       "--n-grid": [10**3, 10**4, 10**6, 10**8, 10**10]}),
     "adjudicate": (_cmd_adjudicate, "report which first-density-coefficient variant is correct",
-                   {"--t": 1.0, "--sigma": 1.0, "--x-min": -1.0, "--x-max": 3.0,
+                   {"--t": 1.0, "--x-min": -1.0, "--x-max": 3.0,
                     "--x-step": 0.25, "--n-grid": [10**6, 10**8, 10**10]}),
     "simulate": (_cmd_simulate, "Monte-Carlo powered maxima + KS summary",
                  {"--n": None, "--t": 2.0, "--sigma": 1.0, "--scheme": "auto",
                   "--reps": 10_000, "--seed": 205}),
     "plot-data": (_cmd_plot_data, "x-sweep of exact vs order-1/2/3 approximations (CSV)",
-                  {"--kind": "cdf", "--n": None, "--sigma": 2.0, "--t": 2.0, "--scheme": "auto",
+                  {"--kind": "cdf", "--n": None, "--t": 2.0, "--scheme": "auto",
                    "--x-min": -3.0, "--x-max": 8.0, "--x-step": 0.05}),
 }
 

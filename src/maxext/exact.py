@@ -101,7 +101,12 @@ class ErrorRow(NamedTuple("ErrorRow", [("n", int), ("err1", float), ("err2", flo
 
 def _powered_argument(x: float, t: float, pn: PoweredNorming,
                       below_support: str) -> tuple[float, float]:
-    """(y, y^{1/t}) for y = c_n x + d_n; the root is inf where it overflows, 0 below support."""
+    """(y, y^{1/t}) for y = c_n x + d_n; the root is inf where it overflows, 0 below support.
+
+    ConfigurationError where t is not pn.t, the power the constants were built for.
+    """
+    if t != pn.t:
+        raise ConfigurationError(f"power index t = {t} differs from the constants' t = {pn.t}")
     x = _real(x, "x")
     y = pn.c_n * x + pn.d_n
     if not y > 0.0:
@@ -110,6 +115,9 @@ def _powered_argument(x: float, t: float, pn: PoweredNorming,
                               f"(c_n = {pn.c_n}, d_n = {pn.d_n}, x = {x})")
         if below_support == "zero":
             return y, 0.0
+        if below_support != "error":  # read only here, so checked only here
+            raise ConfigurationError(
+                f"below_support must be 'error' or 'zero', got {below_support!r}")
         raise DomainError(
             f"powered argument c_n*x + d_n = {y} <= 0 (x = {x} below the support edge)"
         )
@@ -143,7 +151,9 @@ def exact_powered_cdf(n: int, t: float, x: float, pn: PoweredNorming,
     Below the support edge (c_n x + d_n <= 0) the probability is raised as a
     domain error by default; pass below_support="zero" to map it to 0. Far
     above the mode, where (c_n x + d_n)^{1/t} overflows, it is 1. n must be an
-    integer >= 1 within float range and t a positive finite real (DomainError otherwise).
+    integer >= 1 within float range and t a positive finite real (DomainError
+    otherwise). A t other than pn.t, or a below_support other than "error" or
+    "zero" (read only below the support edge), is a ConfigurationError.
     """
     n, t = _law_n(n), _real(t, "power index t", positive=True)
     delta = _powered_argument(x, t, pn, below_support)[1]
@@ -154,7 +164,8 @@ def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
                       p: MaxwellParams, below_support: str = "error") -> float:
     """Density of (|M_n|^t - d_n)/c_n at x: (n c_n / t) y^{1/t-1} F^{n-1}(y^{1/t}) f(y^{1/t}).
 
-    below_support and n as for exact_powered_cdf; 0 wherever F^{n-1} or f is 0.
+    n, t and below_support as for exact_powered_cdf; 0 wherever F^{n-1} or f
+    is 0. DomainError where y^{1/t-1} overflows (y near 0 at a large t).
     """
     n, t = _law_n(n), _real(t, "power index t", positive=True)
     y, delta = _powered_argument(x, t, pn, below_support)
@@ -166,7 +177,11 @@ def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
         return 0.0
     # d delta/dx = c_n y^{1/t-1} / t is of order sigma, while n c_n (order
     # n sigma^t) can overflow; so the factor n comes after it
-    return n * (pn.c_n / t * y ** (1.0 / t - 1.0)) * f_pow * f_delta
+    try:
+        slope = pn.c_n / t * y ** (1.0 / t - 1.0)
+    except OverflowError:  # float ** float raises instead of returning inf
+        raise DomainError(f"y^(1/t - 1) overflows at y = c_n*x + d_n = {y!r}, t = {t}") from None
+    return n * slope * f_pow * f_delta
 
 
 class _KindLaws(NamedTuple):

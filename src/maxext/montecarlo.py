@@ -28,8 +28,11 @@ to the next, so the bits are those of one call of size n. From n =
 than reps, nor so many that one makes fewer than ``_THREAD_MIN_DRAWS`` draws)
 builds its own generator and block, then takes chunks from one shared, locked
 queue until none is left or a worker or the caller has raised; numpy releases
-the GIL while it draws. A chunk's maxima land at their reps' indices, so the
-bytes are the same for any number of threads and any order of finishing.
+the GIL while it draws. The call returns or raises only once no worker is
+inside a chunk, counting the workers itself: the pool joins only the threads
+it registered, and an interrupt inside `submit` can leave one unregistered.
+A chunk's maxima land at their reps' indices, so the bytes are the same for
+any number of threads and any order of finishing.
 Below either threshold, or on one CPU, one worker runs in the calling thread.
 
 numpy is imported inside the functions that use it, once per call, so
@@ -174,30 +177,43 @@ def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
     budget = _BLOCK_SIZE // workers
     rows = max(1, budget // n)  # n > budget: a chunk is one rep, drawn budget at a time
     maxima, starts = [0.0] * reps, iter(range(0, reps, rows))
-    lock, halt = threading.Lock(), threading.Event()
+    lock = threading.Condition()
+    halted, working = False, 0  # working: workers that may take a chunk
 
     def take() -> int | None:
         with lock:
-            return None if halt.is_set() else next(starts, None)
+            return None if halted else next(starts, None)
 
     def work() -> None:
+        nonlocal halted, working
+        with lock:
+            if halted:
+                return
+            working += 1
         try:
             _draw_chunks(cfg.seed, n, rows, min(n, budget), p, take, maxima)
         except BaseException:
-            halt.set()  # no chunk starts after a worker's error
+            with lock:
+                halted = True  # no chunk starts after a worker's error
             raise
+        finally:
+            with lock:
+                working -= 1
+                lock.notify_all()
 
     if workers == 1:
         work()
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:  # leaving it joins every thread
+        with ThreadPoolExecutor(workers) as pool:
             try:
                 for future in [pool.submit(work) for _ in range(workers)]:
                     future.result()  # raises a worker's error here
             finally:
-                halt.set()  # nor after an interrupt; each thread ends its chunk in hand
+                with lock:  # nor after an interrupt; each worker ends its chunk in hand
+                    halted = True
+                    lock.wait_for(lambda: not working)  # the pool may miss a thread
     try:
         return np.array([(m ** t - d) / c for m in maxima])
     except OverflowError:  # float ** float raises instead of returning inf

@@ -229,7 +229,8 @@ def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNor
     """Construct (c_n, d_n) for |M_n|^t from solved base constants.
 
     Raises DomainError unless 0 < b_n < inf, where c_n or d_n overflows, or
-    c_n underflows to zero (a large t, or an extreme b_n or sigma), and
+    c_n underflows below the smallest normal float, where it keeps too few
+    bits to scale x (a large t, or an extreme b_n or sigma), and
     DegenerateError where a shift leaves c_n <= 0 (b_n <= sigma, only in a
     hand-built NormingBase).
     """
@@ -249,9 +250,9 @@ def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNor
         if c <= 0.0:
             raise DegenerateError(
                 f"alternative square constants degenerate: c_n = {c} <= 0 at b_n = {b}")
-    if not (0.0 < c < math.inf and math.isfinite(d)):
+    if not (_FLOAT_MIN <= c < math.inf and math.isfinite(d)):
         raise DomainError(
             f"powered constants out of range at b_n = {b!r}, t = {t}: "
-            f"c_n = {c!r}, d_n = {d!r}; need 0 < c_n and both finite"
+            f"c_n = {c!r}, d_n = {d!r}; need {_FLOAT_MIN!r} <= c_n and both finite"
         )
     return PoweredNorming(t, scheme, c, d)

@@ -6,6 +6,7 @@ import io
 import math
 import pathlib
 import re
+import shlex
 import sys
 
 import pytest
@@ -85,6 +86,30 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "plot-data", "--n", "500", "--x", "1")[0] == 1  # it has no --x
 
 
+@pytest.mark.parametrize("argv, takes_sigma", [
+    # b_n, c_n and d_n, sigma^k-scaled errors and raw samples scale with sigma
+    (["bn", "--n", "25"], True),
+    (["constants", "--n", "25"], True),
+    (["rate"], True),
+    (["simulate", "--n", "25"], True),
+    # the law of the normalized maximum does not depend on sigma
+    (["table"], False),
+    (["compare-schemes"], False),
+    (["compare-hall"], False),
+    (["adjudicate"], False),
+    (["plot-data", "--n", "500"], False),
+])
+def test_only_scale_carrying_subcommands_take_sigma(capsys, argv, takes_sigma):
+    argv = [*argv, "--sigma", "3"]
+    if takes_sigma:
+        assert cli.build_parser().parse_args(argv).sigma == 3.0
+    else:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: maxext ")
+        assert err.endswith("maxext: error: unrecognized arguments: --sigma 3\n")
+
+
 def test_domain_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "bn", "--n", "2")
     assert code == 2 and "n" in err
@@ -161,8 +186,7 @@ def test_simulate_deterministic_output(capsys, tmp_path):
 
 
 def test_plot_data_shape_and_support_clamp(capsys):
-    code, out, _ = run_cli(capsys, "plot-data", "--kind", "cdf", "--n", "3",
-                           "--sigma", "1", "--t", "2")
+    code, out, _ = run_cli(capsys, "plot-data", "--kind", "cdf", "--n", "3", "--t", "2")
     assert code == 0
     rows = parse_csv(out)
     assert rows[0] == ["x", "exact", "order1", "order2", "order3"]
@@ -173,9 +197,8 @@ def test_plot_data_shape_and_support_clamp(capsys):
 
 
 def test_plot_data_is_thin_orchestration(capsys):
-    code, out, _ = run_cli(capsys, "plot-data", "--kind", "pdf", "--n", "200",
-                           "--sigma", "2", "--t", "2", "--x-min", "0.7",
-                           "--x-max", "0.7", "--x-step", "0.05")
+    code, out, _ = run_cli(capsys, "plot-data", "--kind", "pdf", "--n", "200", "--t", "2",
+                           "--x-min", "0.7", "--x-max", "0.7", "--x-step", "0.05")
     assert code == 0
     rows = parse_csv(out)
     assert len(rows) == 2
@@ -424,6 +447,7 @@ def test_extreme_sigma_exits_2(capsys, argv):
     ["constants", "--n", "1000000000000000000000000000000", "--sigma", "1", "--t", "300"],
     ["constants", "--n", "1000", "--sigma", "1e100", "--t", "3.5"],
     ["simulate", "--n", "100", "--reps", "3", "--sigma", "1e-150", "--t", "300"],
+    ["rate", "--kind", "pdf", "--t", "700", "--sigma", "0.2078", "--n-grid", "3,3000"],
 ])
 def test_out_of_range_powered_constants_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -486,6 +510,7 @@ _SWEEP_COMMANDS = [  # (argv, takes --t)
     (["plot-data", "--kind", "cdf", "--n", "500"], True),
     (["plot-data", "--kind", "pdf", "--n", "500"], True),
 ]
+_SIGMA_FREE = {"table", "compare-schemes", "compare-hall", "adjudicate", "plot-data"}
 
 
 def _sweep_argvs():
@@ -497,7 +522,14 @@ def _sweep_argvs():
 
 
 @pytest.mark.parametrize("argv", list(_sweep_argvs()), ids=" ".join)
-def test_extreme_sigma_sweep_prints_finite_values_or_exits_2(capsys, argv):
+def test_extreme_sigma_sweep_prints_finite_values_or_exits_2(capsys, monkeypatch, argv):
+    if argv[0] in _SIGMA_FREE:
+        # no --sigma here, but the library still takes sigma: the sweep sets
+        # the handler's fixed sigma instead
+        i = argv.index("--sigma")
+        sigma, argv = float(argv[i + 1]), argv[:i] + argv[i + 2:]
+        monkeypatch.setattr(cli, "_SIGMA_GOLDEN", sigma)
+        monkeypatch.setattr(cli, "_SIGMA_UNIT", sigma)
     code, out, err = run_cli(capsys, *argv)  # an escaping exception fails here
     assert code in (0, 2), err
     assert re.search(r"\b(?:inf|nan)\b", out, re.IGNORECASE) is None, out
@@ -552,6 +584,27 @@ def test_readme_call_prints_its_expected_bytes(capsys, name, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (BENCH / "expected" / f"{name}.out").read_bytes()
+
+
+def _readme_examples():
+    """The argv of every `maxext ...` line in README.md's sh blocks, comments dropped."""
+    text = (BENCH.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    return [shlex.split(line, comments=True)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("maxext ")]
+
+
+def test_readme_examples_parse(capsys):
+    # parsed, not run, so an option removed from the CLI cannot linger in the docs
+    examples = _readme_examples()
+    assert len(examples) >= len(README_CALLS)
+    bad = []
+    for argv in examples:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            bad.append(argv)
+    assert bad == [], capsys.readouterr().err
 
 
 def _row_formatters(tree):

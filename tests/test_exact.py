@@ -32,7 +32,7 @@ from maxext.expansions import (
     pdf_approx_tabulated,
 )
 from maxext.maxwell import MaxwellParams, cdf
-from maxext.norming import Scheme, hall_base, powered_constants, solve_bn
+from maxext.norming import PoweredNorming, Scheme, hall_base, powered_constants, solve_bn
 from maxext.special import gumbel_cdf, gumbel_pdf
 
 P2 = MaxwellParams(2.0)
@@ -134,6 +134,30 @@ def test_below_support_edge():
         exact_powered_cdf(3, 2.0, x_edge, pn, p1)
     assert exact_powered_cdf(3, 2.0, x_edge, pn, p1, below_support="zero") == 0.0
     assert exact_powered_pdf(3, 2.0, x_edge, pn, p1, below_support="zero") == 0.0
+
+
+@pytest.mark.parametrize("law", [exact_powered_cdf, exact_powered_pdf])
+@pytest.mark.parametrize("below_support", ["Zero", None, 0])
+def test_below_support_takes_error_or_zero_only(law, below_support):
+    pn = powered_constants(solve_bn(3, 1.0), 2.0, Scheme.SQUARE_OPTIMAL)
+    x_edge = -pn.d_n / pn.c_n - 0.5
+    with pytest.raises(ConfigurationError, match="below_support must be 'error' or 'zero'"):
+        law(3, 2.0, x_edge, pn, MaxwellParams(1.0), below_support=below_support)
+
+
+@pytest.mark.parametrize("law", [exact_powered_cdf, exact_powered_pdf])
+def test_exact_law_rejects_constants_built_for_another_t(law):
+    # constants built for t = 1, read at t = 3
+    pn = powered_constants(solve_bn(100, 1.0), 1.0, Scheme.GENERAL_POWER)
+    with pytest.raises(ConfigurationError, match="differs from the constants' t = 1.0"):
+        law(100, 3.0, 0.5, pn, MaxwellParams(1.0))
+
+
+def test_density_whose_slope_overflows_is_domain_error():
+    # y^(1/t - 1) overflows for y = 1e-310 at t = 700, where F^0 and f are nonzero
+    pn = PoweredNorming(700.0, Scheme.GENERAL_POWER, 1.0, 0.0)
+    with pytest.raises(DomainError, match="overflows at y"):
+        exact_powered_pdf(1, 700.0, 1e-310, pn, MaxwellParams(1.0))
 
 
 def test_pointwise_convergence_to_gumbel():

@@ -310,11 +310,45 @@ def test_caller_interrupt_stops_the_queue(monkeypatch, force_workers):
             simulate_powered_maxima(SimulationConfig(n=1000, t=1.0, sigma=1.0, reps=2000, seed=1))
     finally:
         signal.signal(signal.SIGUSR1, previous)
-    # a thread interrupted while starting is not joined by the call; it ends on its own
-    for th in set(threading.enumerate()) - before:
+    for th in set(threading.enumerate()) - before:  # idle, if any: none is drawing
         th.join(10)
         assert not th.is_alive()
     assert len(finished) < 63
+
+
+def test_interrupt_inside_submit_waits_for_the_unregistered_worker(monkeypatch, force_workers):
+    # Thread.start raises once its worker has taken a chunk, so the pool never
+    # registers (nor joins) that thread; the call must still wait for the chunk
+    force_workers(2)
+    lock, taken, inside = threading.Lock(), threading.Event(), []
+    start, row_maxima = threading.Thread.start, maxwell.row_maxima
+
+    def interrupted_start(self):
+        start(self)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        taken.wait(10)
+        raise KeyboardInterrupt
+
+    def slow_row_maxima(block, p):
+        with lock:
+            inside.append(None)
+        taken.set()
+        time.sleep(0.1)  # the caller, unless it waits, raises well within this
+        out = row_maxima(block, p)
+        with lock:
+            inside.pop()
+        return out
+
+    monkeypatch.setattr(threading.Thread, "start", interrupted_start)
+    monkeypatch.setattr(maxwell, "row_maxima", slow_row_maxima)
+    before = set(threading.enumerate())
+    with pytest.raises(KeyboardInterrupt):
+        simulate_powered_maxima(SimulationConfig(n=1000, t=1.0, sigma=1.0, reps=150, seed=1))
+    with lock:
+        assert inside == []  # no worker is drawing once the call has raised
+    for th in set(threading.enumerate()) - before:
+        th.join(10)
+        assert not th.is_alive()
 
 
 @pytest.mark.parametrize("t, scheme", [

@@ -367,6 +367,7 @@ def test_alternative_degenerates_below_sigma():
     (10**300, 1.0, 196.25, Scheme.GENERAL_POWER),  # only d_n = b ** t overflows
     (1000, 1e100, 3.5, Scheme.GENERAL_POWER),  # b ** t overflows at large sigma
     (100, 1e-150, 300.0, Scheme.GENERAL_POWER),  # c_n underflows to zero
+    (3, 0.2078, 700.0, Scheme.GENERAL_POWER),  # c_n = 1.344e-321 is subnormal
 ])
 def test_powered_constants_out_of_range_is_domain_error(n, sigma, t, scheme):
     base = solve_bn(n, sigma)
