@@ -17,13 +17,17 @@ maximum (|M_n|^t - d_n)/c_n is free of sigma, a pure scale (b_n = sigma z_n;
 c_n and d_n scale as sigma^t), so there `--sigma` is a usage error, and a
 fixed sigma sets only the rounding.
 
+Every grid is one comma-separated list: `--n-grid` of sample sizes, read
+exactly, and `--x-grid` (`plot-data`, `adjudicate`) of evaluation points.
+An argument that starts with - and then a digit or a point is a value, so
+`--x-grid -1,0,1` and `--x -1e-3` parse, and an option is matched by its
+full name only.
+
 Exit codes: 0 success, 1 usage error, 2 domain/configuration error or out
 of memory, 130 interrupted (out of memory and Ctrl-C each print one stderr
-line, no traceback). An x grid (`plot-data`, `adjudicate`) or a `table` n
-range of more than 10**6 steps or with its upper end below its lower one,
-and an `--output` path that cannot be written, are usage errors; the path is
-opened before any work, and a failed or interrupted call leaves an existing
-file as it was.
+line, no traceback). A grid with no values, and an `--output` path that
+cannot be written, are usage errors; the path is opened before any work,
+and a failed or interrupted call leaves an existing file as it was.
 
 At module level only `errors` and `norming` load, which every subcommand
 uses; each `_cmd_*` imports the rest of the package where it runs, so `bn`
@@ -36,6 +40,7 @@ import argparse
 import math
 import numbers
 import os
+import re
 import sys
 
 from .errors import MaxextError
@@ -77,37 +82,32 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
+def _grid(text: str, read) -> list:
+    """The comma-separated values of text, each read by `read`; empty parts are skipped."""
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+        values = [read(part) for part in text.split(",") if part.strip()]
+    except (argparse.ArgumentTypeError, ValueError):
+        values = []
+    if not values:  # also a grid of no values, such as "" or ","
+        raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
+    return values
 
 
 def _n_grid(text: str) -> list[numbers.Rational]:
     # read exactly, so 1e300 is 10**300; a non-integral n is a domain error.
-    # Only a typed grid loads fractions: the defaults are int lists, which
-    # argparse passes through without calling this.
+    # Only a typed grid loads fractions: the defaults are ints, which argparse
+    # passes through without calling this.
     from fractions import Fraction
 
-    parts = [part for part in text.split(",") if part.strip()]
-    try:
-        for part in parts:
-            _finite_float(part)  # a usage error for 1e400, which Fraction reads
-        return [Fraction(part) for part in parts]
-    except (argparse.ArgumentTypeError, ValueError):
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated finite numbers, got {text!r}") from None
+    def exact(part):
+        _finite_float(part)  # a usage error for 1e400, which Fraction reads
+        return Fraction(part)
+
+    return _grid(text, exact)
+
+
+def _x_grid(text: str) -> list[float]:
+    return _grid(text, _finite_float)
 
 
 # The sigma of each subcommand without --sigma: the one its recorded output
@@ -122,27 +122,8 @@ def _scheme_for(t: float, name: str) -> Scheme | str:
     return default_scheme(t) if name == "auto" else name
 
 
-class _UsageError(Exception):
-    """A bad combination of option values, found after parsing (exit 1)."""
-
-
-_MAX_STEPS = 10**6  # the most steps of an x grid or of a table's n range
-
-
-def _check_range(var, lo, hi, steps, ends=("min", "max")):
-    """Usage errors for a grid of `steps` steps from lo to hi, set by --{var}-{end}."""
-    low, high = (f"--{var}-{end}" for end in ends)
-    if hi < lo:
-        raise _UsageError(f"{high} {hi!r} is below {low} {lo!r}")
-    if not steps <= _MAX_STEPS:  # also inf, when the bounds are far apart
-        raise _UsageError(
-            f"{low}, {high} and --{var}-step give more than {_MAX_STEPS} {var} steps")
-
-
-def _x_grid(x_min: float, x_max: float, x_step: float) -> list[float]:
-    steps = (x_max - x_min) / x_step
-    _check_range("x", x_min, x_max, steps)
-    return [x_min + k * x_step for k in range(int(round(steps)) + 1)]
+# table's n grid when --n-grid is not given: the golden tables' rows
+_TABLE_N_GRIDS = {"cdf": range(25, 1001, 25), "pdf": range(375, 15001, 375)}
 
 
 def _cmd_bn(args) -> list[str]:
@@ -161,15 +142,12 @@ def _cmd_constants(args) -> list[str]:
 def _cmd_table(args) -> list[str]:
     from . import exact
 
-    default = (25, 1000, 25) if args.kind == "cdf" else (375, 15000, 375)
-    start, end, step = (d if v is None else v
-                        for v, d in zip((args.n_start, args.n_end, args.n_step), default))
-    _check_range("n", start, end, (end - start) // step, ("start", "end"))
+    ns = args.n_grid or _TABLE_N_GRIDS[args.kind]  # a typed grid is never empty
     convention = args.convention
     if convention == "auto":
         convention = "tabulated" if args.t == 2.0 else "asymptotic"
-    rows = exact.error_table(args.kind, args.t, args.x, _SIGMA_GOLDEN,
-                             range(start, end + 1, step), convention=convention)
+    rows = exact.error_table(args.kind, args.t, args.x, _SIGMA_GOLDEN, ns,
+                             convention=convention)
     return _csv("n,err1,err2,err3", rows)
 
 
@@ -204,8 +182,7 @@ def _cmd_compare_hall(args) -> list[str]:
 def _cmd_adjudicate(args) -> list[str]:
     from . import exact
 
-    xs = _x_grid(args.x_min, args.x_max, args.x_step)
-    report = exact.adjudicate_density_coeffs(args.t, xs, _SIGMA_UNIT, args.n_grid)
+    report = exact.adjudicate_density_coeffs(args.t, args.x_grid, _SIGMA_UNIT, args.n_grid)
     return report.summary().splitlines()
 
 
@@ -225,7 +202,6 @@ def _cmd_plot_data(args) -> list[str]:
     from . import exact
     from .maxwell import MaxwellParams
 
-    xs = _x_grid(args.x_min, args.x_max, args.x_step)
     base = solve_bn(args.n, _SIGMA_GOLDEN)
     pn = powered_constants(base, args.t, _scheme_for(args.t, args.scheme))
     p = MaxwellParams(_SIGMA_GOLDEN)
@@ -233,10 +209,18 @@ def _cmd_plot_data(args) -> list[str]:
     return _csv("x,exact,order1,order2,order3",
                 [(x, law.exact(args.n, args.t, x, pn, p, below_support="zero"),
                   *[law.approx(k, args.t, x, base, pn.scheme) for k in (1, 2, 3)])
-                 for x in xs])
+                 for x in args.x_grid])
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # an option is matched by its full name only, so plot-data reads no
+        # --x as an abbreviation of --x-grid
+        super().__init__(allow_abbrev=False, **kwargs)
+        # no option starts with a digit, so any argument that starts with -
+        # and then a digit or a point is a value: -1e-3, -.5 and -1,0,1 too
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # usage errors must exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -250,16 +234,11 @@ _OPTIONS = {
     "--t": dict(type=float, help="power index (default %(default)s)"),
     "--x": dict(type=float, help="evaluation point (default %(default)s)"),
     "--scheme": dict(choices=_SCHEMES + ["auto"], help="norming scheme (default %(default)s)"),
-    "--n-start": dict(type=_positive_int, help="first n (default set by --kind)"),
-    "--n-end": dict(type=_positive_int, help="last n (default set by --kind)"),
-    "--n-step": dict(type=_positive_int, help="n step (default set by --kind)"),
     "--convention": dict(choices=["tabulated", "asymptotic", "auto"],
                          help="tabulated matches the golden tables (t = 2 only); "
                               "asymptotic uses the exact norming root (default %(default)s)"),
     "--n-grid": dict(type=_n_grid, help="comma-separated sample sizes"),
-    "--x-min": dict(type=_finite_float, help="first x (default %(default)s)"),
-    "--x-max": dict(type=_finite_float, help="last x (default %(default)s)"),
-    "--x-step": dict(type=_positive_float, help="x step (default %(default)s)"),
+    "--x-grid": dict(type=_x_grid, help="comma-separated evaluation points"),
     "--reps": dict(type=int, help="repetitions (default %(default)s)"),
     "--seed": dict(type=int, help="Philox key (default %(default)s)"),
     "--output": dict(metavar="PATH", help="write to file instead of stdout"),
@@ -272,8 +251,8 @@ _COMMANDS = {
     "constants": (_cmd_constants, "powered norming constants (c_n, d_n)",
                   {"--n": None, "--sigma": 2.0, "--t": 2.0, "--scheme": "auto"}),
     "table": (_cmd_table, "absolute-error table (defaults regenerate the golden reference tables)",
-              {"--kind": "cdf", "--t": 2.0, "--x": 0.7, "--n-start": None,
-               "--n-end": None, "--n-step": None, "--convention": "auto"}),
+              {"--kind": "cdf", "--t": 2.0, "--x": 0.7, "--n-grid": None,
+               "--convention": "auto"}),
     "rate": (_cmd_rate, "convergence-rate diagnostic of the first-order error",
              {"--kind": "cdf", "--sigma": 2.0, "--t": 2.0, "--x": 0.7,
               "--n-grid": [10**4, 10**6, 10**8, 10**10, 10**12]}),
@@ -286,14 +265,14 @@ _COMMANDS = {
                      {"--x": 0.7,
                       "--n-grid": [10**3, 10**4, 10**6, 10**8, 10**10]}),
     "adjudicate": (_cmd_adjudicate, "report which first-density-coefficient variant is correct",
-                   {"--t": 1.0, "--x-min": -1.0, "--x-max": 3.0,
-                    "--x-step": 0.25, "--n-grid": [10**6, 10**8, 10**10]}),
+                   {"--t": 1.0, "--x-grid": [-1.0 + k * 0.25 for k in range(17)],
+                    "--n-grid": [10**6, 10**8, 10**10]}),
     "simulate": (_cmd_simulate, "Monte-Carlo powered maxima + KS summary",
                  {"--n": None, "--t": 2.0, "--sigma": 1.0, "--scheme": "auto",
                   "--reps": 10_000, "--seed": 205}),
     "plot-data": (_cmd_plot_data, "x-sweep of exact vs order-1/2/3 approximations (CSV)",
                   {"--kind": "cdf", "--n": None, "--t": 2.0, "--scheme": "auto",
-                   "--x-min": -3.0, "--x-max": 8.0, "--x-step": 0.05}),
+                   "--x-grid": [-3.0 + k * 0.05 for k in range(221)]}),
 }
 
 
@@ -325,8 +304,6 @@ def main(argv=None) -> int:
             out = open(args.output, "a", newline="")
         _emit(args.func(args), out)
         code = 0
-    except _UsageError as exc:
-        print(f"maxext {args.command}: error: {exc}", file=sys.stderr)
     except MaxextError as exc:
         print(f"maxext {args.command}: {exc}", file=sys.stderr)
         code = 2

@@ -45,7 +45,7 @@ from .expansions import (
     pdf_approx,
     pdf_approx_tabulated,
 )
-from .maxwell import MaxwellParams, _survival, _survival_pdf
+from .maxwell import MaxwellParams, _survival, _survival_pdf, _z_density
 from .norming import (
     _ALTERNATIVE,
     _MIN_N,
@@ -164,16 +164,19 @@ def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
                       p: MaxwellParams, below_support: str = "error") -> float:
     """Density of (|M_n|^t - d_n)/c_n at x: (n c_n / t) y^{1/t-1} F^{n-1}(y^{1/t}) f(y^{1/t}).
 
-    n, t and below_support as for exact_powered_cdf; 0 wherever F^{n-1} or f
-    is 0. DomainError where y^{1/t-1} overflows (y near 0 at a large t).
+    n, t and below_support as for exact_powered_cdf; 0 wherever F^{n-1} or
+    e^{-z^2/2} (z = y^{1/t}/sigma) is 0. Where f underflows or n c_n overflows
+    at a sigma far from 1, the product is formed in sigma units instead.
+    DomainError where y^{1/t-1} overflows (y near 0 at a large t).
     """
     n, t = _law_n(n), _real(t, "power index t", positive=True)
     y, delta = _powered_argument(x, t, pn, below_support)
-    sf, f_delta = _survival_pdf(delta, p.sigma)
+    s = p.sigma
+    sf, f_delta = _survival_pdf(delta, s)
     f_pow = _cdf_power(sf, n - 1)
     if f_pow == 0.0:  # also skips y^{1/t-1}, which can overflow where sf rounds to 1
         return 0.0
-    if f_delta == 0.0:  # also skips n * (...) * 0, which is nan where n * (...) overflows
+    if f_delta == 0.0 and not _z_density(delta / s):  # e^{-z^2/2} is 0, z = delta / sigma
         return 0.0
     # d delta/dx = c_n y^{1/t-1} / t is of order sigma, while n c_n (order
     # n sigma^t) can overflow; so the factor n comes after it
@@ -181,7 +184,14 @@ def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
         slope = pn.c_n / t * y ** (1.0 / t - 1.0)
     except OverflowError:  # float ** float raises instead of returning inf
         raise DomainError(f"y^(1/t - 1) overflows at y = c_n*x + d_n = {y!r}, t = {t}") from None
-    return n * slope * f_pow * f_delta
+    density = n * slope * f_pow * f_delta
+    if 0.0 < density <= _FLOAT_MAX:
+        return density
+    # at a sigma far from 1, f(delta) (of order 1/sigma) underflows or n * slope
+    # (of order n sigma) overflows: the same product in sigma units, where
+    # sigma f(delta) = z _z_density(z) and slope / sigma = dz/dx
+    z = delta / s
+    return n * (slope / s) * f_pow * (z * _z_density(z))
 
 
 class _KindLaws(NamedTuple):

@@ -84,6 +84,9 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys)[0] == 1
     assert run_cli(capsys, "bn")[0] == 1  # --n is required
     assert run_cli(capsys, "plot-data", "--n", "500", "--x", "1")[0] == 1  # it has no --x
+    # an option is matched by its full name only: --x is no abbreviation of --x-grid
+    assert run_cli(capsys, "adjudicate", "--x", "1")[0] == 1
+    assert run_cli(capsys, "rate", "--n-g", "1e4,1e6")[0] == 1
 
 
 @pytest.mark.parametrize("argv, takes_sigma", [
@@ -114,7 +117,7 @@ def test_domain_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "bn", "--n", "2")
     assert code == 2 and "n" in err
     code, out, err = run_cli(capsys, "table", "--t", "1", "--convention", "tabulated",
-                             "--n-start", "25", "--n-end", "50", "--n-step", "25")
+                             "--n-grid", "25,50")
     assert code == 2
     # the message names the convention as a CLI user and a library caller both spell it
     code, out, err = run_cli(capsys, "table", "--t", "1", "--convention", "tabulated")
@@ -154,9 +157,9 @@ def _args_reads(tree):
 
 
 def test_the_args_scan_finds_every_read():
-    tree = ast.parse("def _cmd_a(args):\n    return f(args.n, g(args.x_min)), args.n\n"
+    tree = ast.parse("def _cmd_a(args):\n    return f(args.n, g(args.x_grid)), args.n\n"
                      "def _other(args):\n    return args.t\n")
-    assert _args_reads(tree) == {"_cmd_a": {"n", "x_min"}}
+    assert _args_reads(tree) == {"_cmd_a": {"n", "x_grid"}}
 
 
 def test_each_handler_reads_exactly_the_options_its_subcommand_declares():
@@ -198,7 +201,7 @@ def test_plot_data_shape_and_support_clamp(capsys):
 
 def test_plot_data_is_thin_orchestration(capsys):
     code, out, _ = run_cli(capsys, "plot-data", "--kind", "pdf", "--n", "200", "--t", "2",
-                           "--x-min", "0.7", "--x-max", "0.7", "--x-step", "0.05")
+                           "--x-grid", "0.7")
     assert code == 0
     rows = parse_csv(out)
     assert len(rows) == 2
@@ -259,7 +262,7 @@ def test_compare_hall_csv(capsys):
 
 def test_adjudicate_report(capsys):
     code, out, _ = run_cli(capsys, "adjudicate", "--n-grid", "1e5,1e7,1e9",
-                           "--x-step", "0.5")
+                           "--x-grid", "-1,-0.5,0,0.5,1,1.5,2,2.5,3")
     assert code == 0
     assert "winner: consistent" in out
 
@@ -273,15 +276,16 @@ def test_output_file_matches_stdout(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv, option", [
-    (["plot-data", "--n", "500", "--x-step", "0"], "--x-step"),
-    (["plot-data", "--n", "500", "--x-step", "-0.1"], "--x-step"),
-    (["adjudicate", "--x-step", "0"], "--x-step"),
-    (["plot-data", "--n", "500", "--x-max", "inf"], "--x-max"),
+    (["plot-data", "--n", "500", "--x-grid", "0,inf"], "--x-grid"),
+    (["adjudicate", "--x-grid", "0,abc"], "--x-grid"),
     (["rate", "--n-grid", "abc"], "--n-grid"),
     (["rate", "--n-grid", "1e4,1e400"], "--n-grid"),
-    (["table", "--n-step", "0"], "--n-step"),
-    (["table", "--n-start", "-25"], "--n-start"),
-    (["table", "--n-end", "1e4"], "--n-end"),
+    (["table", "--n-grid", str(10**400)], "--n-grid"),
+    # a grid with no values
+    (["table", "--n-grid", ""], "--n-grid"),
+    (["rate", "--n-grid", ","], "--n-grid"),
+    (["plot-data", "--n", "500", "--x-grid", ""], "--x-grid"),
+    (["adjudicate", "--x-grid", ","], "--x-grid"),
 ])
 def test_bad_option_values_are_usage_errors(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)
@@ -363,8 +367,7 @@ def test_output_replaces_a_longer_file(capsys, tmp_path):
 @pytest.mark.parametrize("scheme", ["auto", "square-alternative"])
 def test_plot_data_far_below_mode(capsys, kind, scheme):
     code, out, err = run_cli(capsys, "plot-data", "--kind", kind, "--scheme", scheme,
-                             "--n", "500", "--x-min", "-900", "--x-max", "-890",
-                             "--x-step", "5")
+                             "--n", "500", "--x-grid", "-900,-895,-890")
     assert code == 0 and err == ""
     rows = parse_csv(out)
     assert [row[0] for row in rows[1:]] == ["-900", "-895", "-890"]
@@ -378,55 +381,48 @@ def test_compare_hall_underflowing_leading_term_is_domain_error(capsys):
         assert err.startswith("maxext compare-hall: leading error term underflows")
 
 
-@pytest.mark.parametrize("argv", [
-    ["plot-data", "--n", "500", "--x-min=-1e300", "--x-max", "1e300", "--x-step", "1e-300"],
-    ["plot-data", "--n", "500", "--x-min=-1e12", "--x-max", "1e12", "--x-step", "1e-3"],
-    ["adjudicate", "--x-min=-1e300", "--x-max", "1e300", "--x-step", "1e-300"],
-    ["adjudicate", "--x-min", "0", "--x-max", "1", "--x-step", "9.9e-7"],
+@pytest.mark.parametrize("argv, dest, value", [
+    (["table", "--x", "-1e-3"], "x", -1e-3),
+    (["table", "--x", "-.5"], "x", -0.5),
+    (["rate", "--x", "-2.5e0"], "x", -2.5),
+    (["plot-data", "--n", "500", "--x-grid", "-1,0,1"], "x_grid", [-1.0, 0.0, 1.0]),
+    (["adjudicate", "--x-grid", "-.5,1"], "x_grid", [-0.5, 1.0]),
+    (["table", "--n-grid", "25,50"], "n_grid", [25, 50]),
 ])
-def test_oversized_x_grid_is_usage_error(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err == (f"maxext {argv[0]}: error: --x-min, --x-max and --x-step "
-                   "give more than 1000000 x steps\n")
+def test_negative_values_parse(argv, dest, value):
+    # argparse alone reads -1e-3 and -1,0,1 as options ("expected one argument")
+    assert getattr(cli.build_parser().parse_args(argv), dest) == value
 
 
-@pytest.mark.parametrize("argv", [
-    ["table", "--t", "1", "--convention", "asymptotic", "--n-start", "3",
-     "--n-end", "1000000000000", "--n-step", "1"],
-    ["table", "--n-start", "1", "--n-end", "1000002", "--n-step", "1"],
-    ["table", "--kind", "pdf", "--n-end", str(10**400)],
-])
-def test_oversized_n_range_is_usage_error_before_any_work(capsys, monkeypatch, argv):
-    def unreached(*args, **kwargs):
-        raise AssertionError("error_table was reached")
-
-    monkeypatch.setattr(exact, "error_table", unreached)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err == ("maxext table: error: --n-start, --n-end and --n-step "
-                   "give more than 1000000 n steps\n")
-
-
-def test_n_range_of_the_cap_runs(capsys, monkeypatch):
+def test_default_grids_are_the_former_ranges(capsys, monkeypatch):
+    # table's n grids: --n-start to --n-end by --n-step, by kind
     seen = []
     monkeypatch.setattr(exact, "error_table", lambda kind, t, x, sigma, ns, convention:
-                        seen.append(ns) or [])
-    assert run_cli(capsys, "table", "--n-start", "1", "--n-end", "1000001", "--n-step", "1")[0] == 0
-    assert seen == [range(1, 1000002)]
+                        seen.append(list(ns)) or [])
+    for kind in ("cdf", "pdf"):
+        assert run_cli(capsys, "table", "--kind", kind)[0] == 0
+    assert seen == [list(range(25, 1000 + 1, 25)), list(range(375, 15000 + 1, 375))]
+
+    # the x grids: --x-min + k --x-step, for k up to round((max - min) / step)
+    def x_range(x_min, x_max, x_step):
+        return [x_min + k * x_step for k in range(int(round((x_max - x_min) / x_step)) + 1)]
+
+    parsers = subcommands()
+    assert parsers["adjudicate"].get_default("x_grid") == x_range(-1.0, 3.0, 0.25)
+    assert parsers["plot-data"].get_default("x_grid") == x_range(-3.0, 8.0, 0.05)
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["plot-data", "--n", "500", "--x-min", "3", "--x-max", "0"],
-     "--x-max 0.0 is below --x-min 3.0"),
-    (["adjudicate", "--x-min", "3", "--x-max", "0"], "--x-max 0.0 is below --x-min 3.0"),
-    (["table", "--n-start", "1000", "--n-end", "25"], "--n-end 25 is below --n-start 1000"),
-    (["table", "--n-end", "10"], "--n-end 10 is below --n-start 25"),  # the default start
-])
-def test_reversed_range_is_usage_error(capsys, argv, message):
+@pytest.mark.parametrize("argv", [
+    [name, *extra, option, "1"]
+    for name, extra, options in [("table", [], ("--n-start", "--n-end", "--n-step")),
+                                 ("adjudicate", [], ("--x-min", "--x-max", "--x-step")),
+                                 ("plot-data", ["--n", "500"], ("--x-min", "--x-max", "--x-step"))]
+    for option in options
+], ids=" ".join)
+def test_range_options_are_gone(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert err == f"maxext {argv[0]}: error: {message}\n"
+    assert err.endswith(f"maxext: error: unrecognized arguments: {argv[-2]} 1\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -459,8 +455,7 @@ def test_out_of_range_powered_constants_exit_2(capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     (["rate", "--t", "2", "--x", "50"], "first-order error is 0 at n = 10000"),
     (["adjudicate", "--n-grid", "1e6,1e6,1e6"], "need 2 or more distinct sample sizes"),
-    (["adjudicate", "--x-min", "750", "--x-max", "751", "--x-step", "0.5"],
-     "Lambda'(x) underflows to 0 at x = 750.0"),
+    (["adjudicate", "--x-grid", "750,750.5,751"], "Lambda'(x) underflows to 0 at x = 750.0"),
 ])
 def test_undefined_fit_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -468,19 +463,12 @@ def test_undefined_fit_exits_2(capsys, argv, message):
     assert err.startswith(f"maxext {argv[0]}: {message}") and len(err.splitlines()) == 1
 
 
-_HUGE_N = str(10**400)
-
-
-@pytest.mark.parametrize("argv", [
-    ["table", "--t", "1", "--convention", "asymptotic",
-     "--n-start", _HUGE_N, "--n-end", _HUGE_N, "--n-step", "1"],
-    ["plot-data", "--n", _HUGE_N],
-])
-def test_sample_size_beyond_float_range_exits_2(capsys, argv):
-    # F^n = exp(n log F) cannot be formed for an n beyond float range
-    code, out, err = run_cli(capsys, *argv)
+def test_sample_size_beyond_float_range_exits_2(capsys):
+    # F^n = exp(n log F) cannot be formed for an n beyond float range (an
+    # --n-grid part beyond float range is a usage error instead)
+    code, out, err = run_cli(capsys, "plot-data", "--n", str(10**400))
     assert code == 2 and out == ""
-    assert err.startswith(f"maxext {argv[0]}: sample size n is beyond float range")
+    assert err.startswith("maxext plot-data: sample size n is beyond float range")
     assert len(err.splitlines()) == 1
 
 
@@ -545,10 +533,9 @@ def _far_x_argvs():
             for kind in ("cdf", "pdf"):
                 yield ["table", "--kind", kind, "--t", t, "--x", x]
                 yield ["rate", "--kind", kind, "--t", t, "--x", x]
-                yield ["plot-data", "--kind", kind, "--n", "500", "--t", t,
-                       "--x-min", x, "--x-max", x]
+                yield ["plot-data", "--kind", kind, "--n", "500", "--t", t, "--x-grid", x]
             if t != "2":
-                yield ["adjudicate", "--t", t, "--x-min", x, "--x-max", x]
+                yield ["adjudicate", "--t", t, "--x-grid", x]
         yield ["compare-schemes", "--x", x]
         yield ["compare-hall", "--x", x]
 

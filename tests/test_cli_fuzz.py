@@ -24,13 +24,8 @@ VALID = {
     "sigma": ["1", "2", "0.5", "1e-3"],
     "t": ["1", "2", "3", "0.5"],
     "x": ["0.7", "-1", "5"],
-    "n_start": ["3", "25", "375"],
-    "n_end": ["50", "100", "1000"],
-    "n_step": ["1", "25"],
     "n_grid": ["1e4,1e6,1e8", "1e3,1e6", "1e10,1e200,1e300"],
-    "x_min": ["-1", "0", "2.5"],
-    "x_max": ["0.5", "3"],
-    "x_step": ["0.25", "1"],
+    "x_grid": ["-1,0,1", "0.7", "-3,2.5,8"],
     "reps": ["1", "5", "50"],
     "seed": ["0", "7", str(2**128 - 1)],
 }

@@ -72,6 +72,20 @@ def test_exact_laws_saturate_far_above_mode(n, t, x, sigma):
     assert exact_powered_pdf(n, t, x, pn, p) == 0.0
 
 
+@pytest.mark.parametrize("e", [158, 174, 200, 300], ids=lambda e: f"n1e{e}")
+@pytest.mark.parametrize("t", [1.0, 2.0])
+def test_exact_pdf_is_sigma_invariant_at_huge_n(t, e):
+    n = 10**e
+    # at sigma = 1e152 the Maxwell density f(delta), of order 1/sigma,
+    # underflows and n c_n / t, of order n sigma, overflows: the density read
+    # 0.0 or inf where it is about 0.302
+    def density(sigma):
+        pn = powered_constants(solve_bn(n, sigma), t, default_scheme(t))
+        return exact_powered_pdf(n, t, 0.7, pn, MaxwellParams(sigma))
+
+    assert density(1e152) == pytest.approx(density(1.0), rel=1e-12)
+
+
 def test_exact_cdf_single_observation():
     base = solve_bn(25, 2.0)
     pn = powered_constants(base, 2.0, Scheme.SQUARE_OPTIMAL)
