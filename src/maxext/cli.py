@@ -10,12 +10,12 @@ Each option is declared once, in `_OPTIONS` (its converter or choices and its
 help), and `_COMMANDS` gives each subcommand its handler, its help and its
 options with their defaults; `build_parser` is one loop over the two.
 
-Only `bn`, `constants`, `rate` and `simulate` take `--sigma`: they print
-b_n, c_n, d_n, sigma^k-scaled errors or raw samples, which scale with sigma.
-The other five print only normalized quantities. The law of the normalized
-maximum (|M_n|^t - d_n)/c_n is free of sigma, a pure scale (b_n = sigma z_n;
-c_n and d_n scale as sigma^t), so there `--sigma` is a usage error, and a
-fixed sigma sets only the rounding.
+Only `bn`, `constants` and `rate` take `--sigma`: they print b_n, c_n, d_n
+or sigma^k-scaled errors, which scale with sigma. The other six print only
+normalized quantities; `simulate` prints statistics of the normalized maxima.
+The law of the normalized maximum (|M_n|^t - d_n)/c_n is free of sigma, a
+pure scale (b_n = sigma z_n; c_n and d_n scale as sigma^t), so there
+`--sigma` is a usage error, and a fixed sigma sets only the rounding.
 
 Every grid is one comma-separated list: `--n-grid` of sample sizes, read
 exactly, and `--x-grid` (`plot-data`, `adjudicate`) of evaluation points.
@@ -113,7 +113,7 @@ def _x_grid(text: str) -> list[float]:
 # The sigma of each subcommand without --sigma: the one its recorded output
 # was made at, which sets only the rounding (and the scale of adjudicate's
 # absolute deviations). The golden tables' 2.0 serves table and plot-data,
-# and 1.0 compare-schemes, compare-hall and adjudicate.
+# and 1.0 compare-schemes, compare-hall, adjudicate and simulate.
 _SIGMA_GOLDEN, _SIGMA_UNIT = 2.0, 1.0
 
 
@@ -190,7 +190,7 @@ def _cmd_simulate(args) -> list[str]:
     from .montecarlo import SimulationConfig, ks_distance, simulate_powered_maxima
     from .special import gumbel_cdf
 
-    cfg = SimulationConfig(n=args.n, t=args.t, sigma=args.sigma, reps=args.reps,
+    cfg = SimulationConfig(n=args.n, t=args.t, sigma=_SIGMA_UNIT, reps=args.reps,
                            seed=args.seed, scheme=_scheme_for(args.t, args.scheme))
     values = simulate_powered_maxima(cfg)
     return _csv("n,t,sigma,scheme,reps,seed,ks_gumbel,mean,std",
@@ -268,7 +268,7 @@ _COMMANDS = {
                    {"--t": 1.0, "--x-grid": [-1.0 + k * 0.25 for k in range(17)],
                     "--n-grid": [10**6, 10**8, 10**10]}),
     "simulate": (_cmd_simulate, "Monte-Carlo powered maxima + KS summary",
-                 {"--n": None, "--t": 2.0, "--sigma": 1.0, "--scheme": "auto",
+                 {"--n": None, "--t": 2.0, "--scheme": "auto",
                   "--reps": 10_000, "--seed": 205}),
     "plot-data": (_cmd_plot_data, "x-sweep of exact vs order-1/2/3 approximations (CSV)",
                   {"--kind": "cdf", "--n": None, "--t": 2.0, "--scheme": "auto",

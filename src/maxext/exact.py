@@ -8,9 +8,10 @@ tabulated n.
 
 The two kinds, "cdf" and "pdf", differ only in which exact law,
 approximations and first-order coefficients they use. `_KINDS` maps each kind
-to those, and `error_table` and `rate_diagnostic` take them from it; any
-other kind is a ConfigurationError. The grid diagnostics convert their n
-grid through one check, `_check_grid`, so a non-integral n is a DomainError.
+to those; any other kind is a ConfigurationError. The grid diagnostics
+convert their n grid through one check, `_check_grid`, so a non-integral n is
+a DomainError; all but the adjudication walk the exact law over it through
+one helper, `_exact_on_grid`.
 Both line fits, the rate slope and the adjudication limits, go through
 `_fit`, which solves least squares exactly in Python ints; no function here
 imports numpy. Each input is checked once, where it enters the package: the
@@ -221,6 +222,18 @@ def _kind_laws(kind) -> _KindLaws:
         ) from None
 
 
+def _exact_on_grid(law, t, scheme, x, sigma, ns, make_base):
+    """(base, exact law at x) for each n of ns: the one walk of the exact law over an n grid.
+
+    sigma is checked when the walk is made, each n, t and x at its step. The
+    caller passes make_base (solve_bn or hall_base), so a wrapped binding is seen.
+    """
+    p = MaxwellParams(sigma)
+    bases = (make_base(n, sigma) for n in ns)
+    return ((base, law.exact(base.n, t, x, powered_constants(base, t, scheme), p))
+            for base in bases)
+
+
 def error_table(kind: Kind, t: float, x: float, sigma: float,
                 n_grid: Sequence[int],
                 convention: str = "tabulated") -> list[ErrorRow]:
@@ -237,17 +250,15 @@ def error_table(kind: Kind, t: float, x: float, sigma: float,
         raise ConfigurationError(f"unknown convention {convention!r}")
     law = _kind_laws(kind)
     t, scheme = validate_scheme(t, default_scheme(t))
-    p = MaxwellParams(sigma)
     tabulated = convention == "tabulated"
+    # made here because making it checks sigma, which comes before the convention's t
+    walk = _exact_on_grid(law, t, scheme, x, sigma, n_grid, hall_base if tabulated else solve_bn)
     if tabulated and scheme is not _OPTIMAL:
         raise ConfigurationError(
             "the tabulated convention exists only for t = 2; use the asymptotic convention"
         )
-    make_base = hall_base if tabulated else solve_bn
     rows, lam = [], None
-    for n in n_grid:
-        base = make_base(n, sigma)
-        exact = law.exact(n, t, x, powered_constants(base, t, scheme), p)
+    for base, exact in walk:
         if lam is None:  # order 1, the Gumbel limit, is the same at every n
             lam = law.tabulated(1, x, base) if tabulated else law.approx(1, t, x, base, scheme)
         if tabulated:
@@ -345,28 +356,27 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
     law = _kind_laws(kind)
     ns = _check_grid(n_grid, decades=3)
     t, scheme = validate_scheme(t, default_scheme(t))
-    x, p = _real(x, "x"), MaxwellParams(sigma)
+    x = _real(x, "x")
     power = 4 if scheme is _OPTIMAL else 2
-    # the order-1 approximation, the Gumbel limit, does not depend on n
-    lam = law.approx(1, t, x, solve_bn(ns[0], sigma), scheme)
-    bs, errs, scaled = [], [], []
-    for n in ns:
-        base = solve_bn(n, sigma)
-        err = abs(law.exact(n, t, x, powered_constants(base, t, scheme), p) - lam)
+    bs, errs, scaled, lam = [], [], [], None
+    for base, exact in _exact_on_grid(law, t, scheme, x, sigma, ns, solve_bn):
+        if lam is None:  # order 1, the Gumbel limit, is the same at every n
+            lam = law.approx(1, t, x, base, scheme)
+        err = abs(exact - lam)
         if err == 0.0:
-            raise DiagnosticsError(f"first-order error is 0 at n = {n}, x = {x}; "
+            raise DiagnosticsError(f"first-order error is 0 at n = {base.n}, x = {x}; "
                                    "the log-log slope is undefined")
         bs.append(base.b_n)
         errs.append(err)
         scaled.append(_scaled(err, base.b_n, power, f"err1 * b_n^{power}",
-                              f"at n = {n}, sigma = {sigma!r}"))
+                              f"at n = {base.n}, sigma = {sigma!r}"))
     slope = _fit([math.log(b) for b in bs], [math.log(e) for e in errs])[0]
     # the first coefficient, stated at sigma = 1, carries sigma^power
     coeff1 = abs(law.coeff1_square(x) if scheme is _OPTIMAL
                  else law.coeff1_general(t, x))
     weight, prediction = law.weight(x), 0.0
     if coeff1 * weight != 0.0:
-        prediction = _scaled(coeff1, p.sigma, power, "scaled_limit_prediction",
+        prediction = _scaled(coeff1, base.sigma, power, "scaled_limit_prediction",
                              f"at sigma = {sigma!r}", weight)
     return RateDiagnostic(ns=tuple(ns), b_values=tuple(bs), errors=tuple(errs),
                           scaled=tuple(scaled), slope=slope, scale_power=power,
@@ -391,7 +401,8 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
     is only log(2 log n)^2 / (16 log n).
     """
     ns = _check_grid(n_grid, min_len=1)
-    x, p = _real(x, "x"), MaxwellParams(sigma)
+    x, p = _real(x, "x"), MaxwellParams(sigma)  # p for the non-powered law
+    squared = _exact_on_grid(_KINDS["cdf"], 2.0, _OPTIMAL, x, sigma, ns, solve_bn)
     lam = _gumbel_cdf(x)
     gaps, leads, ratios, powered = [], [], [], []
     for n in ns:
@@ -402,13 +413,10 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
         if lead == 0.0:
             raise DomainError(f"leading error term underflows to 0 at x = {x}; "
                               "the ratio gap / leading is undefined")
-        base = solve_bn(n, sigma)
-        pn = powered_constants(base, 2.0, _OPTIMAL)
-        e1 = abs(exact_powered_cdf(n, 2.0, x, pn, p) - lam)
         gaps.append(gap)
         leads.append(lead)
         ratios.append(gap / lead)
-        powered.append(e1)
+        powered.append(abs(next(squared)[1] - lam))
     return HallRateCheck(ns=tuple(ns), gaps=tuple(gaps), leading=tuple(leads),
                          ratios=tuple(ratios), powered_err1=tuple(powered))
 
@@ -435,19 +443,17 @@ def compare_schemes(x: float, sigma: float, n_grid: Sequence[int]) -> SchemeComp
     correction) with a ratio growing like b_n^2.
     """
     ns = _check_grid(n_grid, min_len=1)
-    p = MaxwellParams(sigma)
+    walks = [_exact_on_grid(_KINDS["cdf"], 2.0, scheme, x, sigma, ns, solve_bn)
+             for scheme in (_OPTIMAL, _ALTERNATIVE)]
     opt, alt = [], []
-    for n in ns:
-        base = solve_bn(n, sigma)
-        for scheme, errs in ((_OPTIMAL, opt), (_ALTERNATIVE, alt)):
-            pn = powered_constants(base, 2.0, scheme)
-            errs.append(abs(exact_powered_cdf(n, 2.0, x, pn, p)
-                            - cdf_approx(2, 2.0, x, base, scheme)))
+    for (base, exact_opt), (_, exact_alt) in zip(*walks):
+        opt.append(abs(exact_opt - cdf_approx(2, 2.0, x, base, _OPTIMAL)))
+        alt.append(abs(exact_alt - cdf_approx(2, 2.0, x, base, _ALTERNATIVE)))
     crossover = None
-    for i in range(len(ns)):
-        if all(opt[j] <= alt[j] for j in range(i, len(ns))):
-            crossover = ns[i]
+    for n, o, a in reversed([*zip(ns, opt, alt)]):  # back to the last n where optimal loses
+        if not o <= a:
             break
+        crossover = n
     return SchemeComparison(ns=tuple(ns), optimal=tuple(opt), alternative=tuple(alt),
                             crossover_n=crossover)
 
@@ -510,8 +516,8 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
     its own sup-norm (and both per-n deviation sequences are reported so the
     "tends to zero" trend is visible). Each limit is the intercept of the
     exact least-squares line in b_n^-2, correctly rounded. The n grid needs
-    two or more distinct sample sizes, and Lambda'(x) must not underflow to 0
-    at any grid x.
+    two or more distinct sample sizes, Lambda'(x) must not underflow to 0 at
+    any grid x, and neither variant may be 0 at every grid x (DiagnosticsError).
     """
     t, scheme = validate_scheme(t, default_scheme(t))
     if scheme is _OPTIMAL:
@@ -535,26 +541,18 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
         us.append(1.0 / b2)
         R.append([(exact_powered_pdf(n, t, x, pn, p) / d - 1.0) * b2 for x, d in zip(xs, dens)])
     s2 = p.sigma * p.sigma  # both variants carry sigma^2
-    emxs = [math.exp(-x) for x in xs]
-    cons = [s2 * _pdf_coeff1_general(t, x, e) for x, e in zip(xs, emxs)]
-    clas = [s2 * _pdf_coeff1_classic(t, x, e) for x, e in zip(xs, emxs)]
-    sup_c = tuple(max(abs(R[i][j] - cons[j]) for j in range(len(xs))) for i in range(len(ns)))
-    sup_p = tuple(max(abs(R[i][j] - clas[j]) for j in range(len(xs))) for i in range(len(ns)))
     # pointwise linear extrapolation in u = b_n^-2 to u -> 0
-    limits = [_fit(us, [row[j] for row in R])[1] for j in range(len(xs))]
-    dev_c = max(abs(l - v) for l, v in zip(limits, cons))
-    dev_p = max(abs(l - v) for l, v in zip(limits, clas))
-    rel_c = dev_c / max(abs(v) for v in cons)
-    rel_p = dev_p / max(abs(v) for v in clas)
-    if rel_c < ADJUDICATION_THRESHOLD <= rel_p:
-        winner = "consistent"
-    elif rel_p < ADJUDICATION_THRESHOLD <= rel_c:
-        winner = "classic"
-    else:
-        winner = "inconclusive"
-    return DensityCoeffAdjudication(
-        t=t, sigma=p.sigma, x_grid=tuple(xs), ns=tuple(ns),
-        sup_dev_consistent=sup_c, sup_dev_classic=sup_p,
-        extrapolated_dev_consistent=dev_c, extrapolated_dev_classic=dev_p,
-        rel_dev_consistent=rel_c, rel_dev_classic=rel_p, winner=winner,
-    )
+    limits = [_fit(us, column)[1] for column in zip(*R)]
+    fields, below = {}, []
+    for name, coeff in (("consistent", _pdf_coeff1_general), ("classic", _pdf_coeff1_classic)):
+        v = [s2 * coeff(t, x, math.exp(-x)) for x in xs]
+        if not any(v):
+            raise DiagnosticsError(f"the {name} coefficient is 0 at every grid x; "
+                                   "its relative deviation is undefined")
+        fields[f"sup_dev_{name}"] = tuple(max(abs(r - c) for r, c in zip(row, v)) for row in R)
+        dev = fields[f"extrapolated_dev_{name}"] = max(abs(l - c) for l, c in zip(limits, v))
+        rel = fields[f"rel_dev_{name}"] = dev / max(map(abs, v))
+        if rel < ADJUDICATION_THRESHOLD:
+            below.append(name)
+    return DensityCoeffAdjudication(t=t, sigma=p.sigma, x_grid=tuple(xs), ns=tuple(ns), **fields,
+                                    winner=below[0] if len(below) == 1 else "inconclusive")

@@ -90,12 +90,12 @@ def test_usage_errors_exit_1(capsys):
 
 
 @pytest.mark.parametrize("argv, takes_sigma", [
-    # b_n, c_n and d_n, sigma^k-scaled errors and raw samples scale with sigma
+    # b_n, c_n and d_n and sigma^k-scaled errors scale with sigma
     (["bn", "--n", "25"], True),
     (["constants", "--n", "25"], True),
     (["rate"], True),
-    (["simulate", "--n", "25"], True),
     # the law of the normalized maximum does not depend on sigma
+    (["simulate", "--n", "25"], False),
     (["table"], False),
     (["compare-schemes"], False),
     (["compare-hall"], False),
@@ -170,6 +170,28 @@ def test_each_handler_reads_exactly_the_options_its_subcommand_declares():
                     if action.option_strings and action.dest not in ("help", "output")}
         assert reads.pop(subparser.get_default("func").__name__) == declared, name
     assert reads == {}  # every handler serves a subcommand
+
+
+# every subcommand's options in usage order; each also takes --output, so 42 in all
+CLI_SURFACE = {
+    "bn": ["--n", "--sigma"],
+    "constants": ["--n", "--sigma", "--t", "--scheme"],
+    "table": ["--kind", "--t", "--x", "--n-grid", "--convention"],
+    "rate": ["--kind", "--sigma", "--t", "--x", "--n-grid"],
+    "compare-schemes": ["--x", "--n-grid"],
+    "compare-hall": ["--x", "--n-grid"],
+    "adjudicate": ["--t", "--x-grid", "--n-grid"],
+    "simulate": ["--n", "--t", "--scheme", "--reps", "--seed"],
+    "plot-data": ["--kind", "--n", "--t", "--scheme", "--x-grid"],
+}
+
+
+def test_the_cli_surface_is_pinned():
+    surface = {name: [action.option_strings[0] for action in subparser._actions
+                      if action.option_strings and action.dest != "help"]
+               for name, subparser in subcommands().items()}
+    assert surface == {name: [*options, "--output"] for name, options in CLI_SURFACE.items()}
+    assert sum(map(len, surface.values())) == 42
 
 
 def test_simulate_deterministic_output(capsys, tmp_path):
@@ -429,7 +451,6 @@ def test_range_options_are_gone(capsys, argv):
     ["bn", "--n", "1000", "--sigma", "1e-300"],
     ["bn", "--n", "1000", "--sigma", "1e160"],
     ["constants", "--n", "1000", "--sigma", "1e154"],
-    ["simulate", "--n", "100", "--reps", "3", "--sigma", "1e-300"],
     ["rate", "--t", "2", "--sigma", "1e-100"],  # err1 * b_n^4 underflows to 0
     ["rate", "--t", "2", "--sigma", "1e100"],  # err1 * b_n^4 overflows
 ])
@@ -442,7 +463,7 @@ def test_extreme_sigma_exits_2(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["constants", "--n", "1000000000000000000000000000000", "--sigma", "1", "--t", "300"],
     ["constants", "--n", "1000", "--sigma", "1e100", "--t", "3.5"],
-    ["simulate", "--n", "100", "--reps", "3", "--sigma", "1e-150", "--t", "300"],
+    ["simulate", "--n", "100", "--reps", "3", "--t", "700"],
     ["rate", "--kind", "pdf", "--t", "700", "--sigma", "0.2078", "--n-grid", "3,3000"],
 ])
 def test_out_of_range_powered_constants_exit_2(capsys, argv):
@@ -461,6 +482,15 @@ def test_undefined_fit_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"maxext {argv[0]}: {message}") and len(err.splitlines()) == 1
+
+
+def test_a_coefficient_zero_at_every_grid_x_exits_2(capsys):
+    # at t = 2.5, x = -2 the consistent coefficient is exactly 0, so its
+    # deviation relative to its sup norm is undefined
+    code, out, err = run_cli(capsys, "adjudicate", "--t", "2.5", "--x-grid", "-2")
+    assert code == 2 and out == ""
+    assert err == ("maxext adjudicate: the consistent coefficient is 0 at every grid x; "
+                   "its relative deviation is undefined\n")
 
 
 def test_sample_size_beyond_float_range_exits_2(capsys):

@@ -366,6 +366,28 @@ def test_compare_schemes():
     assert all(b < a for a, b in zip(cmp.alternative, cmp.alternative[1:]))
 
 
+@pytest.mark.parametrize("x, crossover", [(-1.0, 10**4), (-0.5, 10**3), (0.7, 100), (1.5, 3)])
+def test_crossover_is_the_first_n_from_which_optimal_never_loses(x, crossover):
+    # below x = 1.5 the optimal scheme loses at the small grid n
+    cmp = compare_schemes(x, 1.0, [3, 5, 10, 30, 100, 10**3, 10**4, 10**6, 10**8])
+    wins = [o <= a for o, a in zip(cmp.optimal, cmp.alternative)]
+    assert crossover == next(n for i, n in enumerate(cmp.ns) if all(wins[i:]))
+    assert cmp.crossover_n == crossover
+
+
+@pytest.mark.parametrize("kind, t", [("cdf", 0.5), ("pdf", 1.0), ("cdf", 2.0), ("pdf", 3.0)])
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0])
+@pytest.mark.parametrize("x", [-1.0, 0.0, 0.7, 3.0])
+def test_grid_diagnostics_walk_the_error_table_bit_for_bit(kind, t, sigma, x):
+    # rate, compare-hall and compare-schemes walk the exact law as error_table does
+    ns = [10**4, 10**6, 10**8]
+    rows = error_table(kind, t, x, sigma, ns, "asymptotic")
+    assert rate_diagnostic(kind, t, x, sigma, ns).errors == tuple(r.err1 for r in rows)
+    if (kind, t) == ("cdf", 2.0):
+        assert hall_rate_check(x, sigma, ns).powered_err1 == tuple(r.err1 for r in rows)
+        assert compare_schemes(x, sigma, ns).optimal == tuple(r.err2 for r in rows)
+
+
 def test_adjudication_rejects_square_power():
     with pytest.raises(ConfigurationError):
         adjudicate_density_coeffs(2.0, [0.0, 1.0], 1.0, [10**4, 10**6])
@@ -414,6 +436,21 @@ def test_adjudication_is_scale_free_in_sigma(sigma):
     assert report.winner == ref.winner == "consistent"
     assert report.rel_dev_consistent == pytest.approx(ref.rel_dev_consistent, rel=1e-6)
     assert report.rel_dev_classic == pytest.approx(ref.rel_dev_classic, rel=1e-6)
+
+
+def test_adjudication_rejects_an_empty_x_grid():
+    with pytest.raises(DiagnosticsError, match="^empty x grid$"):
+        adjudicate_density_coeffs(1.0, [], 1.0, [10**6, 10**8])
+
+
+def test_adjudication_of_a_coefficient_zero_at_every_grid_x_is_a_diagnostics_error():
+    # at t = 2.5, x = -2 the consistent coefficient is exactly 0: A1 = 0 and
+    # x ((t - 2) x / 2 + 3 - t) = 0, so no relative deviation exists
+    assert _pdf_coeff1_general(2.5, -2.0, math.exp(2.0)) == 0.0
+    with pytest.raises(DiagnosticsError, match="^the consistent coefficient is 0 at every grid x"):
+        adjudicate_density_coeffs(2.5, [-2.0], 1.0, [10**6, 10**8])
+    report = adjudicate_density_coeffs(2.5, [-2.0, 0.5], 1.0, [10**6, 10**8])
+    assert math.isfinite(report.rel_dev_consistent)
 
 
 @pytest.mark.parametrize("xs", [[750.0, 750.5], [0.0, -800.0]])

@@ -238,6 +238,18 @@ def test_approx_rejects_bad_order_and_scheme():
         pdf_approx(2, 1.5, 0.7, base, Scheme.SQUARE_OPTIMAL)
 
 
+@pytest.mark.parametrize("order", [0, 4])
+@pytest.mark.parametrize("approx", [
+    lambda order, base: pdf_approx(order, 1.0, 0.7, base),
+    lambda order, base: cdf_approx_tabulated(order, 0.7, base),
+    lambda order, base: pdf_approx_tabulated(order, 0.7, base),
+], ids=["pdf_approx", "cdf_approx_tabulated", "pdf_approx_tabulated"])
+def test_every_approximation_rejects_an_order_outside_1_to_3(approx, order):
+    message = f"^expansion order must be 1, 2 or 3, got {order}$"
+    with pytest.raises(ConfigurationError, match=message):
+        approx(order, solve_bn(100, 2.0))
+
+
 def _increment_slope(values, bs):
     return float(np.polyfit(np.log(bs), np.log(np.abs(values)), 1)[0])
 

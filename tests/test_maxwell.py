@@ -185,6 +185,12 @@ def test_tail_remainder_matches_mp_reference(data_dir):
     assert worst <= 1e-14
 
 
+@pytest.mark.parametrize("x", [0.0, -1.0])
+def test_tail_remainder_rejects_x_at_or_below_0(x):
+    with pytest.raises(DomainError, match=r"^tail_remainder requires x > 0, got "):
+        tail_remainder(x, MaxwellParams(1.0))
+
+
 def test_tail_remainder_tiny_and_huge_ratios():
     p = MaxwellParams(1.0)
     # the value, about -3 (sigma/x)^6, nears the float range below 1e-50

@@ -512,6 +512,18 @@ def test_ks_distance_checks_its_sample(samples):
         ks_distance(samples, gumbel_cdf)
 
 
+def test_ks_distance_finds_nan_in_a_float64_array():
+    # a float64 array skips the per-value check, so the NaN is found after the sort
+    with pytest.raises(DomainError, match="^ks_distance: NaN in sample$"):
+        ks_distance(np.array([np.nan, 1.0]), gumbel_cdf)
+
+
+def test_ks_distance_rejects_a_ragged_reference():
+    # sequences of different lengths make no array: numpy raises ValueError
+    with pytest.raises(DomainError, match="reference cdf"):
+        ks_distance([0.1, 0.5, 2.0], lambda x: [0.5] * (1 + (x > 1.0)))
+
+
 def test_ks_distance_takes_any_real_sequence_as_its_floats():
     want = ks_distance([0.5, 1.0, 2.0], gumbel_cdf)
     for samples in ([0.5, 1, 2.0], (0.5, 1.0, 2.0), np.array([0.5, 1.0, 2.0], dtype=np.float32),
