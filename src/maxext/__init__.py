@@ -22,8 +22,7 @@ _EXPORTS = {
     "special": "erfc gumbel_cdf gumbel_pdf",
     "maxwell": "MaxwellParams",
     "norming": "Scheme NormingBase PoweredNorming solve_bn powered_constants hall_base",
-    "expansions": "cdf_approx pdf_approx cdf_approx_tabulated pdf_approx_tabulated "
-                  "hall_error_leading",
+    "expansions": "cdf_approx pdf_approx",
     "exact": "ErrorRow exact_powered_cdf exact_powered_pdf error_table rate_diagnostic "
              "hall_rate_check compare_schemes adjudicate_density_coeffs",
     "montecarlo": "SimulationConfig simulate_powered_maxima ks_distance",

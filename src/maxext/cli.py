@@ -19,6 +19,8 @@ pure scale (b_n = sigma z_n; c_n and d_n scale as sigma^t), so there
 
 Every grid is one comma-separated list: `--n-grid` of sample sizes, read
 exactly, and `--x-grid` (`plot-data`, `adjudicate`) of evaluation points.
+Each real (`--x`, `--t`, `--sigma`, an `--x-grid` part) is read by
+`_finite_float`, so NaN, inf and 1e400 are usage errors.
 An argument that starts with - and then a digit or a point is a value, so
 `--x-grid -1,0,1` and `--x -1e-3` parse, and an option is matched by its
 full name only.
@@ -230,9 +232,9 @@ class _Parser(argparse.ArgumentParser):
 _OPTIONS = {
     "--kind": dict(choices=["cdf", "pdf"], help="distribution or density (default %(default)s)"),
     "--n": dict(type=int, required=True, help="sample size"),
-    "--sigma": dict(type=float, help="scale parameter (default %(default)s)"),
-    "--t": dict(type=float, help="power index (default %(default)s)"),
-    "--x": dict(type=float, help="evaluation point (default %(default)s)"),
+    "--sigma": dict(type=_finite_float, help="scale parameter (default %(default)s)"),
+    "--t": dict(type=_finite_float, help="power index (default %(default)s)"),
+    "--x": dict(type=_finite_float, help="evaluation point (default %(default)s)"),
     "--scheme": dict(choices=_SCHEMES + ["auto"], help="norming scheme (default %(default)s)"),
     "--convention": dict(choices=["tabulated", "asymptotic", "auto"],
                          help="tabulated matches the golden tables (t = 2 only); "

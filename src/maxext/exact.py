@@ -10,8 +10,10 @@ The two kinds, "cdf" and "pdf", differ only in which exact law,
 approximations and first-order coefficients they use. `_KINDS` maps each kind
 to those; any other kind is a ConfigurationError. The grid diagnostics
 convert their n grid through one check, `_check_grid`, so a non-integral n is
-a DomainError; all but the adjudication walk the exact law over it through
-one helper, `_exact_on_grid`.
+a DomainError; all but the adjudication walk it through one helper,
+`_error_walk`, which yields each base's errors |exact - approx_k|. The
+golden-table convention and hall_rate_check take their terms from private
+kernels of a checked x (expansions._*_approx_tabulated, _hall_error_leading).
 Both line fits, the rate slope and the adjudication limits, go through
 `_fit`, which solves least squares exactly in Python ints; no function here
 imports numpy. Each input is checked once, where it enters the package: the
@@ -36,15 +38,15 @@ from typing import Callable, Literal, NamedTuple, Sequence
 
 from .errors import ConfigurationError, DiagnosticsError, DomainError, _integer, _real
 from .expansions import (
+    _cdf_approx_tabulated,
     _cdf_coeff1_general,
     _cdf_coeff1_square,
+    _hall_error_leading,
+    _pdf_approx_tabulated,
     _pdf_coeff1_general,
     _pdf_coeff1_square,
     cdf_approx,
-    cdf_approx_tabulated,
-    hall_error_leading,
     pdf_approx,
-    pdf_approx_tabulated,
 )
 from .maxwell import MaxwellParams, _survival, _survival_pdf, _z_density
 from .norming import (
@@ -205,9 +207,9 @@ class _KindLaws(NamedTuple):
 
 
 _KINDS = {
-    "cdf": _KindLaws(exact_powered_cdf, cdf_approx, cdf_approx_tabulated, _cdf_coeff1_square,
+    "cdf": _KindLaws(exact_powered_cdf, cdf_approx, _cdf_approx_tabulated, _cdf_coeff1_square,
                      _cdf_coeff1_general, lambda x: math.exp(-x) * _gumbel_cdf(x)),
-    "pdf": _KindLaws(exact_powered_pdf, pdf_approx, pdf_approx_tabulated,
+    "pdf": _KindLaws(exact_powered_pdf, pdf_approx, _pdf_approx_tabulated,
                      lambda x: _pdf_coeff1_square(x, math.exp(-x)),
                      lambda t, x: _pdf_coeff1_general(t, x, math.exp(-x)), _gumbel_pdf),
 }
@@ -222,16 +224,25 @@ def _kind_laws(kind) -> _KindLaws:
         ) from None
 
 
-def _exact_on_grid(law, t, scheme, x, sigma, ns, make_base):
-    """(base, exact law at x) for each n of ns: the one walk of the exact law over an n grid.
+def _error_walk(law, approx, t, scheme, x, p, bases, orders):
+    """(base, [|exact - approx_k| at x for k in orders]) per base: the one error walk.
 
-    sigma is checked when the walk is made, each n, t and x at its step. The
-    caller passes make_base (solve_bn or hall_base), so a wrapped binding is seen.
+    approx is law.approx or law.tabulated, x a checked float and p the checked
+    MaxwellParams. The caller builds the bases (solve_bn or hall_base), so a
+    wrapped binding is seen.
     """
-    p = MaxwellParams(sigma)
-    bases = (make_base(n, sigma) for n in ns)
-    return ((base, law.exact(base.n, t, x, powered_constants(base, t, scheme), p))
-            for base in bases)
+    lam = None
+    for base in bases:
+        exact = law.exact(base.n, t, x, powered_constants(base, t, scheme), p)
+        errs = []
+        for k in orders:
+            if k == 1:  # the Gumbel limit is free of n: formed once, at the first base
+                if lam is None:
+                    lam = approx(1, t, x, base, scheme)
+                errs.append(abs(exact - lam))
+            else:
+                errs.append(abs(exact - approx(k, t, x, base, scheme)))
+        yield base, errs
 
 
 def error_table(kind: Kind, t: float, x: float, sigma: float,
@@ -250,23 +261,17 @@ def error_table(kind: Kind, t: float, x: float, sigma: float,
         raise ConfigurationError(f"unknown convention {convention!r}")
     law = _kind_laws(kind)
     t, scheme = validate_scheme(t, default_scheme(t))
-    tabulated = convention == "tabulated"
-    # made here because making it checks sigma, which comes before the convention's t
-    walk = _exact_on_grid(law, t, scheme, x, sigma, n_grid, hall_base if tabulated else solve_bn)
-    if tabulated and scheme is not _OPTIMAL:
-        raise ConfigurationError(
-            "the tabulated convention exists only for t = 2; use the asymptotic convention"
-        )
-    rows, lam = [], None
-    for base, exact in walk:
-        if lam is None:  # order 1, the Gumbel limit, is the same at every n
-            lam = law.tabulated(1, x, base) if tabulated else law.approx(1, t, x, base, scheme)
-        if tabulated:
-            a2, a3 = law.tabulated(2, x, base), law.tabulated(3, x, base)
-        else:
-            a2, a3 = law.approx(2, t, x, base, scheme), law.approx(3, t, x, base, scheme)
-        rows.append(ErrorRow(base.n, abs(exact - lam), abs(exact - a2), abs(exact - a3)))
-    return rows
+    p = MaxwellParams(sigma)
+    make_base, approx = solve_bn, law.approx
+    if convention == "tabulated":
+        if scheme is not _OPTIMAL:
+            raise ConfigurationError(
+                "the tabulated convention exists only for t = 2; use the asymptotic convention"
+            )
+        make_base, approx = hall_base, law.tabulated
+    bases = (make_base(n, sigma) for n in n_grid)
+    return [ErrorRow(base.n, *errs) for base, errs in
+            _error_walk(law, approx, t, scheme, _real(x, "x"), p, bases, (1, 2, 3))]
 
 
 class RateDiagnostic(NamedTuple):
@@ -356,13 +361,11 @@ def rate_diagnostic(kind: Kind, t: float, x: float, sigma: float,
     law = _kind_laws(kind)
     ns = _check_grid(n_grid, decades=3)
     t, scheme = validate_scheme(t, default_scheme(t))
-    x = _real(x, "x")
+    x, p = _real(x, "x"), MaxwellParams(sigma)
     power = 4 if scheme is _OPTIMAL else 2
-    bs, errs, scaled, lam = [], [], [], None
-    for base, exact in _exact_on_grid(law, t, scheme, x, sigma, ns, solve_bn):
-        if lam is None:  # order 1, the Gumbel limit, is the same at every n
-            lam = law.approx(1, t, x, base, scheme)
-        err = abs(exact - lam)
+    bs, errs, scaled = [], [], []
+    bases = (solve_bn(n, sigma) for n in ns)
+    for base, (err,) in _error_walk(law, law.approx, t, scheme, x, p, bases, (1,)):
         if err == 0.0:
             raise DiagnosticsError(f"first-order error is 0 at n = {base.n}, x = {x}; "
                                    "the log-log slope is undefined")
@@ -401,22 +404,24 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
     is only log(2 log n)^2 / (16 log n).
     """
     ns = _check_grid(n_grid, min_len=1)
-    x, p = _real(x, "x"), MaxwellParams(sigma)  # p for the non-powered law
-    squared = _exact_on_grid(_KINDS["cdf"], 2.0, _OPTIMAL, x, sigma, ns, solve_bn)
+    x, p = _real(x, "x"), MaxwellParams(sigma)
+    law = _KINDS["cdf"]
+    squared = _error_walk(law, law.approx, 2.0, _OPTIMAL, x, p,
+                          (solve_bn(n, sigma) for n in ns), (1,))
     lam = _gumbel_cdf(x)
     gaps, leads, ratios, powered = [], [], [], []
     for n in ns:
         hall = hall_base(n, sigma)
         fn = exact_unpowered_cdf(n, hall.a_n * x + hall.b_n, p)
         gap = fn - lam
-        lead = hall_error_leading(n, x)
+        lead = _hall_error_leading(n, x)
         if lead == 0.0:
             raise DomainError(f"leading error term underflows to 0 at x = {x}; "
                               "the ratio gap / leading is undefined")
         gaps.append(gap)
         leads.append(lead)
         ratios.append(gap / lead)
-        powered.append(abs(next(squared)[1] - lam))
+        powered.append(next(squared)[1][0])
     return HallRateCheck(ns=tuple(ns), gaps=tuple(gaps), leading=tuple(leads),
                          ratios=tuple(ratios), powered_err1=tuple(powered))
 
@@ -443,12 +448,10 @@ def compare_schemes(x: float, sigma: float, n_grid: Sequence[int]) -> SchemeComp
     correction) with a ratio growing like b_n^2.
     """
     ns = _check_grid(n_grid, min_len=1)
-    walks = [_exact_on_grid(_KINDS["cdf"], 2.0, scheme, x, sigma, ns, solve_bn)
-             for scheme in (_OPTIMAL, _ALTERNATIVE)]
-    opt, alt = [], []
-    for (base, exact_opt), (_, exact_alt) in zip(*walks):
-        opt.append(abs(exact_opt - cdf_approx(2, 2.0, x, base, _OPTIMAL)))
-        alt.append(abs(exact_alt - cdf_approx(2, 2.0, x, base, _ALTERNATIVE)))
+    law, p, x = _KINDS["cdf"], MaxwellParams(sigma), _real(x, "x")
+    bases = [solve_bn(n, sigma) for n in ns]  # both schemes share each root
+    opt, alt = ([err for _, (err,) in _error_walk(law, law.approx, 2.0, scheme, x, p, bases, (2,))]
+                for scheme in (_OPTIMAL, _ALTERNATIVE))
     crossover = None
     for n, o, a in reversed([*zip(ns, opt, alt)]):  # back to the last n where optimal loses
         if not o <= a:

@@ -17,10 +17,12 @@ A square pair is the general-power pair shifted by s sigma^2 / b_n^2
 (s = -1) uses them in the general-power brackets. The optimal scheme (s = +1,
 where A1 = 0) keeps its own kernels, as its b_n^-6 term needs A3.
 
-The ``*_tabulated`` approximations reproduce the golden reference error
-tables exactly, with the classic second-order pair at t = 2, sign
-conventions and closed-form norming inherited from the original tabulation
-(see exact.error_table).
+Three private kernels serve one diagnostic each, in exact. The
+``_*_approx_tabulated`` pair reproduces the golden reference error tables
+exactly, with the classic second-order pair at t = 2, sign conventions and
+closed-form norming inherited from the original tabulation (see
+exact.error_table); `_hall_error_leading` is Hall's leading error term of
+the non-powered maximum (see exact.hall_rate_check).
 
 Each coefficient is a private function of (t, x), or of x at t = 2, stated
 at sigma = 1. The coefficient of b_n^-2k carries sigma^2k, so the
@@ -33,7 +35,8 @@ once per call, after its Gumbel factor.
 Each input is checked once, where it enters the package: the approximations
 validate their (t, scheme) through norming.validate_scheme and take x through
 errors._real, so a numpy float32 x is used as its float; the Gumbel and the
-coefficient kernels below run unchecked. cdf_approx alone takes Lambda(x)
+coefficient kernels below run unchecked, as do the three diagnostic kernels,
+whose caller has checked x and n. cdf_approx alone takes Lambda(x)
 from the public gumbel_cdf, a call the benchmark's tracer follows; its check
 of the float x passes at once.
 
@@ -50,17 +53,11 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigurationError, DomainError, _real
-from .norming import _GENERAL, _MIN_N, _OPTIMAL, _SHIFT, NormingBase, Scheme, validate_scheme
+from .errors import ConfigurationError, _real
+from .norming import _GENERAL, _OPTIMAL, _SHIFT, NormingBase, Scheme, validate_scheme
 from .special import _gumbel_cdf, _gumbel_pdf, gumbel_cdf
 
-__all__ = [
-    "cdf_approx",
-    "pdf_approx",
-    "cdf_approx_tabulated",
-    "pdf_approx_tabulated",
-    "hall_error_leading",
-]
+__all__ = ["cdf_approx", "pdf_approx"]
 
 
 def _order_error(order) -> ConfigurationError:
@@ -207,16 +204,15 @@ def _pdf_coeff2_classic(x, emx):
     return -emx * _cdf_coeff2_classic(x) + poly
 
 
-def cdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
+def _cdf_approx_tabulated(order, t, x, base, scheme):
     """Square-power distribution approximation in the golden-table convention.
 
-    Matches the reference tables when `base` carries the closed-form b_hat
+    A kernel of a checked float x, with cdf_approx's arguments; t and scheme
+    are the table's 2 and square-optimal, the only ones it exists for. It
+    matches the reference tables when `base` carries the closed-form b_hat
     (see norming.hall_base): the first correction enters with the opposite
     sign to cdf_approx and the second uses the classic coefficient.
     """
-    if order not in (1, 2, 3):
-        raise _order_error(order)
-    x = _real(x, "x")
     lam = _gumbel_cdf(x)
     if order == 1 or lam == 0.0:
         return lam
@@ -231,11 +227,8 @@ def cdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
     return lam * bracket
 
 
-def pdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
-    """Square-power density approximation in the golden-table convention."""
-    if order not in (1, 2, 3):
-        raise _order_error(order)
-    x = _real(x, "x")
+def _pdf_approx_tabulated(order, t, x, base, scheme):
+    """Square-power density approximation in the golden-table convention, as above."""
     lamp = _gumbel_pdf(x)
     if order == 1 or lamp == 0.0:
         return lamp
@@ -250,16 +243,12 @@ def pdf_approx_tabulated(order: int, x: float, base: NormingBase) -> float:
 
 # ------------------------------------------------------------- diagnostics
 
-def hall_error_leading(n: int, x: float) -> float:
-    """Leading error term Lambda(x) e^{-x} log(2 log n)^2 / (16 log n).
+def _hall_error_leading(n, x):
+    """Leading error term Lambda(x) e^{-x} log(2 log n)^2 / (16 log n), at a checked float x.
 
-    Describes the non-powered maximum under the closed-form constants. It is
-    scale-free, so it takes no sigma. n is real here, not only an integer.
+    Describes the non-powered maximum under the closed-form constants, for
+    n >= 3. It is scale-free, so it takes no sigma.
     """
-    n = _real(n, "n", positive=True)
-    if n < _MIN_N:
-        raise DomainError(f"need n >= {_MIN_N}, got {n}")
-    x = _real(x, "x")
     lam = _gumbel_cdf(x)
     if lam == 0.0:
         return lam

@@ -72,14 +72,15 @@ def test_the_paired_maxwell_kernel_matches_survival_and_pdf_bit_for_bit(sigma):
 def test_approximations_form_the_gumbel_law_with_its_bits():
     base = norming.solve_bn(1000, 1.0)
     for x in X_EDGES:
+        square = (2.0, x, base, Scheme.SQUARE_OPTIMAL)
         assert expansions.cdf_approx(1, 1.0, x, base).hex() == special.gumbel_cdf(x).hex()
-        assert expansions.cdf_approx_tabulated(1, x, base).hex() == special.gumbel_cdf(x).hex()
+        assert expansions._cdf_approx_tabulated(1, *square).hex() == special.gumbel_cdf(x).hex()
         assert expansions.pdf_approx(1, 1.0, x, base).hex() == special.gumbel_pdf(x).hex()
-        assert expansions.pdf_approx_tabulated(1, x, base).hex() == special.gumbel_pdf(x).hex()
+        assert expansions._pdf_approx_tabulated(1, *square).hex() == special.gumbel_pdf(x).hex()
         lam = special.gumbel_cdf(x)
         want = lam and lam * math.exp(-x) * math.log(2.0 * math.log(1000)) ** 2 / (
             16.0 * math.log(1000))
-        assert expansions.hall_error_leading(1000, x).hex() == want.hex(), x
+        assert expansions._hall_error_leading(1000, x).hex() == want.hex(), x
 
 
 # ------------------------------------------------- no checking function inside
@@ -175,10 +176,16 @@ def test_an_exact_law_checks_t_and_x_once(real_names, law, t, scheme):
         assert real_names == ["power index t", "x"]
 
 
-def test_the_unpowered_law_and_the_leading_term_check_each_real_once(real_names):
+def test_the_unpowered_law_checks_y_once(real_names):
     exact.exact_unpowered_cdf(500, 7.0, _P)
     assert real_names == ["y"]
-    real_names.clear()
-    expansions.hall_error_leading(500, 0.7)
-    assert real_names == ["n", "x"]
+
+
+def test_hall_rate_check_takes_n_through_the_integer_rule_only(real_names):
+    # n is an integer of the grid, checked by errors._integer; x is checked at
+    # the boundary, then by each exact law and once by the order-1 approximation
+    ns = [10**3, 10**4, 10**6, 10**8, 10**10]
+    exact.hall_rate_check(0.7, 1.0, ns)
+    assert "n" not in real_names
+    assert real_names.count("x") == 2 + len(ns)
 

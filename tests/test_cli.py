@@ -308,12 +308,18 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     (["rate", "--n-grid", ","], "--n-grid"),
     (["plot-data", "--n", "500", "--x-grid", ""], "--x-grid"),
     (["adjudicate", "--x-grid", ","], "--x-grid"),
+    # every real option is read as the grids' parts are
+    (["table", "--x", "1e400"], "--x"),
+    (["bn", "--n", "25", "--sigma", "nan"], "--sigma"),
+    (["rate", "--t", "inf"], "--t"),
 ])
 def test_bad_option_values_are_usage_errors(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.splitlines()[-1].startswith(f"maxext {argv[0]}: error: argument {option}: ")
     assert "Traceback" not in err
+    if not option.endswith("-grid"):
+        assert err.splitlines()[-1].endswith(f"expected a finite number, got {argv[-1]!r}")
 
 
 @pytest.mark.parametrize("where", ["directory", "missing directory"])

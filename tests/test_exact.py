@@ -25,11 +25,11 @@ from maxext.exact import (
     rate_diagnostic,
 )
 from maxext.expansions import (
+    _cdf_approx_tabulated,
+    _pdf_approx_tabulated,
     _pdf_coeff1_general,
     cdf_approx,
-    cdf_approx_tabulated,
     pdf_approx,
-    pdf_approx_tabulated,
 )
 from maxext.maxwell import MaxwellParams, cdf
 from maxext.norming import PoweredNorming, Scheme, hall_base, powered_constants, solve_bn
@@ -388,6 +388,21 @@ def test_grid_diagnostics_walk_the_error_table_bit_for_bit(kind, t, sigma, x):
         assert compare_schemes(x, sigma, ns).optimal == tuple(r.err2 for r in rows)
 
 
+def test_compare_schemes_solves_each_grid_n_once(monkeypatch):
+    # both schemes share the root of each n
+    calls = []
+
+    def counting(n, sigma):
+        calls.append(n)
+        return solve_bn(n, sigma)
+
+    ns = [10**3, 10**4, 10**5, 10**6, 10**8, 10**10]
+    want = compare_schemes(0.7, 1.0, ns)
+    monkeypatch.setattr(exact, "solve_bn", counting)
+    assert compare_schemes(0.7, 1.0, ns) == want
+    assert calls == ns
+
+
 def test_adjudication_rejects_square_power():
     with pytest.raises(ConfigurationError):
         adjudicate_density_coeffs(2.0, [0.0, 1.0], 1.0, [10**4, 10**6])
@@ -743,8 +758,8 @@ def test_any_finite_x_gives_finite_value_or_maxext_error(x, n, sigma, case):
     for order in (1, 2, 3):
         for fn in (cdf_approx, pdf_approx):
             _finite_or_maxext_error(fn, order, t, x, base, scheme)
-        for fn in (cdf_approx_tabulated, pdf_approx_tabulated):
-            _finite_or_maxext_error(fn, order, x, hall)
+        for fn in (_cdf_approx_tabulated, _pdf_approx_tabulated):
+            _finite_or_maxext_error(fn, order, 2.0, x, hall, Scheme.SQUARE_OPTIMAL)
     try:
         pn = powered_constants(base, t, scheme)
     except MaxextError:  # c_n or d_n out of float range

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxext.errors import ConfigurationError, DomainError
+from maxext.errors import ConfigurationError
 from maxext.exact import _pdf_coeff1_classic
 from maxext.expansions import (
+    _cdf_approx_tabulated,
     _cdf_coeff1_general,
     _cdf_coeff1_square,
     _cdf_coeff2_classic,
     _cdf_coeff2_general,
     _cdf_coeff2_square,
     _general_coefficients,
+    _hall_error_leading,
+    _pdf_approx_tabulated,
     _pdf_coeff1_general,
     _pdf_coeff1_square,
     _pdf_coeff2,
@@ -23,10 +26,7 @@ from maxext.expansions import (
     _pdf_coeff2_square,
     _shifted_coefficients,
     cdf_approx,
-    cdf_approx_tabulated,
-    hall_error_leading,
     pdf_approx,
-    pdf_approx_tabulated,
 )
 from maxext.norming import _SHIFT, Scheme, hall_base, solve_bn
 from maxext.special import gumbel_cdf, gumbel_pdf
@@ -239,15 +239,11 @@ def test_approx_rejects_bad_order_and_scheme():
 
 
 @pytest.mark.parametrize("order", [0, 4])
-@pytest.mark.parametrize("approx", [
-    lambda order, base: pdf_approx(order, 1.0, 0.7, base),
-    lambda order, base: cdf_approx_tabulated(order, 0.7, base),
-    lambda order, base: pdf_approx_tabulated(order, 0.7, base),
-], ids=["pdf_approx", "cdf_approx_tabulated", "pdf_approx_tabulated"])
+@pytest.mark.parametrize("approx", [cdf_approx, pdf_approx], ids=["cdf_approx", "pdf_approx"])
 def test_every_approximation_rejects_an_order_outside_1_to_3(approx, order):
     message = f"^expansion order must be 1, 2 or 3, got {order}$"
     with pytest.raises(ConfigurationError, match=message):
-        approx(order, solve_bn(100, 2.0))
+        approx(order, 1.0, 0.7, solve_bn(100, 2.0))
 
 
 def _increment_slope(values, bs):
@@ -311,15 +307,19 @@ def test_pdf_approx_order2_at_origin():
     assert got == pytest.approx(math.exp(-1.0) * (1.0 + base.b_n**-4), rel=1e-15)
 
 
+def _tabulated(approx, order, x, base):
+    return approx(order, 2.0, x, base, Scheme.SQUARE_OPTIMAL)
+
+
 def test_tabulated_approximations_structure():
     base = solve_bn(200, 2.0)
     x = 0.7
-    assert cdf_approx_tabulated(1, x, base) == gumbel_cdf(x)
-    assert pdf_approx_tabulated(1, x, base) == gumbel_pdf(x)
+    assert _tabulated(_cdf_approx_tabulated, 1, x, base) == gumbel_cdf(x)
+    assert _tabulated(_pdf_approx_tabulated, 1, x, base) == gumbel_pdf(x)
     # first correction enters with the opposite sign relative to cdf_approx
     u2 = 1.0 / base.b_n**4
     expected = gumbel_cdf(x) * (1.0 + math.exp(-x) * 2.0**4 * _cdf_coeff1_square(x) * u2)
-    assert cdf_approx_tabulated(2, x, base) == pytest.approx(expected, rel=1e-15)
+    assert _tabulated(_cdf_approx_tabulated, 2, x, base) == pytest.approx(expected, rel=1e-15)
 
 
 @pytest.mark.parametrize("x", [-10.0, -400.0, -800.0, -1e300])
@@ -332,9 +332,9 @@ def test_approximations_vanish_where_gumbel_underflows(x):
         for scheme in (Scheme.SQUARE_OPTIMAL, Scheme.SQUARE_ALTERNATIVE):
             assert cdf_approx(order, 2.0, x, base, scheme) == 0.0
             assert pdf_approx(order, 2.0, x, base, scheme) == 0.0
-        assert cdf_approx_tabulated(order, x, base) == 0.0
-        assert pdf_approx_tabulated(order, x, base) == 0.0
-    assert hall_error_leading(10**6, x) == 0.0
+        assert _tabulated(_cdf_approx_tabulated, order, x, base) == 0.0
+        assert _tabulated(_pdf_approx_tabulated, order, x, base) == 0.0
+    assert _hall_error_leading(10**6, x) == 0.0
 
 
 @pytest.mark.parametrize("x", [750.0, 1e40, 1e200, 1e300])
@@ -347,8 +347,8 @@ def test_approximations_saturate_where_exp_minus_x_underflows(x):
         for scheme in (Scheme.SQUARE_OPTIMAL, Scheme.SQUARE_ALTERNATIVE):
             assert cdf_approx(order, 2.0, x, base, scheme) == 1.0
             assert pdf_approx(order, 2.0, x, base, scheme) == 0.0
-        assert cdf_approx_tabulated(order, x, base) == 1.0
-        assert pdf_approx_tabulated(order, x, base) == 0.0
+        assert _tabulated(_cdf_approx_tabulated, order, x, base) == 1.0
+        assert _tabulated(_pdf_approx_tabulated, order, x, base) == 0.0
 
 
 def test_outputs_match_recorded_bits(data_dir):
@@ -411,19 +411,18 @@ def test_approximations_are_sigma_invariant(sigma):
             for (t, scheme), fn in itertools.product(cases, (cdf_approx, pdf_approx)):
                 assert fn(order, t, x, base, scheme) == pytest.approx(
                     fn(order, t, x, unit, scheme), rel=1e-12), (n, order, x, t, scheme, fn)
-            for fn in (cdf_approx_tabulated, pdf_approx_tabulated):
-                assert fn(order, x, hall) == pytest.approx(fn(order, x, hall_unit), rel=1e-12)
+            for fn in (_cdf_approx_tabulated, _pdf_approx_tabulated):
+                assert _tabulated(fn, order, x, hall) == pytest.approx(
+                    _tabulated(fn, order, x, hall_unit), rel=1e-12)
 
 
 def test_hall_error_leading():
-    # at n = e^{e/2} the squared log factor is exactly 1
+    # at n = e^{e/2} the squared log factor is exactly 1 (the formula, at a real n)
     n = math.exp(math.e / 2.0)
     for x in (0.0, 0.7, 2.0):
         ref = gumbel_cdf(x) * math.exp(-x) / (8.0 * math.e)
-        assert hall_error_leading(n, x) == pytest.approx(ref, rel=1e-13)
-    assert hall_error_leading(10**6, 50.0) < 1e-22
-    assert hall_error_leading(10**6, 0.7) == pytest.approx(
+        assert _hall_error_leading(n, x) == pytest.approx(ref, rel=1e-13)
+    assert _hall_error_leading(10**6, 50.0) < 1e-22
+    assert _hall_error_leading(10**6, 0.7) == pytest.approx(
         gumbel_cdf(0.7) * math.exp(-0.7) * math.log(2 * math.log(10**6)) ** 2
         / (16 * math.log(10**6)), rel=1e-14)
-    with pytest.raises(DomainError):
-        hall_error_leading(2, 0.7)

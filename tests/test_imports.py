@@ -160,6 +160,19 @@ def test_lazy_names_are_the_home_modules_objects():
     assert set(maxext.__all__) | {"exact", "montecarlo", "cli"} <= set(dir(maxext))
 
 
+def test_the_public_names_are_pinned():
+    # each name here is a promise; one added or removed is a deliberate API change
+    assert sorted(maxext.__all__) == [
+        "ConfigurationError", "DegenerateError", "DiagnosticsError", "DomainError", "ErrorRow",
+        "MaxextError", "MaxwellParams", "NoRootError", "NormingBase", "PoweredNorming",
+        "Scheme", "SimulationConfig", "__version__", "adjudicate_density_coeffs",
+        "cdf_approx", "compare_schemes", "erfc", "error_table", "exact_powered_cdf",
+        "exact_powered_pdf", "gumbel_cdf", "gumbel_pdf", "hall_base", "hall_rate_check",
+        "ks_distance", "pdf_approx", "powered_constants", "rate_diagnostic",
+        "simulate_powered_maxima", "solve_bn",
+    ]
+
+
 SERIAL_SCRIPT = r'''
 import sys
 

@@ -26,13 +26,7 @@ from maxext.exact import (
     hall_rate_check,
     rate_diagnostic,
 )
-from maxext.expansions import (
-    cdf_approx,
-    cdf_approx_tabulated,
-    hall_error_leading,
-    pdf_approx,
-    pdf_approx_tabulated,
-)
+from maxext.expansions import cdf_approx, pdf_approx
 from maxext.maxwell import MaxwellParams
 from maxext.montecarlo import SimulationConfig
 from maxext.norming import (
@@ -61,6 +55,11 @@ def error_table_grid(kind, t, x, sigma, n):
     return error_table(kind, t, x, sigma, [25, n], "asymptotic")
 
 
+def error_table_golden(kind, t, x, sigma, n):
+    # the golden-table terms are private kernels; their inputs enter here
+    return error_table(kind, t, x, sigma, [25, n], "tabulated")
+
+
 def adjudicate_x_grid(t, x, sigma):
     return adjudicate_density_coeffs(t, [0.5, x], sigma, [10**6, 10**8])
 
@@ -79,13 +78,12 @@ ENTRY_POINTS = [
     (powered_constants, (_BASE, 1.0, Scheme.GENERAL_POWER), {"t": 1}),
     (default_scheme, (1.0,), {"t": 0}),
     *[(fn, (2, 1.0, 0.5, _BASE), {"t": 1, "x": 2}) for fn in (cdf_approx, pdf_approx)],
-    *[(fn, (3, 0.5, _BASE), {"x": 1}) for fn in (cdf_approx_tabulated, pdf_approx_tabulated)],
     *[(fn, (25, 1.0, 0.7, _PN1, _P), {"n": 0, "t": 1, "x": 2})
       for fn in (exact_powered_cdf, exact_powered_pdf)],
     (exact_unpowered_cdf, (25, 3.0, _P), {"n": 0, "y": 1}),
-    (hall_error_leading, (25, 0.7), {"n": 0, "x": 1}),
     (SimulationConfig, (10, 1.0, 1.0, 1, 0), {"n": 0, "t": 1, "sigma": 2, "reps": 3, "seed": 4}),
     (error_table_grid, ("cdf", 1.0, 0.7, 1.0, 50), {"t": 1, "x": 2, "sigma": 3, "n": 4}),
+    (error_table_golden, ("pdf", 2.0, 0.7, 1.0, 50), {"t": 1, "x": 2, "sigma": 3, "n": 4}),
     (rate_diagnostic, ("pdf", 1.0, 0.7, 1.0, [10**4, 10**8]), {"t": 1, "x": 2, "sigma": 3}),
     *[(fn, (0.7, 1.0, [10**3, 10**6]), {"x": 0, "sigma": 1})
       for fn in (hall_rate_check, compare_schemes)],
@@ -129,27 +127,19 @@ def test_accepted_values_convert_exactly():
         SimulationConfig(10**400, 1.0, 1.0, 2, 0)
     assert type(hall_base(np.float32(100.0)).n) is int
     assert maxwell.tail_expansion(5.0, _P, terms=2.0) == maxwell.tail_expansion(5.0, _P, terms=2)
-    assert hall_error_leading(25, 0.7) == hall_error_leading(25.0, 0.7)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: hall_error_leading(math.nan, 0.7),
     lambda: maxwell.tail_expansion(5.0, _P, terms=True),
     lambda: SimulationConfig(10, 1.0, 1.0, True, 0),
     lambda: cdf_approx(2, "2", 0.5, _BASE),
     lambda: gumbel_cdf(Decimal("0.5")),
     # the grid's span is checked in ints, so the exact law's n check is reached
     lambda: rate_diagnostic("cdf", 1.0, 0.7, 1.0, [10**4, 10**400]),
-], ids=["nan-n", "bool-terms", "bool-reps", "str-t", "Decimal-x", "n-beyond-float-range"])
+], ids=["bool-terms", "bool-reps", "str-t", "Decimal-x", "n-beyond-float-range"])
 def test_rejected_values(call):
     with pytest.raises(MaxextError):
         call()
-
-
-def test_hall_error_leading_names_its_own_x():
-    # x is checked at hall_error_leading's boundary, not inside the Gumbel law
-    with pytest.raises(MaxextError, match=r"^x: NaN input$"):
-        hall_error_leading(1000, math.nan)
 
 
 # PoweredNorming checks nothing when it is built, so the exact laws check
@@ -187,8 +177,8 @@ X_CALLS = {
        for fn in (cdf_approx, pdf_approx)},
     **{f"{fn.__name__}-{name}": lambda x, fn=fn, s=s: fn(3, 2.0, x, _BASE, s)
        for fn in (cdf_approx, pdf_approx) for name, s in _SQUARE.items()},
-    **{fn.__name__: lambda x, fn=fn: fn(3, x, _BASE)
-       for fn in (cdf_approx_tabulated, pdf_approx_tabulated)},
+    **{f"error_table-{kind}-tabulated": lambda x, kind=kind: error_table(kind, 2.0, x, 1.0, [25])
+       for kind in ("cdf", "pdf")},
     "rate_diagnostic": lambda x: rate_diagnostic("cdf", 1.0, x, 1.0, [10**4, 10**8]),
     "hall_rate_check": lambda x: hall_rate_check(x, 1.0, [10**3, 10**6]),
 }
