@@ -17,8 +17,7 @@ access: a later patch of the home module does not reach ``maxext.<name>``.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "errors": "MaxextError DomainError NoRootError ConfigurationError DegenerateError "
-              "DiagnosticsError",
+    "errors": "MaxextError DomainError NoRootError ConfigurationError DiagnosticsError",
     "special": "erfc gumbel_cdf gumbel_pdf",
     "maxwell": "MaxwellParams",
     "norming": "Scheme NormingBase PoweredNorming solve_bn powered_constants hall_base",

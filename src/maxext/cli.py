@@ -17,10 +17,11 @@ The law of the normalized maximum (|M_n|^t - d_n)/c_n is free of sigma, a
 pure scale (b_n = sigma z_n; c_n and d_n scale as sigma^t), so there
 `--sigma` is a usage error, and a fixed sigma sets only the rounding.
 
-Every grid is one comma-separated list: `--n-grid` of sample sizes, read
-exactly, and `--x-grid` (`plot-data`, `adjudicate`) of evaluation points.
-Each real (`--x`, `--t`, `--sigma`, an `--x-grid` part) is read by
-`_finite_float`, so NaN, inf and 1e400 are usage errors.
+Every grid is one comma-separated list: `--n-grid` of sample sizes and
+`--x-grid` (`plot-data`, `adjudicate`) of evaluation points. Each real
+(`--x`, `--t`, `--sigma`, an `--x-grid` part) is read by `_finite_float`,
+and each integer (`--n`, `--reps`, `--seed`, an `--n-grid` part) exactly by
+`_exact_int`, so 1e3 is 1000, and NaN, inf, 1e400 and 2.5 are usage errors.
 An argument that starts with - and then a digit or a point is a value, so
 `--x-grid -1,0,1` and `--x -1e-3` parse, and an option is matched by its
 full name only.
@@ -84,32 +85,34 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _grid(text: str, read) -> list:
-    """The comma-separated values of text, each read by `read`; empty parts are skipped."""
+def _exact_int(text: str) -> int:
+    # 1e300 is 10**300. Only text with a point or an exponent loads decimal,
+    # which, unlike Fraction, forms no 10**k for an exponent k such as -10**8.
+    _finite_float(text)  # a usage error for nan, inf, 1e400 and a 401-digit literal
     try:
-        values = [read(part) for part in text.split(",") if part.strip()]
-    except (argparse.ArgumentTypeError, ValueError):
-        values = []
-    if not values:  # also a grid of no values, such as "" or ","
-        raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
-    return values
+        return int(text)
+    except ValueError:
+        from decimal import Decimal
+
+        value = Decimal(text)
+    if value != value.to_integral_value():
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(value)
 
 
-def _n_grid(text: str) -> list[numbers.Rational]:
-    # read exactly, so 1e300 is 10**300; a non-integral n is a domain error.
-    # Only a typed grid loads fractions: the defaults are ints, which argparse
-    # passes through without calling this.
-    from fractions import Fraction
+def _grid(read):
+    """A converter of comma-separated values, each read by `read`; empty parts are skipped."""
+    def convert(text: str) -> list:
+        try:
+            values = [read(part) for part in text.split(",") if part.strip()]
+        except argparse.ArgumentTypeError:
+            values = []
+        if not values:  # also a grid of no values, such as "" or ","
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated finite numbers, got {text!r}")
+        return values
 
-    def exact(part):
-        _finite_float(part)  # a usage error for 1e400, which Fraction reads
-        return Fraction(part)
-
-    return _grid(text, exact)
-
-
-def _x_grid(text: str) -> list[float]:
-    return _grid(text, _finite_float)
+    return convert
 
 
 # The sigma of each subcommand without --sigma: the one its recorded output
@@ -231,7 +234,7 @@ class _Parser(argparse.ArgumentParser):
 
 _OPTIONS = {
     "--kind": dict(choices=["cdf", "pdf"], help="distribution or density (default %(default)s)"),
-    "--n": dict(type=int, required=True, help="sample size"),
+    "--n": dict(type=_exact_int, required=True, help="sample size"),
     "--sigma": dict(type=_finite_float, help="scale parameter (default %(default)s)"),
     "--t": dict(type=_finite_float, help="power index (default %(default)s)"),
     "--x": dict(type=_finite_float, help="evaluation point (default %(default)s)"),
@@ -239,10 +242,10 @@ _OPTIONS = {
     "--convention": dict(choices=["tabulated", "asymptotic", "auto"],
                          help="tabulated matches the golden tables (t = 2 only); "
                               "asymptotic uses the exact norming root (default %(default)s)"),
-    "--n-grid": dict(type=_n_grid, help="comma-separated sample sizes"),
-    "--x-grid": dict(type=_x_grid, help="comma-separated evaluation points"),
-    "--reps": dict(type=int, help="repetitions (default %(default)s)"),
-    "--seed": dict(type=int, help="Philox key (default %(default)s)"),
+    "--n-grid": dict(type=_grid(_exact_int), help="comma-separated sample sizes"),
+    "--x-grid": dict(type=_grid(_finite_float), help="comma-separated evaluation points"),
+    "--reps": dict(type=_exact_int, help="repetitions (default %(default)s)"),
+    "--seed": dict(type=_exact_int, help="Philox key (default %(default)s)"),
     "--output": dict(metavar="PATH", help="write to file instead of stdout"),
 }
 

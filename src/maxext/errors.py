@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all maxext modules, and the rules every public
-number is checked by: `_real` for x, sigma and t, `_integer` for n, counts and seeds."""
+number is checked by: `_real` for x, sigma and t, `_integer` for n, counts and seeds.
+A value outside its rule is a DomainError wherever it enters, a record included."""
 import math
 import numbers
 import operator
@@ -20,10 +21,6 @@ class NoRootError(DomainError):
 
 class ConfigurationError(MaxextError, ValueError):
     """Mutually incompatible options (scheme/power mismatch, bad order, ...)."""
-
-
-class DegenerateError(MaxextError, ValueError):
-    """A norming scheme degenerated (nonpositive scale constant)."""
 
 
 class DiagnosticsError(MaxextError, ValueError):

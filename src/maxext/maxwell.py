@@ -127,6 +127,17 @@ def survival(x: float, p: MaxwellParams) -> float:
     return erfc(z / _SQRT2) + _z_density(z)
 
 
+def _tail_x(x, p: MaxwellParams, name: str) -> float:
+    """x as a float; DomainError unless x > 0 and x/sigma >= 1e-50, below which the
+    tail functions, about 2.4 (s/x)^5 and -3 (s/x)^6, near the float range."""
+    x = _real(x, name)
+    if x <= 0.0:
+        raise DomainError(f"{name} requires x > 0, got {x}")
+    if x / p.sigma < 1e-50:
+        raise DomainError(f"{name} requires x/sigma >= 1e-50, got {x / p.sigma}")
+    return x
+
+
 def _tail_partial_sum(x: float, p: MaxwellParams, terms: int) -> float:
     r = (p.sigma / x) ** 2
     total = 0.0
@@ -139,11 +150,9 @@ def tail_expansion(x: float, p: MaxwellParams, terms: int = 4) -> float:
     """Asymptotic tail approximation sigma^2 x^-1 f(x) (1 + (s/x)^2 - (s/x)^4 + 3(s/x)^6).
 
     `terms` truncates the bracketed series after 1..4 terms; the remainder of
-    the full 4-term form is O((sigma/x)^8).
+    the full 4-term form is O((sigma/x)^8). DomainError below x/sigma = 1e-50.
     """
-    x = _real(x, "tail_expansion")
-    if x <= 0.0:
-        raise DomainError(f"tail_expansion requires x > 0, got {x}")
+    x = _tail_x(x, p, "tail_expansion")
     terms = _integer(terms, "terms")
     if not 1 <= terms <= 4:
         raise _domain_error("terms", "in 1..4", terms)
@@ -153,9 +162,10 @@ def tail_expansion(x: float, p: MaxwellParams, terms: int = 4) -> float:
 def tail_remainder(x: float, p: MaxwellParams) -> float:
     """Relative remainder survival(x)/(sigma^2 x^-1 f(x)) minus the 4-term series.
 
-    Within a few ulp of the exact value for every x/sigma from 1e-50 to 1e38,
-    where it leaves the normal floats, also where survival itself underflows
-    (x beyond roughly 37 sigma); scaled by (x/sigma)^8 it tends to -15.
+    Within a few ulp of the exact value for every x/sigma from 1e-50 (a
+    DomainError below, as for tail_expansion) to 1e38, where it leaves the
+    normal floats, also where survival itself underflows (x beyond roughly
+    37 sigma); scaled by (x/sigma)^8 it tends to -15.
     With z = x/sigma:
 
     - below z = 2 it is that difference, which does not cancel there: the
@@ -169,15 +179,9 @@ def tail_remainder(x: float, p: MaxwellParams) -> float:
       k = -62..25 (v from 4e-17 to 36); a node outside that range adds under
       1e-17 to J. Where z^-8 underflows, so does the value, and the result
       is -0.0.
-
-    Below z = 1e-50 the value, about -3 z^-6, nears the float range: DomainError.
     """
-    x = _real(x, "tail_remainder")
-    if x <= 0.0:
-        raise DomainError(f"tail_remainder requires x > 0, got {x}")
+    x = _tail_x(x, p, "tail_remainder")
     z = x / p.sigma
-    if z < 1e-50:
-        raise DomainError(f"tail_remainder requires x/sigma >= 1e-50, got {z}")
     if z < 2.0:
         w = z / _SQRT2
         ratio = 1.0 + math.sqrt(math.pi) * math.exp(w * w) * math.erfc(w) / (2.0 * w)

@@ -39,8 +39,8 @@ numpy is imported inside the functions that use it, once per call, so
 importing this module (and the CLI's analytic subcommands) does not load it.
 
 `SimulationConfig` is a NamedTuple that checks and converts its fields
-whenever one is built, `_replace` included; its range messages shorten a
-huge value with reprlib, as errors._real and errors._integer do.
+whenever one is built, `_replace` included. A bad field is a DomainError (a huge
+one shortened by reprlib); only a scheme that does not fit t is a ConfigurationError.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ import threading
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import maxwell
-from .errors import ConfigurationError, DomainError, _integer, _real
+from .errors import DomainError, _integer, _real
 from .maxwell import MaxwellParams
 from .norming import _MIN_N, Scheme, powered_constants, solve_bn, validate_scheme
 
@@ -73,17 +73,14 @@ class SimulationConfig(NamedTuple("SimulationConfig", [
 
     def __new__(cls, n: int, t: float, sigma: float, reps: int, seed: int,
                 scheme: Scheme = Scheme.GENERAL_POWER):
-        try:
-            n, reps, seed = _integer(n, "n"), _integer(reps, "reps"), _integer(seed, "seed")
-            sigma = _real(sigma, "sigma", positive=True)
-        except DomainError as exc:
-            raise ConfigurationError(str(exc)) from None
+        n, reps, seed = _integer(n, "n"), _integer(reps, "reps"), _integer(seed, "seed")
+        sigma = _real(sigma, "sigma", positive=True)
         if n < _MIN_N:
-            raise ConfigurationError(f"sample size n must be >= {_MIN_N}, got {reprlib.repr(n)}")
+            raise DomainError(f"sample size n must be >= {_MIN_N}, got {reprlib.repr(n)}")
         if reps < 1:
-            raise ConfigurationError(f"reps must be >= 1, got {reprlib.repr(reps)}")
+            raise DomainError(f"reps must be >= 1, got {reprlib.repr(reps)}")
         if not 0 <= seed < 2**128:
-            raise ConfigurationError(f"seed must be in [0, 2**128), got {reprlib.repr(seed)}")
+            raise DomainError(f"seed must be in [0, 2**128), got {reprlib.repr(seed)}")
         t, scheme = validate_scheme(t, scheme)
         return super().__new__(cls, n, t, sigma, reps, seed, scheme)
 

@@ -24,7 +24,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import ConfigurationError, DegenerateError, DomainError, NoRootError, _integer, _real
+from .errors import ConfigurationError, DomainError, NoRootError, _integer, _real
 
 __all__ = [
     "Scheme",
@@ -228,11 +228,10 @@ def default_scheme(t: float) -> Scheme:
 def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNorming:
     """Construct (c_n, d_n) for |M_n|^t from solved base constants.
 
-    Raises DomainError unless 0 < b_n < inf, where c_n or d_n overflows, or
-    c_n underflows below the smallest normal float, where it keeps too few
-    bits to scale x (a large t, or an extreme b_n or sigma), and
-    DegenerateError where a shift leaves c_n <= 0 (b_n <= sigma, only in a
-    hand-built NormingBase).
+    Raises DomainError unless 0 < b_n < inf, where c_n or d_n overflows, and
+    where c_n is below the smallest normal float: it keeps too few bits to
+    scale x (a large t, or an extreme b_n or sigma), or a shift left it <= 0
+    (b_n <= sigma, only in a hand-built NormingBase).
     """
     t, scheme = validate_scheme(t, scheme)
     b, s2 = base.b_n, base.sigma * base.sigma
@@ -247,9 +246,6 @@ def powered_constants(base: NormingBase, t: float, scheme: Scheme) -> PoweredNor
     if shift:  # a square pair; u < 1 (b_n > sigma), so no power past sigma^2 is formed
         u = shift * s2 / (b * b) if b * b else shift * math.inf  # b_n^2 may underflow
         c, d = c * (1.0 + u), d + c * u
-        if c <= 0.0:
-            raise DegenerateError(
-                f"alternative square constants degenerate: c_n = {c} <= 0 at b_n = {b}")
     if not (_FLOAT_MIN <= c < math.inf and math.isfinite(d)):
         raise DomainError(
             f"powered constants out of range at b_n = {b!r}, t = {t}: "

@@ -312,14 +312,29 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     (["table", "--x", "1e400"], "--x"),
     (["bn", "--n", "25", "--sigma", "nan"], "--sigma"),
     (["rate", "--t", "inf"], "--t"),
+    # every integer option is read as an --n-grid part is
+    (["bn", "--n", "2.5"], "--n"),
+    (["bn", "--n", "25.5e0"], "--n"),
+    (["bn", "--n", "nan"], "--n"),
+    (["plot-data", "--n", "1e400"], "--n"),
+    (["simulate", "--n", "100", "--reps", "1.5"], "--reps"),
+    (["simulate", "--n", "100", "--seed", "1e400"], "--seed"),
+    (["rate", "--n-grid", "1e4,10000.5"], "--n-grid"),
+    # a huge exponent costs nothing (Fraction would form 10**99999999)
+    (["bn", "--n", "1e-99999999"], "--n"),
+    (["rate", "--n-grid", "1e4,1e-99999999"], "--n-grid"),
 ])
 def test_bad_option_values_are_usage_errors(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.splitlines()[-1].startswith(f"maxext {argv[0]}: error: argument {option}: ")
-    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert last.startswith(f"maxext {argv[0]}: error: argument {option}: ")
+    assert last.endswith(f", got {argv[-1]!r}")  # the value as typed
+    assert "Traceback" not in err and "Fraction(" not in err
     if not option.endswith("-grid"):
-        assert err.splitlines()[-1].endswith(f"expected a finite number, got {argv[-1]!r}")
+        integral = option in ("--n", "--reps", "--seed") and math.isfinite(float(argv[-1]))
+        assert last.endswith(f"expected {'an integer' if integral else 'a finite number'}, "
+                             f"got {argv[-1]!r}")
 
 
 @pytest.mark.parametrize("where", ["directory", "missing directory"])
@@ -499,13 +514,13 @@ def test_a_coefficient_zero_at_every_grid_x_exits_2(capsys):
                    "its relative deviation is undefined\n")
 
 
-def test_sample_size_beyond_float_range_exits_2(capsys):
-    # F^n = exp(n log F) cannot be formed for an n beyond float range (an
-    # --n-grid part beyond float range is a usage error instead)
+def test_sample_size_beyond_float_range_is_a_usage_error(capsys):
+    # as an --n-grid part is; the library's DomainError for such an n, where
+    # F^n = exp(n log F) cannot be formed, is tested in test_exact.py
     code, out, err = run_cli(capsys, "plot-data", "--n", str(10**400))
-    assert code == 2 and out == ""
-    assert err.startswith("maxext plot-data: sample size n is beyond float range")
-    assert len(err.splitlines()) == 1
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == ("maxext plot-data: error: argument --n: "
+                                    f"expected a finite number, got '{10**400}'")
 
 
 def test_n_grid_is_read_exactly(capsys):
@@ -515,10 +530,25 @@ def test_n_grid_is_read_exactly(capsys):
     assert [row[0] for row in parse_csv(out)[1:]] == [str(10**10), str(10**200), str(10**300)]
 
 
-def test_non_integral_n_grid_point_exits_2(capsys):
+def test_non_integral_n_grid_point_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "rate", "--n-grid", "1e4,1e8,10000.5")
-    assert code == 2 and out == ""
-    assert err.startswith("maxext rate: n must be an integer") and len(err.splitlines()) == 1
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == ("maxext rate: error: argument --n-grid: expected "
+                                    "comma-separated finite numbers, got '1e4,1e8,10000.5'")
+
+
+@pytest.mark.parametrize("typed, written_out", [
+    (["bn", "--n", "1e3"], ["bn", "--n", "1000"]),
+    (["simulate", "--n", "1e3", "--reps", "1e1", "--seed", "7"],
+     ["simulate", "--n", "1000", "--reps", "10", "--seed", "7"]),
+    (["constants", "--n", "2.5e1"], ["constants", "--n", "25"]),
+    (["bn", "--n", "0e-99999999"], ["bn", "--n", "0"]),  # both exit 2
+])
+def test_integer_options_are_read_exactly(capsys, typed, written_out):
+    # as an --n-grid part is: 1e3 is 1000, and the handler receives an int
+    assert run_cli(capsys, *typed) == run_cli(capsys, *written_out)
+    args = vars(cli.build_parser().parse_args(typed))
+    assert all(type(args[name]) is int for name in ("n", "reps", "seed") if name in args)
 
 
 _SWEEP_COMMANDS = [  # (argv, takes --t)

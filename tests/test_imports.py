@@ -10,8 +10,8 @@ use. scipy is not a dependency: maxext runs where it cannot be imported, and
 `maxwell.tail_remainder` sums its own quadrature. The line fits of `rate`
 and `adjudicate` are solved in exact integer arithmetic and need neither.
 The records are NamedTuples, so no call loads `dataclasses` (nor the
-`inspect` it imports), and `fractions` loads only to read a typed
-`--n-grid` exactly: the default grids are ints.
+`inspect` it imports), nor `fractions`; `decimal` loads only to read an
+integer option or `--n-grid` part typed with a point or an exponent.
 Each check runs in a fresh interpreter, because this test process has both
 packages loaded already.
 """
@@ -35,20 +35,28 @@ def loaded(names=("numpy", "scipy")):
     return sorted({name.split(".")[0] for name in sys.modules} & set(names))
 
 
-LAZY = ("dataclasses", "inspect", "fractions")
+LAZY = ("dataclasses", "inspect", "fractions", "decimal")
 assert loaded() == loaded(LAZY) == [], (loaded(), loaded(LAZY))
-for argv in (["table", "--kind", "cdf"], ["bn", "--n", "25"], ["constants", "--n", "25"],
-             ["rate", "--t", "2"], ["compare-schemes"], ["compare-hall"], ["adjudicate"],
-             ["plot-data", "--n", "500"]):
+# the README's ten analytic calls, and integers typed without a point or an exponent
+for argv in (["table", "--kind", "cdf"], ["table", "--kind", "pdf"],
+             ["table", "--t", "1", "--convention", "asymptotic"],
+             ["bn", "--n", "25", "--sigma", "2"],
+             ["constants", "--n", "25", "--sigma", "2", "--t", "2"], ["rate", "--t", "2"],
+             ["compare-schemes"], ["compare-hall"], ["adjudicate"],
+             ["plot-data", "--kind", "cdf", "--n", "500"],
+             ["rate", "--n-grid", "10000,100000000"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     assert loaded() == loaded(LAZY) == [], (argv, loaded(), loaded(LAZY))
     assert "maxext.montecarlo" not in sys.modules, argv
+# an integer typed with an exponent is read exactly, through decimal
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["bn", "--n", "1e3"]) == 0
+assert loaded(LAZY) == ["decimal"], loaded(LAZY)
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     assert cli.main(["rate", "--t", "1", "--n-grid", "1e4,1e300"]) == 0
 assert out.getvalue().splitlines()[2].startswith(str(10**300) + ","), out.getvalue()
-assert loaded(LAZY) == ["fractions"], loaded(LAZY)
 from maxext.montecarlo import SimulationConfig, simulate_powered_maxima
 
 assert loaded() == [] and loaded(("dataclasses", "inspect")) == [], (loaded(), loaded(LAZY))
@@ -163,7 +171,7 @@ def test_lazy_names_are_the_home_modules_objects():
 def test_the_public_names_are_pinned():
     # each name here is a promise; one added or removed is a deliberate API change
     assert sorted(maxext.__all__) == [
-        "ConfigurationError", "DegenerateError", "DiagnosticsError", "DomainError", "ErrorRow",
+        "ConfigurationError", "DiagnosticsError", "DomainError", "ErrorRow",
         "MaxextError", "MaxwellParams", "NoRootError", "NormingBase", "PoweredNorming",
         "Scheme", "SimulationConfig", "__version__", "adjudicate_density_coeffs",
         "cdf_approx", "compare_schemes", "erfc", "error_table", "exact_powered_cdf",

@@ -204,6 +204,27 @@ def test_tail_remainder_tiny_and_huge_ratios():
         assert tail_remainder(x, MaxwellParams(sigma)) == 0.0
 
 
+@pytest.mark.parametrize("x, sigma", [(1e-60, 1.0), (0.7, 1e100), (1e-200, 1.0),
+                                      (1e-310, 1.5e-154), (1e-10, 1e300)])
+def test_tail_expansion_rejects_x_below_tail_remainders_floor(x, sigma):
+    # it returned inf below x/sigma = 5e-52 and raised a bare OverflowError below 7e-155
+    with pytest.raises(DomainError, match=r"^tail_expansion requires x/sigma >= 1e-50, got "):
+        tail_expansion(x, MaxwellParams(sigma))
+
+
+def test_tail_expansion_is_finite_or_domain_error_at_any_scale():
+    assert tail_expansion(1e-50, MaxwellParams(1.0)) == pytest.approx(2.3936536824e250)
+    for sigma in (1.5e-154, 1e-100, 1.0, 1e100, 1e300):
+        p = MaxwellParams(sigma)
+        for x in (10.0**e for e in range(-320, 309, 3)):
+            try:
+                value = tail_expansion(x, p)
+            except DomainError:
+                assert x / sigma < 1e-50, (x, sigma)
+            else:
+                assert math.isfinite(value) and x / sigma >= 1e-50, (x, sigma, value)
+
+
 def test_tail_expansion_domain():
     p = MaxwellParams(1.0)
     with pytest.raises(DomainError):
