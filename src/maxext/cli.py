@@ -10,6 +10,18 @@ Each option is declared once, in `_OPTIONS` (its converter or choices and its
 help), and `_COMMANDS` gives each subcommand its handler, its help and its
 options with their defaults; `build_parser` is one loop over the two.
 
+Two readers turn an argv into the handler's arguments, both from those two
+tables. `_read_plain` reads a plain argv, a subcommand and then pairs of one
+of its own options, written in full, and a value, into the namespace
+argparse would build, with the same converters, choices and defaults. Every
+other argv (help, `--opt=value`, an unknown option, a missing `--n`, a value
+its converter rejects) goes to the argparse parser of `build_parser`, which
+alone prints usage, help and usage errors, and which the tests hold the
+plain reader to. The plain reader is there because argparse costs a cold
+call about 7 ms (its import with gettext, then ten parsers), of about 95 ms
+in all; only `build_parser`, and a converter where it raises its error,
+import argparse.
+
 Only `bn`, `constants` and `rate` take `--sigma`: they print b_n, c_n, d_n
 or sigma^k-scaled errors, which scale with sigma. The other six print only
 normalized quantities; `simulate` prints statistics of the normalized maxima.
@@ -39,12 +51,12 @@ loads `montecarlo`.
 """
 from __future__ import annotations
 
-import argparse
 import math
 import numbers
 import os
 import re
 import sys
+import types
 
 from .errors import MaxextError
 from .norming import Scheme, default_scheme, equation_residual, powered_constants, solve_bn
@@ -73,22 +85,31 @@ def _emit(lines, out):
         out.write(text)
 
 
-# argparse type= converters: bad values become one-line usage errors (exit 1)
+# type= converters of argparse and of the plain reader: bad values become
+# one-line usage errors (exit 1)
 
-def _finite_float(text: str) -> float:
+def _usage_error(message: str, grid: str | None = None):
+    # imported here, so a call whose values all read loads no argparse; a bad
+    # grid part is named by its reader, with the grid quoted as typed
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message if grid is None else f"{message} in {grid!r}")
+
+
+def _finite_float(text: str, grid: str | None = None) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise _usage_error(f"expected a finite number, got {text!r}", grid)
     return value
 
 
-def _exact_int(text: str) -> int:
+def _exact_int(text: str, grid: str | None = None) -> int:
     # 1e300 is 10**300. Only text with a point or an exponent loads decimal,
     # which, unlike Fraction, forms no 10**k for an exponent k such as -10**8.
-    _finite_float(text)  # a usage error for nan, inf, 1e400 and a 401-digit literal
+    _finite_float(text, grid)  # a usage error for nan, inf, 1e400 and a 401-digit literal
     try:
         return int(text)
     except ValueError:
@@ -96,20 +117,16 @@ def _exact_int(text: str) -> int:
 
         value = Decimal(text)
     if value != value.to_integral_value():
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise _usage_error(f"expected an integer, got {text!r}", grid)
     return int(value)
 
 
 def _grid(read):
     """A converter of comma-separated values, each read by `read`; empty parts are skipped."""
     def convert(text: str) -> list:
-        try:
-            values = [read(part) for part in text.split(",") if part.strip()]
-        except argparse.ArgumentTypeError:
-            values = []
-        if not values:  # also a grid of no values, such as "" or ","
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated finite numbers, got {text!r}")
+        values = [read(part, text) for part in text.split(",") if part.strip()]
+        if not values:  # a grid of no values, such as "" or ","
+            raise _usage_error(f"expected comma-separated finite numbers, got {text!r}")
         return values
 
     return convert
@@ -217,20 +234,9 @@ def _cmd_plot_data(args) -> list[str]:
                  for x in args.x_grid])
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
-        # an option is matched by its full name only, so plot-data reads no
-        # --x as an abbreviation of --x-grid
-        super().__init__(allow_abbrev=False, **kwargs)
-        # no option starts with a digit, so any argument that starts with -
-        # and then a digit or a point is a value: -1e-3, -.5 and -1,0,1 too
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
-
-    # usage errors must exit 1, not argparse's default 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
+# no option starts with a digit, so any argument that starts with - and then
+# a digit or a point is a value: -1e-3, -.5 and -1,0,1 too
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 _OPTIONS = {
     "--kind": dict(choices=["cdf", "pdf"], help="distribution or density (default %(default)s)"),
@@ -281,7 +287,23 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of the CLI: the reference for every argv, and the only
+    code that prints usage, help or a usage error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, **kwargs):
+            # an option is matched by its full name only, so plot-data reads no
+            # --x as an abbreviation of --x-grid
+            super().__init__(allow_abbrev=False, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_NUMBER
+
+        # usage errors must exit 1, not argparse's default 2
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="maxext",
                      description="Powered maxima of Maxwell samples: exact laws, "
                                  "expansions, error tables, and diagnostics.")
@@ -294,12 +316,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_plain(argv):
+    """The namespace `build_parser().parse_args(argv)` makes of a plain argv, else None.
+
+    A plain argv is a subcommand, then pairs of one of its own options, written
+    in full, and a value that argparse reads as one: it does not start with -,
+    or it is a negative number. The last occurrence of an option wins, as in
+    argparse. Anything else, and any value its converter or choices reject, is
+    left to argparse, which prints the usage, help or error.
+    """
+    if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
+        return None
+    func, _, defaults = _COMMANDS[argv[0]]
+    values = {}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        if (option not in defaults and option != "--output"
+                or text.startswith("-") and not _NEGATIVE_NUMBER.match(text)):
+            return None
+        spec = _OPTIONS[option]
+        try:
+            value = spec.get("type", str)(text)
+        except Exception:  # noqa: BLE001 - argparse reports it, or lets it escape
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[option] = value
+    if any(_OPTIONS[option].get("required") and option not in values for option in defaults):
+        return None
+    return types.SimpleNamespace(
+        command=argv[0], func=func,
+        **{option[2:].replace("-", "_"): values.get(option, default)
+           for option, default in [*defaults.items(), ("--output", None)]})
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     out, created, code = None, False, 1
     try:
         if args.output:

@@ -7,6 +7,12 @@ random values of the others. Whatever the mix, `cli.main` must return 0, 1
 (usage error) or 2 (domain error), let no exception escape and print no
 traceback. The options are read from the parser itself, so a new option
 needs a pool of valid values below before this test passes.
+
+Those calls write `--opt=value`, which only argparse reads. The plain
+reader, `cli._read_plain`, meets space-separated argvs: valid and awkward
+values, values that start with a minus, repeated and undeclared options,
+help and odd token counts. For each it must return None or exactly the
+namespace of `cli.build_parser().parse_args`.
 """
 import argparse
 import random
@@ -88,3 +94,72 @@ def test_random_argv_exits_0_1_or_2_without_traceback(capsys, monkeypatch, tmp_p
         if code not in (0, 1, 2) or "Traceback" in err:
             failures.append(f"{argv}: exit {code}: {err[-300:]}")
     assert not failures, "\n".join(failures)
+
+
+# values that start with a minus: argparse reads the first four as values
+# (negative numbers) and the others as options
+DASHED = ["-1", "-.5", "-1e-3", "-1,0,1", "-", "-x", "--", "-h", "--help", "- 1", "-1=2",
+          "-.", "--n"]
+# option tokens that no subcommand reads as one of its own options
+UNDECLARED = ["-h", "--help", "--bogus", "--n-g", "--x-", "-n", "--", "--n=3", "--sigma"]
+OUTPUTS = ["out.csv", "", "-1.csv", "a b"]
+PLAIN_CASES = 20_000
+# edge cases each worth one argv, not left to chance
+PLAIN_FIXED = [
+    [], ["-h"], ["bn"], ["bn", "-h"], ["bn", "--n"], ["bn", "--sigma", "2"], ["bn", "--n=3"],
+    ["bn", "--n", "3", "--n", "1e3"], ["bn", "--n", "2.5", "--n", "3"],
+    ["bn", "--n", "3", "--n", "2.5"], ["table", "--x", "-1e-3"], ["table", "--x", "-"],
+    ["table", "--x", "- 1"], ["table", "--x", "--"],
+    ["table", "--kind", "pdf", "--kind", "cdf"], ["table", "--kind", "CDF"],
+    ["plot-data", "--n", "500", "--x-grid", "-1,0,1"], ["plot-data", "--n", "500", "--x", "1"],
+    ["adjudicate", "--x", "1"], ["simulate", "--n", "3", "--output", "-1.csv"],
+]
+
+
+def _plain_pools():
+    """{subcommand: {option: valid values}}, read from the parser itself."""
+    return {name: {action.option_strings[0]: list(action.choices or VALID.get(action.dest, OUTPUTS))
+                   for action in subparser._actions
+                   if action.option_strings and not isinstance(action, argparse._HelpAction)}
+            for name, subparser in _subcommands().items()}
+
+
+def _space_separated_argvs(rng, count):
+    pools = _plain_pools()
+    names = list(pools)
+    for _ in range(count):
+        name = rng.choice(names if rng.random() < 0.95 else ["nope", "-h", "--help", ""])
+        options = pools.get(name, {})
+        argv = [name]
+        if "--n" in options and rng.random() < 0.9:  # the required option, most of the time
+            argv += ["--n", rng.choice(options["--n"])]
+        for _ in range(rng.randrange(4)):
+            declared = options and rng.random() < 0.92
+            option = rng.choice(list(options)) if declared else rng.choice(UNDECLARED)
+            r = rng.random()
+            pool = options[option] if declared and r < 0.75 else AWKWARD if r < 0.9 else DASHED
+            argv += [option, rng.choice(pool)]
+        if rng.random() < 0.1:  # an option given twice
+            argv += argv[-2:] if len(argv) > 2 else []
+        if rng.random() < 0.05:  # an odd token count
+            argv.pop(rng.randrange(len(argv)))
+        yield argv
+
+
+def test_plain_reader_builds_the_parsers_namespace_or_none(capsys):
+    parser = cli.build_parser()
+    rng = random.Random("maxext-cli-plain-reader")
+    accepted, failures = 0, []
+    for argv in [*PLAIN_FIXED, *_space_separated_argvs(rng, PLAIN_CASES)]:
+        plain = cli._read_plain(argv)
+        if plain is None:
+            continue
+        accepted += 1
+        try:
+            expected = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            expected = f"exit {exc.code}: {capsys.readouterr().err}"
+        if vars(plain) != expected:
+            failures.append(f"{argv}: {vars(plain)} != {expected}")
+    assert not failures, "\n".join(failures[:20])
+    assert accepted > PLAIN_CASES // 20  # the check reached the reader's namespaces

@@ -11,7 +11,9 @@ use. scipy is not a dependency: maxext runs where it cannot be imported, and
 and `adjudicate` are solved in exact integer arithmetic and need neither.
 The records are NamedTuples, so no call loads `dataclasses` (nor the
 `inspect` it imports), nor `fractions`; `decimal` loads only to read an
-integer option or `--n-grid` part typed with a point or an exponent.
+integer option or `--n-grid` part typed with a point or an exponent, and
+`argparse` only for an argv the CLI's plain reader leaves to it (help, a
+usage error, `--opt=value`).
 Each check runs in a fresh interpreter, because this test process has both
 packages loaded already.
 """
@@ -53,6 +55,12 @@ for argv in (["table", "--kind", "cdf"], ["table", "--kind", "pdf"],
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["bn", "--n", "1e3"]) == 0
 assert loaded(LAZY) == ["decimal"], loaded(LAZY)
+# a plain argv is read from the option table; argparse loads only to print
+# usage, help or a usage error
+assert "argparse" not in sys.modules
+with contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["table", "--bogus"]) == 1
+assert "argparse" in sys.modules
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     assert cli.main(["rate", "--t", "1", "--n-grid", "1e4,1e300"]) == 0
