@@ -211,7 +211,8 @@ _KINDS = {
                      _cdf_coeff1_general, lambda x: math.exp(-x) * _gumbel_cdf(x)),
     "pdf": _KindLaws(exact_powered_pdf, pdf_approx, _pdf_approx_tabulated,
                      lambda x: _pdf_coeff1_square(x, math.exp(-x)),
-                     lambda t, x: _pdf_coeff1_general(t, x, math.exp(-x)), _gumbel_pdf),
+                     lambda t, x: _pdf_coeff1_general(t, x, math.exp(-x)),
+                     lambda x: _gumbel_pdf(x)[0]),
 }
 
 
@@ -445,7 +446,8 @@ def compare_schemes(x: float, sigma: float, n_grid: Sequence[int]) -> SchemeComp
 
     The alternative constants leave an order b_n^-2 gap, so their error
     overtakes the optimal scheme's (order b_n^-6 residual after the order-2
-    correction) with a ratio growing like b_n^2.
+    correction) with a ratio growing like b_n^2. The rows keep grid order;
+    crossover_n reads them by increasing n.
     """
     ns = _check_grid(n_grid, min_len=1)
     law, p, x = _KINDS["cdf"], MaxwellParams(sigma), _real(x, "x")
@@ -453,7 +455,7 @@ def compare_schemes(x: float, sigma: float, n_grid: Sequence[int]) -> SchemeComp
     opt, alt = ([err for _, (err,) in _error_walk(law, law.approx, 2.0, scheme, x, p, bases, (2,))]
                 for scheme in (_OPTIMAL, _ALTERNATIVE))
     crossover = None
-    for n, o, a in reversed([*zip(ns, opt, alt)]):  # back to the last n where optimal loses
+    for n, o, a in sorted(zip(ns, opt, alt), reverse=True):  # down to the last n it loses at
         if not o <= a:
             break
         crossover = n
@@ -531,7 +533,7 @@ def adjudicate_density_coeffs(t: float, x_grid: Sequence[float], sigma: float,
     xs = [_real(v, "x") for v in x_grid]
     if not xs:
         raise DiagnosticsError("empty x grid")
-    dens = [_gumbel_pdf(x) for x in xs]
+    dens = [_gumbel_pdf(x)[0] for x in xs]
     if 0.0 in dens:
         raise DomainError(f"Lambda'(x) underflows to 0 at x = {xs[dens.index(0.0)]}; "
                           "the scaled residual is undefined")

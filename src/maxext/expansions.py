@@ -30,11 +30,14 @@ approximations evaluate it against z = b_n / sigma: no power of sigma can
 leave the float range, and each keeps its sigma = 1 value at every sigma
 that solve_bn accepts. A kernel that needs e^{-x} (every density kernel)
 takes it as its argument `emx`, so each approximation evaluates exp(-x)
-once per call, after its Gumbel factor.
+once per call: the densities take it from the Gumbel density kernel, with
+Lambda'(x), and cdf_approx after its Gumbel factor.
 
 Each input is checked once, where it enters the package: the approximations
 validate their (t, scheme) through norming.validate_scheme and take x through
-errors._real, so a numpy float32 x is used as its float; the Gumbel and the
+errors._real, so a numpy float32 x is used as its float; at orders 2-3,
+_base_u checks their base where it forms u = sigma^2 / b_n^2 (a DomainError
+unless sigma > 0, b_n > 0 and u is finite); the Gumbel and the
 coefficient kernels below run unchecked, as do the three diagnostic kernels,
 whose caller has checked x and n. cdf_approx alone takes Lambda(x)
 from the public gumbel_cdf, a call the benchmark's tracer follows; its check
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigurationError, _real
+from .errors import ConfigurationError, DomainError, _real
 from .norming import _GENERAL, _OPTIMAL, _SHIFT, NormingBase, Scheme, validate_scheme
 from .special import _gumbel_cdf, _gumbel_pdf, gumbel_cdf
 
@@ -62,6 +65,17 @@ __all__ = ["cdf_approx", "pdf_approx"]
 
 def _order_error(order) -> ConfigurationError:
     return ConfigurationError(f"expansion order must be 1, 2 or 3, got {order!r}")
+
+
+def _base_u(base):
+    # u = (sigma / b_n)^2, formed as 1 / z^2 with z = b_n / sigma: the one check of a base
+    sigma, b = base.sigma, base.b_n
+    if sigma > 0.0 and b > 0.0:
+        z = b / sigma
+        if z * z > 0.0:  # not NaN, and no underflow to a zero z^2
+            return 1.0 / (z * z)
+    raise DomainError("the expansions need sigma > 0, b_n > 0 and a finite sigma^2 / b_n^2, "
+                      f"got b_n = {b!r}, sigma = {sigma!r}")
 
 
 # ---------------------------------------------------------------- general t
@@ -143,8 +157,7 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
     emx = math.exp(-x)
     if emx == 0.0:
         return lam
-    z = base.b_n / base.sigma
-    u = 1.0 / (z * z)
+    u = _base_u(base)
     if scheme is _GENERAL:
         a1 = _cdf_coeff1_general(t, x)
     elif scheme is _OPTIMAL:
@@ -170,12 +183,10 @@ def pdf_approx(order: int, t: float, x: float, base: NormingBase,
         raise _order_error(order)
     t, scheme = validate_scheme(t, scheme)
     x = _real(x, "x")
-    lamp = _gumbel_pdf(x)
+    lamp, emx = _gumbel_pdf(x)
     if order == 1 or lamp == 0.0:
         return lamp
-    emx = math.exp(-x)
-    z = base.b_n / base.sigma
-    u = 1.0 / (z * z)
+    u = _base_u(base)
     if scheme is _GENERAL:
         bracket = 1.0 + _pdf_coeff1_general(t, x, emx) * u
         if order == 3:
@@ -229,10 +240,9 @@ def _cdf_approx_tabulated(order, t, x, base, scheme):
 
 def _pdf_approx_tabulated(order, t, x, base, scheme):
     """Square-power density approximation in the golden-table convention, as above."""
-    lamp = _gumbel_pdf(x)
+    lamp, emx = _gumbel_pdf(x)
     if order == 1 or lamp == 0.0:
         return lamp
-    emx = math.exp(-x)
     z = base.b_n / base.sigma
     u2 = 1.0 / z ** 4
     bracket = 1.0 + _pdf_coeff1_square(x, emx) * u2

@@ -5,9 +5,10 @@ functions take x through errors._real, so NaN, a bool and anything but a real
 number within float range is a DomainError. The kernels `_gumbel_cdf` and
 `_gumbel_pdf` check nothing; the package calls them on a checked float, but
 for cdf_approx, which calls gumbel_cdf (a call the benchmark's tracer
-follows). All are pure and safe for unrestricted concurrent use. The Gumbel
-functions return 0.0 far below the mode, where exp(-x) overflows and the
-true value underflows to zero.
+follows). `_gumbel_pdf` returns the pair (Lambda'(x), e^{-x}), so a density
+approximation reuses the e^{-x} it is formed from. All are pure and safe for
+unrestricted concurrent use. The Gumbel functions return 0.0 far below the
+mode, where exp(-x) overflows and the true value underflows to zero.
 """
 from __future__ import annotations
 
@@ -39,9 +40,10 @@ def _gumbel_cdf(x: float) -> float:
     return math.exp(-_exp_neg(x))
 
 
-def _gumbel_pdf(x: float) -> float:
+def _gumbel_pdf(x: float) -> tuple[float, float]:
+    # (Lambda'(x), e^{-x}): the density and the exp(-x) it is formed from
     emx = _exp_neg(x)
-    return 0.0 if emx == math.inf else math.exp(-x - emx)
+    return 0.0 if emx == math.inf else math.exp(-x - emx), emx
 
 
 def gumbel_cdf(x: float) -> float:
@@ -52,4 +54,4 @@ def gumbel_cdf(x: float) -> float:
 
 def gumbel_pdf(x: float) -> float:
     """Gumbel density exp(-x - exp(-x))."""
-    return _gumbel_pdf(_real(x, "gumbel_pdf"))
+    return _gumbel_pdf(_real(x, "gumbel_pdf"))[0]

@@ -375,6 +375,14 @@ def test_crossover_is_the_first_n_from_which_optimal_never_loses(x, crossover):
     assert cmp.crossover_n == crossover
 
 
+def test_crossover_reads_the_grid_by_increasing_n():
+    # the rows keep grid order; the crossover is that of the sorted grid
+    ns = [10**10, 10**3, 30, 10**6]
+    cmp = compare_schemes(0.7, 1.0, ns)
+    assert cmp.ns == tuple(ns)
+    assert cmp.crossover_n == compare_schemes(0.7, 1.0, sorted(ns)).crossover_n == 10**3
+
+
 @pytest.mark.parametrize("kind, t", [("cdf", 0.5), ("pdf", 1.0), ("cdf", 2.0), ("pdf", 3.0)])
 @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0])
 @pytest.mark.parametrize("x", [-1.0, 0.0, 0.7, 3.0])
