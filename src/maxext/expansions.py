@@ -48,7 +48,9 @@ as is, before evaluating any exp(-x) coefficient: far below the mode those
 coefficients overflow, while the true approximation underflows. Far above
 the mode, where exp(-x) underflows to 0.0, the distribution approximations
 return Lambda(x) = 1 the same way, before a polynomial in x can overflow;
-the densities are 0 there.
+the densities are 0 there. Elsewhere an order-2/3 bracket that a huge t
+makes inf or NaN (the general-power coefficients grow as t^2) is a
+DomainError, tested once per call, rather than a value of +-inf or NaN.
 
 All functions are scalar and pure.
 """
@@ -78,6 +80,12 @@ def _base_u(base):
                       f"got b_n = {b!r}, sigma = {sigma!r}")
 
 
+def _bracket_error(order, t, x) -> DomainError:
+    # where a huge t makes the order-2/3 bracket inf or NaN
+    return DomainError(f"the order-{order} expansion is not finite at t = {t!r}, x = {x!r}; "
+                       "use a smaller t")
+
+
 # ---------------------------------------------------------------- general t
 
 def _cdf_coeff1_general(t, x):
@@ -85,7 +93,7 @@ def _cdf_coeff1_general(t, x):
 
 
 def _cdf_coeff2_general(t, x):
-    c4 = (t - 2.0) ** 2 / 8.0
+    c4 = (t - 2.0) * (t - 2.0) / 8.0  # inf, not OverflowError, from t near 1.3e154
     c3 = (t - 2.0) * (5.0 - 2.0 * t) / 6.0
     return (((c4 * x + c3) * x - 0.5) * x - 1.0) * x - 1.0
 
@@ -97,7 +105,7 @@ def _pdf_coeff1_general(t, x, emx):
 
 def _general_coefficients(t, x):
     # (A1, A2, A1', A2') of the general-power expansion
-    c3 = (t - 2.0) ** 2 / 2.0
+    c3 = (t - 2.0) * (t - 2.0) / 2.0
     c2 = (t - 2.0) * (5.0 - 2.0 * t) / 2.0
     return (_cdf_coeff1_general(t, x), _cdf_coeff2_general(t, x), 1.0 + (t - 2.0) * x,
             ((c3 * x + c2) * x - 1.0) * x - 1.0)
@@ -160,7 +168,7 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
     u = _base_u(base)
     if scheme is _GENERAL:
         a1 = _cdf_coeff1_general(t, x)
-    elif scheme is _OPTIMAL:
+    elif scheme is _OPTIMAL:  # t = 2: a finite bracket, returned unchecked
         u2 = u * u
         bracket = 1.0 - emx * _cdf_coeff1_square(x) * u2
         if order == 3:
@@ -173,7 +181,9 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
         if scheme is _GENERAL:  # A2 only at order 3
             a2 = _cdf_coeff2_general(t, x)
         bracket += emx * (0.5 * emx * a1 * a1 - a2) * u * u
-    return lam * bracket
+    if math.isfinite(bracket):
+        return lam * bracket
+    raise _bracket_error(order, t, x)
 
 
 def pdf_approx(order: int, t: float, x: float, base: NormingBase,
@@ -201,7 +211,9 @@ def pdf_approx(order: int, t: float, x: float, base: NormingBase,
         bracket = 1.0 + (-emx * a1 + a1 - d1) * u
         if order == 3:
             bracket += _pdf_coeff2(coeffs, emx) * u * u
-    return lamp * bracket
+    if math.isfinite(bracket):
+        return lamp * bracket
+    raise _bracket_error(order, t, x)
 
 
 # The classic second-order pair of the golden tables at t = 2: _cdf_coeff2_square

@@ -24,16 +24,18 @@ n exceeds a worker's share ``_BLOCK_SIZE // workers``, a chunk is one rep,
 drawn into one row of that share, refilled until it has all n, the row
 keeping the running maximum; numpy's draws continue the stream from one call
 to the next, so the bits are those of one call of size n. From n =
-``_THREAD_MIN_N`` up, one thread per CPU the process may run on (never more
-than reps, nor so many that one makes fewer than ``_THREAD_MIN_DRAWS`` draws)
+``_THREAD_MIN_N`` up there is one worker per CPU the process may run on (never
+more than reps, nor so many that one makes fewer than ``_THREAD_MIN_DRAWS``
+draws): the calling thread, and one plain thread for each further one. Each
 builds its own generator and block, then takes chunks from one shared, locked
-queue until none is left or a worker or the caller has raised; numpy releases
-the GIL while it draws. The call returns or raises only once no worker is
-inside a chunk, counting the workers itself: the pool joins only the threads
-it registered, and an interrupt inside `submit` can leave one unregistered.
+queue until none is left or a worker has raised or the caller was interrupted;
+numpy releases the GIL while it draws. The call returns or raises only once no
+thread is inside a chunk. It counts the threads that take chunks, since an
+interrupt inside `Thread.start` can leave one started but unrecorded, and then
+raises the first error a thread stored, unless its own draws raised first.
 A chunk's maxima land at their reps' indices, so the bytes are the same for
 any number of threads and any order of finishing.
-Below either threshold, or on one CPU, one worker runs in the calling thread.
+Below either threshold, or on one CPU, the calling thread is the one worker.
 
 numpy is imported inside the functions that use it, once per call, so
 importing this module (and the CLI's analytic subcommands) does not load it.
@@ -105,8 +107,7 @@ _THREAD_MIN_N = 2**10
 # joining the threads costs about 0.2 ms warm: on 2 cores (median of 31
 # alternating calls at n = 1024, 4096 and 16384), 2 threads ran 0.73-0.90x as
 # fast as one at 16384 and 32768 draws each, 0.86-1.38x at 49152, and
-# 1.05-1.52x from 65536 to 131072. The first threaded call in a process also
-# imports concurrent.futures, about 5 ms.
+# 1.05-1.52x from 65536 to 131072.
 _THREAD_MIN_DRAWS = 2**16
 
 
@@ -174,43 +175,48 @@ def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
     budget = _BLOCK_SIZE // workers
     rows = max(1, budget // n)  # n > budget: a chunk is one rep, drawn budget at a time
     maxima, starts = [0.0] * reps, iter(range(0, reps, rows))
+    args = (cfg.seed, n, rows, min(n, budget), p)
     lock = threading.Condition()
-    halted, working = False, 0  # working: workers that may take a chunk
+    # working: extra threads that may take a chunk. The caller is not counted: an
+    # interrupt inside its own count would leave the wait below hanging for ever.
+    halted, working, errors = False, 0, []
 
     def take() -> int | None:
         with lock:
             return None if halted else next(starts, None)
 
-    def work() -> None:
+    def work() -> None:  # an extra thread's body
         nonlocal halted, working
         with lock:
             if halted:
                 return
             working += 1
         try:
-            _draw_chunks(cfg.seed, n, rows, min(n, budget), p, take, maxima)
-        except BaseException:
+            _draw_chunks(*args, take, maxima)
+        except BaseException as error:
             with lock:
-                halted = True  # no chunk starts after a worker's error
-            raise
+                halted = True  # no chunk starts after a thread's error
+                errors.append(error)
         finally:
             with lock:
                 working -= 1
                 lock.notify_all()
 
-    if workers == 1:
-        work()
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            try:
-                for future in [pool.submit(work) for _ in range(workers)]:
-                    future.result()  # raises a worker's error here
-            finally:
-                with lock:  # nor after an interrupt; each worker ends its chunk in hand
-                    halted = True
-                    lock.wait_for(lambda: not working)  # the pool may miss a thread
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        _draw_chunks(*args, take, maxima)
+    finally:
+        with lock:  # nor after the caller's error or an interrupt; each thread ends its chunk
+            halted = True
+            lock.wait_for(lambda: not working)  # also a thread whose start() was interrupted
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     try:
         return np.array([(m ** t - d) / c for m in maxima])
     except OverflowError:  # float ** float raises instead of returning inf

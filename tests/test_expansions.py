@@ -342,6 +342,21 @@ def test_approximations_saturate_where_exp_minus_x_underflows(x):
         assert _tabulated(_pdf_approx_tabulated, order, x, base) == 0.0
 
 
+@pytest.mark.parametrize("t", [1e150, 1e155, 1e305])
+def test_approximations_at_a_huge_t_are_finite_or_domain_error(t):
+    # the general-power coefficients grow as t^2, beyond the float range from t
+    # near 1.3e154; a bracket they make inf or NaN is a DomainError, not a value
+    base = solve_bn(100, 1.0)
+    for approx, order, x in itertools.product((cdf_approx, pdf_approx), (2, 3),
+                                              (-5.0, 0.7, 300.0, 700.0)):
+        try:
+            value = approx(order, t, x, base)
+        except DomainError as error:
+            assert str(error).startswith(f"the order-{order} expansion is not finite"), error
+        else:
+            assert math.isfinite(value), (approx, order, x, value)
+
+
 def test_outputs_match_recorded_bits(data_dir):
     # approx_bits.csv holds float.hex values recorded before each public
     # function was split into one validation and an unchecked kernel; the

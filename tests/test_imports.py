@@ -70,6 +70,18 @@ from maxext.montecarlo import SimulationConfig, simulate_powered_maxima
 assert loaded() == [] and loaded(("dataclasses", "inspect")) == [], (loaded(), loaded(LAZY))
 simulate_powered_maxima(SimulationConfig(n=10, t=1.0, sigma=1.0, reps=2, seed=1))
 assert loaded() == ["numpy"], loaded()
+# a call split over two workers, whatever this host's CPU count, starts one plain
+# thread beside the caller and loads no thread pool
+import threading
+
+from maxext import montecarlo
+
+montecarlo._cpus = lambda: 2
+start, started = threading.Thread.start, []
+threading.Thread.start = lambda self: started.append(self) or start(self)
+simulate_powered_maxima(SimulationConfig(n=2**10, t=1.0, sigma=1.0, reps=2**7, seed=1))
+threading.Thread.start = start
+assert len(started) == 1 and "concurrent.futures" not in sys.modules, started
 maxwell.tail_remainder(10.0, maxwell.MaxwellParams(1.0))
 assert loaded() == ["numpy"], loaded()
 print("ok")

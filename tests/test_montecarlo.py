@@ -176,7 +176,7 @@ def test_simulate_matches_jumped_oracle_any_workers(force_workers, n, reps, t, s
 
 
 @pytest.mark.parametrize("n, reps, cpus, workers", [
-    # below either threshold, or on one CPU, every rep runs in the calling thread
+    # below either threshold, or on one CPU, the calling thread is the one worker
     (2**10 - 1, 300, 7, 1),
     (2**10, 10, 1, 1),
     (2**10, 2, 7, 1),
@@ -209,7 +209,7 @@ def test_workers_share_the_reps(monkeypatch, n, reps, cpus, workers):
     monkeypatch.setattr(montecarlo, "_draw_chunks", spy_draw_chunks)
     monkeypatch.setattr(montecarlo, "_counter", spy_counter)
     simulate_powered_maxima(SimulationConfig(n=n, t=1.0, sigma=1.0, reps=reps, seed=5))
-    assert runs == [workers == 1] * workers
+    assert sorted(runs) == [False] * (workers - 1) + [True]  # the caller draws too
     assert sorted(drawn) == list(range(reps))  # every rep drawn exactly once
 
 
@@ -234,6 +234,32 @@ def test_worker_error_reaches_caller(monkeypatch, capsys, force_workers):
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="worker failed"):
         simulate_powered_maxima(SimulationConfig(n=1000, t=1.0, sigma=1.0, reps=150, seed=1))
+    assert [th for th in threading.enumerate() if th not in before] == []
+    assert hooked == []
+    assert capsys.readouterr().err == ""
+
+
+def test_caller_error_waits_for_the_drawing_worker(monkeypatch, capsys, force_workers):
+    # the calling thread's rooting fails while the other worker is inside its own
+    force_workers(2)
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    drawing, raised, row_maxima = threading.Event(), threading.Event(), maxwell.row_maxima
+
+    def failing_on_main(block, p):
+        if threading.current_thread() is threading.main_thread():
+            assert drawing.wait(10)
+            raised.set()
+            raise RuntimeError("caller failed")
+        drawing.set()
+        raised.wait(10)
+        return row_maxima(block, p)
+
+    monkeypatch.setattr(maxwell, "row_maxima", failing_on_main)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="caller failed"):
+        simulate_powered_maxima(SimulationConfig(n=1000, t=1.0, sigma=1.0, reps=150, seed=1))
+    assert raised.is_set()
     assert [th for th in threading.enumerate() if th not in before] == []
     assert hooked == []
     assert capsys.readouterr().err == ""
@@ -318,9 +344,10 @@ def test_caller_interrupt_stops_the_queue(monkeypatch, force_workers):
     assert len(finished) < 63
 
 
-def test_interrupt_inside_submit_waits_for_the_unregistered_worker(monkeypatch, force_workers):
-    # Thread.start raises once its worker has taken a chunk, so the pool never
-    # registers (nor joins) that thread; the call must still wait for the chunk
+def test_interrupt_inside_thread_start_waits_for_the_unrecorded_worker(monkeypatch,
+                                                                      force_workers):
+    # Thread.start raises once its worker has taken a chunk, so the caller never
+    # records (nor joins) that thread; the call must still wait for the chunk
     force_workers(2)
     lock, taken, inside = threading.Lock(), threading.Event(), []
     start, row_maxima = threading.Thread.start, maxwell.row_maxima
