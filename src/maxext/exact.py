@@ -10,7 +10,8 @@ The two kinds, "cdf" and "pdf", differ only in which exact law,
 approximations and first-order coefficients they use. `_KINDS` maps each kind
 to those; any other kind is a ConfigurationError. The grid diagnostics
 convert their n grid through one check, `_check_grid`, so a non-integral n is
-a DomainError; all but the adjudication walk it through one helper,
+a DomainError and a too poor grid a DiagnosticsError (an n < 3 is its
+solver's NoRootError); all but the adjudication walk it through one helper,
 `_error_walk`, which yields each base's errors |exact - approx_k|. The
 golden-table convention and hall_rate_check take their terms from private
 kernels of a checked x (expansions._*_approx_tabulated, _hall_error_leading).
@@ -51,7 +52,6 @@ from .expansions import (
 from .maxwell import MaxwellParams, _survival, _survival_pdf, _z_density
 from .norming import (
     _ALTERNATIVE,
-    _MIN_N,
     _OPTIMAL,
     PoweredNorming,
     default_scheme,
@@ -288,10 +288,10 @@ class RateDiagnostic(NamedTuple):
 
 
 def _check_grid(n_grid: Sequence[int], min_len: int = 2, decades: int = 0) -> list[int]:
-    """The grid as ints: `min_len` (>= 1) or more distinct n >= _MIN_N spanning `decades`."""
+    """The grid as ints: `min_len` (>= 1) or more distinct n spanning `decades`."""
     ns = [_integer(n, "n") for n in n_grid]
-    if len(set(ns)) < min_len or min(ns) < _MIN_N:
-        raise DiagnosticsError(f"need {min_len} or more distinct sample sizes, all >= {_MIN_N}")
+    if len(set(ns)) < min_len:
+        raise DiagnosticsError(f"need {min_len} or more distinct sample sizes")
     if max(ns) < min(ns) * 10**decades:  # in ints: a float ratio overflows past 1e308
         raise DiagnosticsError(
             f"n grid must span at least {decades} decades, got {min(ns)}..{max(ns)}"

@@ -40,9 +40,10 @@ Below either threshold, or on one CPU, the calling thread is the one worker.
 numpy is imported inside the functions that use it, once per call, so
 importing this module (and the CLI's analytic subcommands) does not load it.
 
-`SimulationConfig` is a NamedTuple that checks and converts its fields
-whenever one is built, `_replace` included. A bad field is a DomainError (a huge
-one shortened by reprlib); only a scheme that does not fit t is a ConfigurationError.
+`SimulationConfig` checks reps and seed, and the rest through solve_bn and
+powered_constants, whenever one is built, `_replace` included. A bad field is
+a DomainError (n < 3 a NoRootError, a huge one shortened by reprlib); only a
+scheme that does not fit t is a ConfigurationError.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from . import maxwell
 from .errors import DomainError, _integer, _real
 from .maxwell import MaxwellParams
-from .norming import _MIN_N, Scheme, powered_constants, solve_bn, validate_scheme
+from .norming import Scheme, powered_constants, solve_bn
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,24 +68,22 @@ class SimulationConfig(NamedTuple("SimulationConfig", [
         ("scheme", Scheme)])):
     """Inputs of one simulation run; fully determines its output.
 
-    n, reps and seed are stored as ints, t and sigma as floats, and scheme as
-    a Scheme member.
+    Built through its run's powered_constants(solve_bn(n, sigma), t, scheme), so a
+    config that could not run is refused; reps and seed are stored as ints.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, t: float, sigma: float, reps: int, seed: int,
                 scheme: Scheme = Scheme.GENERAL_POWER):
-        n, reps, seed = _integer(n, "n"), _integer(reps, "reps"), _integer(seed, "seed")
-        sigma = _real(sigma, "sigma", positive=True)
-        if n < _MIN_N:
-            raise DomainError(f"sample size n must be >= {_MIN_N}, got {reprlib.repr(n)}")
+        reps, seed = _integer(reps, "reps"), _integer(seed, "seed")
         if reps < 1:
             raise DomainError(f"reps must be >= 1, got {reprlib.repr(reps)}")
         if not 0 <= seed < 2**128:
             raise DomainError(f"seed must be in [0, 2**128), got {reprlib.repr(seed)}")
-        t, scheme = validate_scheme(t, scheme)
-        return super().__new__(cls, n, t, sigma, reps, seed, scheme)
+        base = solve_bn(n, sigma)
+        pn = powered_constants(base, t, scheme)
+        return super().__new__(cls, base.n, pn.t, base.sigma, reps, seed, pn.scheme)
 
     @classmethod
     def _make(cls, fields):  # so that _replace validates too
@@ -95,20 +94,17 @@ class SimulationConfig(NamedTuple("SimulationConfig", [
 # (512 KiB), summed over its threads, for every n.
 _BLOCK_SIZE = 2**16
 
-# Smallest n at which `simulate_powered_maxima` splits reps across threads.
-# Below it each rep's repositioning, which holds the GIL, outweighs its draws:
-# on 2 cores (best of 7 runs of 2e6 draws), 2 threads ran 0.64x as fast as
-# one at n = 50 and 0.61x at n = 200, but 1.38x at n = 500 and 1.4-2.1x from
-# n = 1024 to 10**4.
-_THREAD_MIN_N = 2**10
+# Smallest n at which `simulate_powered_maxima` splits reps across threads; below it
+# each rep's repositioning, which holds the GIL, outweighs its draws. Two workers
+# took 1.80x the serial time at n = 128 and 1.01-1.05x from 256 to 448, but 0.62-0.84x
+# at 512 and 0.67-0.77x from 640 to 1000 (2 cores, medians of 8-20 alternating rounds).
+_THREAD_MIN_N = 2**9
 
-# Fewest draws each thread of `simulate_powered_maxima` must make: fewer
-# workers are used where n * reps would give one of them less. Starting and
-# joining the threads costs about 0.2 ms warm: on 2 cores (median of 31
-# alternating calls at n = 1024, 4096 and 16384), 2 threads ran 0.73-0.90x as
-# fast as one at 16384 and 32768 draws each, 0.86-1.38x at 49152, and
-# 1.05-1.52x from 65536 to 131072.
-_THREAD_MIN_DRAWS = 2**16
+# Fewest draws each thread of `simulate_powered_maxima` must make: fewer workers
+# are used where n * reps would give one of them less. At n = 384 to 4096, two
+# workers took 1.20-1.66x the serial time at 2**14 draws each, 0.88-1.14x from 20480
+# to 24576 and 0.62-0.81x from 2**15 to 2**17 (2 cores, medians of 8-15 rounds).
+_THREAD_MIN_DRAWS = 2**15
 
 
 def _counter(rep: int) -> list[int]:

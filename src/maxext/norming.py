@@ -5,13 +5,15 @@ The base constant b_n solves
     sqrt(pi/2) (sigma / b) exp(b^2 / 2 sigma^2) = n         (b > sigma)
 
 and a_n = sigma^2 / b_n. `hall_base` gives the closed-form pair of Hall
-(1979), whose b_hat also seeds the solver. Powered maxima |M_n|^t use linear constants
-(c_n, d_n) of one family: the general-power pair c = sigma^2 t b_n^(t-2),
-d = b_n^t, shifted by u = s sigma^2 / b_n^2 to c (1 + u), d + c u. The
-general-power scheme has s = 0; at t = 2 the "optimal" pair (s = +1)
-converges faster than the "alternative" one (s = -1). _SHIFT states s per
-scheme; default_scheme, next to validate_scheme, states the `auto` choice.
-Both results, NormingBase and PoweredNorming, are plain NamedTuples.
+(1979), whose b_hat also seeds the solver. A root exists only for n >= 3;
+`_check_n_sigma` states that rule and sigma's once, for both and so for all
+their callers. Powered maxima |M_n|^t use linear constants (c_n, d_n) of one
+family: the general-power pair c = sigma^2 t b_n^(t-2), d = b_n^t, shifted by
+u = s sigma^2 / b_n^2 to c (1 + u), d + c u. The general-power scheme has
+s = 0; at t = 2 the "optimal" pair (s = +1) converges faster than the
+"alternative" one (s = -1). _SHIFT states s per scheme; default_scheme, next
+to validate_scheme, states the `auto` choice. Both results, NormingBase and
+PoweredNorming, are plain NamedTuples.
 
 solve_bn memoizes its root per validated (n, sigma) pair, for the last 1024
 pairs, so a repeat call returns the same immutable NormingBase record.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import reprlib
 import sys
 from typing import NamedTuple
 
@@ -78,14 +81,16 @@ class PoweredNorming(NamedTuple):
 
 
 def _check_n_sigma(n, sigma):
+    """(n, sigma) as (int, float) by the one rule for the root's inputs: DomainError
+    unless n is an integer and sigma^2 a normal finite float (a subnormal or
+    overflowing square would wreck the root), then NoRootError unless n >= 3."""
     n = _integer(n, "n")
     sigma = _real(sigma, "sigma", positive=True)
-    # the norming equation works with sigma^2; a subnormal or overflowing
-    # square would silently wreck the root, so such sigma is out of domain
     if not _FLOAT_MIN <= sigma * sigma < math.inf:
-        raise DomainError(
-            f"sigma^2 must be a normal finite float, got sigma = {sigma!r}"
-        )
+        raise DomainError(f"sigma^2 must be a normal finite float, got sigma = {sigma!r}")
+    if n < _MIN_N:
+        raise NoRootError(f"no root with b > sigma exists for n = {reprlib.repr(n)}; "
+                          f"need n >= {_MIN_N}")
     return n, sigma
 
 
@@ -126,21 +131,16 @@ def solve_bn(n: int, sigma: float = 1.0) -> NormingBase:
     The returned root satisfies |relative residual| <= max(1e-13,
     4 eps log n), with eps the double-precision machine epsilon: the log
     residual is a sum of terms of size log n, so above n ~ 1e120 its rounding
-    alone exceeds 1e-13. Raises DomainError where sigma^2 is not a normal
-    finite float, or where b_n^2 overflows before the root is reached (sigma
-    of order 1e153 and above).
+    alone exceeds 1e-13. Raises what _check_n_sigma raises (NoRootError for
+    n < 3), and DomainError where b_n^2 overflows before the root is reached
+    (sigma of order 1e153 and above).
 
     The root is memoized per validated (n, sigma), an int and a float, for
     the last 1024 pairs: a repeat call returns the same immutable record.
     Validation runs on every call, before the cache is consulted, since
     True == 1.0 and Fraction(25) == 25 hash equal to valid keys.
     """
-    n, sigma = _check_n_sigma(n, sigma)
-    if n < _MIN_N:
-        raise NoRootError(
-            f"no root with b > sigma exists for n = {n}; need n >= {_MIN_N}"
-        )
-    return _solve_root(n, sigma)
+    return _solve_root(*_check_n_sigma(n, sigma))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -183,11 +183,9 @@ def hall_base(n: int, sigma: float = 1.0) -> NormingBase:
 
     b_hat agrees with the solved root only to first asymptotic order, so it
     misses solve_bn's residual contract; it is the convention behind the
-    golden reference error tables.
+    golden reference error tables. Its inputs pass solve_bn's check.
     """
     n, sigma = _check_n_sigma(n, sigma)
-    if n < _MIN_N:
-        raise DomainError(f"closed-form constants need n >= {_MIN_N}, got {n}")
     log_n = math.log(n)
     return NormingBase(n, sigma, _b_hat(log_n, sigma), sigma / math.sqrt(2.0 * log_n))
 

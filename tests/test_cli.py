@@ -522,6 +522,18 @@ def test_undefined_fit_exits_2(capsys, argv, message):
     assert err.startswith(f"maxext {argv[0]}: {message}") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["bn", "--n", "2"],
+    ["simulate", "--n", "2"],
+    ["rate", "--n-grid", "2,10000,100000000"],
+    ["compare-hall", "--n-grid", "2"],
+])
+def test_n_below_three_exits_2_with_the_solvers_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"maxext {argv[0]}: no root with b > sigma exists for n = 2; need n >= 3\n"
+
+
 def test_a_coefficient_zero_at_every_grid_x_exits_2(capsys):
     # at t = 2.5, x = -2 the consistent coefficient is exactly 0, so its
     # deviation relative to its sup norm is undefined

@@ -210,7 +210,7 @@ simulate_powered_maxima(SimulationConfig(n=10, t=1.0, sigma=1.0, reps=2, seed=1)
 before = set(sys.modules)
 # below the thread thresholds on n and on draws per worker: the rep loop
 # runs in the calling thread
-simulate_powered_maxima(SimulationConfig(n=1000, t=2.0, sigma=1.0, reps=200, seed=7,
+simulate_powered_maxima(SimulationConfig(n=500, t=2.0, sigma=1.0, reps=200, seed=7,
                                          scheme="square-optimal"))
 simulate_powered_maxima(SimulationConfig(n=2**12, t=1.0, sigma=1.0, reps=2, seed=7))
 assert set(sys.modules) == before, sorted(set(sys.modules) - before)

@@ -90,6 +90,19 @@ def test_config_range_messages_stay_short(field, value):
     assert len(str(info.value)) < 100
 
 
+@pytest.mark.parametrize("n, t, sigma, message", [
+    (10, 1.0, 1e-160, "sigma^2 must be a normal finite float, got sigma = 1e-160"),
+    (10, 1.0, 1e160, "sigma^2 must be a normal finite float, got sigma = 1e+160"),
+    (100, 700.0, 1.0, "powered constants out of range at b_n = 3.342481841609628, t = 700.0: "
+                      "c_n = inf, d_n = inf; need 2.2250738585072014e-308 <= c_n and both finite"),
+], ids=["sigma-1e-160", "sigma-1e160", "n-100-t-700"])
+def test_config_that_cannot_run_is_refused_when_built(n, t, sigma, message):
+    # the DomainError a run of such a config would raise, raised by the config itself
+    with pytest.raises(DomainError) as info:
+        SimulationConfig(n=n, t=t, sigma=sigma, reps=1, seed=0)
+    assert str(info.value) == message
+
+
 def test_config_seed_bounds_inclusive():
     SimulationConfig(n=10, t=1.0, sigma=1.0, reps=1, seed=0)
     SimulationConfig(n=10, t=1.0, sigma=1.0, reps=1, seed=2**128 - 1)
@@ -177,18 +190,18 @@ def test_simulate_matches_jumped_oracle_any_workers(force_workers, n, reps, t, s
 
 @pytest.mark.parametrize("n, reps, cpus, workers", [
     # below either threshold, or on one CPU, the calling thread is the one worker
-    (2**10 - 1, 300, 7, 1),
-    (2**10, 10, 1, 1),
-    (2**10, 2, 7, 1),
-    (2**10, 10, 3, 1),
+    (2**9 - 1, 300, 7, 1),
+    (2**9, 10, 1, 1),
+    (2**9, 2, 7, 1),
+    (2**9, 10, 3, 1),
     (2**12, 2, 7, 1),
-    (2**10, 2**7 - 1, 7, 1),
+    (2**9, 2**7 - 1, 7, 1),
     # never more workers than reps
     (2**16, 2, 7, 2),
     (2**15, 10, 3, 3),
-    # never fewer than 2**16 draws per worker
-    (2**10, 2**7, 7, 2),
-    (2**14, 12, 7, 3),
+    # never fewer than 2**15 draws per worker
+    (2**9, 2**7, 7, 2),
+    (2**13, 12, 7, 3),
 ])
 def test_workers_share_the_reps(monkeypatch, n, reps, cpus, workers):
     lock = threading.Lock()

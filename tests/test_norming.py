@@ -1,6 +1,7 @@
 """Norming constants: solver contract, closed forms, powered schemes."""
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -14,6 +15,12 @@ from maxext.errors import (
     DomainError,
     MaxextError,
     NoRootError,
+)
+from maxext.exact import (
+    adjudicate_density_coeffs,
+    compare_schemes,
+    hall_rate_check,
+    rate_diagnostic,
 )
 from maxext.expansions import cdf_approx, pdf_approx
 from maxext.maxwell import MaxwellParams
@@ -100,6 +107,30 @@ def test_no_root_below_three():
         solve_bn(10, float("inf"))
     with pytest.raises(DomainError):
         solve_bn(10, -1.0)
+
+
+# every public entry to the norming root, each with n as its one bad input
+_ROOT_ENTRIES = {
+    "solve_bn": lambda n: solve_bn(n, 1.0),
+    "hall_base": lambda n: hall_base(n, 1.0),
+    "SimulationConfig": lambda n: SimulationConfig(n=n, t=1.0, sigma=1.0, reps=1, seed=0),
+    "rate_diagnostic": lambda n: rate_diagnostic("cdf", 1.0, 0.5, 1.0, [n, 10**4, 10**8]),
+    "hall_rate_check": lambda n: hall_rate_check(0.5, 1.0, [n]),
+    "compare_schemes": lambda n: compare_schemes(0.5, 1.0, [n]),
+    "adjudicate_density_coeffs": lambda n: adjudicate_density_coeffs(3.0, [0.5], 1.0, [n, 10**4]),
+}
+
+
+@pytest.mark.parametrize("n", [2, 0, pytest.param(-10**400, id="-10**400")])
+@pytest.mark.parametrize("enter", _ROOT_ENTRIES.values(), ids=_ROOT_ENTRIES.keys())
+def test_n_below_three_is_one_no_root_error_everywhere(enter, n):
+    with pytest.raises(NoRootError) as info:
+        enter(n)
+    message = str(info.value)
+    assert message.startswith("no root with b > sigma exists for n = ")
+    assert message.endswith("; need n >= 3") and len(message) < 100
+    with pytest.raises(NoRootError, match=f"^{re.escape(message)}$"):  # the solver's own text
+        solve_bn(n, 1.0)
 
 
 @pytest.mark.parametrize("n, sigma", [
