@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all maxext modules, and the rules every public
 number is checked by: `_real` for x, sigma and t, `_integer` for n, counts and seeds.
-A value outside its rule is a DomainError wherever it enters, a record included."""
+A value outside its rule is a DomainError wherever it enters, a record included.
+`_echo` is the rule by which a message shows a caller's value."""
 import math
 import numbers
 import operator
@@ -27,8 +28,14 @@ class DiagnosticsError(MaxextError, ValueError):
     """A diagnostic was requested on a grid too poor to support it."""
 
 
+def _echo(value) -> str:
+    """A caller's value as every message shows it: its repr, shortened by reprlib
+    where long (a 10**400 or a 5,000-character name would swamp the message)."""
+    return reprlib.repr(value)
+
+
 def _domain_error(name: str, rule: str, value) -> DomainError:
-    return DomainError(f"{name} must be {rule}, got {reprlib.repr(value)}")
+    return DomainError(f"{name} must be {rule}, got {_echo(value)}")
 
 
 def _real(value, name: str, positive: bool = False) -> float:

@@ -37,7 +37,8 @@ import math
 import sys
 from typing import Callable, Literal, NamedTuple, Sequence
 
-from .errors import ConfigurationError, DiagnosticsError, DomainError, _integer, _real
+from .errors import (ConfigurationError, DiagnosticsError, DomainError, _domain_error, _echo,
+                     _integer, _real)
 from .expansions import (
     _cdf_approx_tabulated,
     _cdf_coeff1_general,
@@ -120,7 +121,7 @@ def _powered_argument(x: float, t: float, pn: PoweredNorming,
             return y, 0.0
         if below_support != "error":  # read only here, so checked only here
             raise ConfigurationError(
-                f"below_support must be 'error' or 'zero', got {below_support!r}")
+                f"below_support must be 'error' or 'zero', got {_echo(below_support)}")
         raise DomainError(
             f"powered argument c_n*x + d_n = {y} <= 0 (x = {x} below the support edge)"
         )
@@ -134,7 +135,7 @@ def _law_n(n) -> int:
     """The sample size of an exact law as an int in [1, float max]; DomainError otherwise."""
     n = _integer(n, "n")
     if n < 1:
-        raise DomainError(f"sample size n must be >= 1, got {n}")
+        raise _domain_error("sample size n", ">= 1", n)
     if n > _FLOAT_MAX:
         raise DomainError("sample size n is beyond float range; n * log F cannot be formed")
     return n
@@ -221,7 +222,7 @@ def _kind_laws(kind) -> _KindLaws:
         return _KINDS[kind]
     except (KeyError, TypeError):
         raise ConfigurationError(
-            f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}"
+            f"unknown kind {_echo(kind)}; expected one of {', '.join(_KINDS)}"
         ) from None
 
 
@@ -259,7 +260,7 @@ def error_table(kind: Kind, t: float, x: float, sigma: float,
     on n: it is evaluated once per table.
     """
     if convention not in ("tabulated", "asymptotic"):
-        raise ConfigurationError(f"unknown convention {convention!r}")
+        raise ConfigurationError(f"unknown convention {_echo(convention)}")
     law = _kind_laws(kind)
     t, scheme = validate_scheme(t, default_scheme(t))
     p = MaxwellParams(sigma)
@@ -294,7 +295,7 @@ def _check_grid(n_grid: Sequence[int], min_len: int = 2, decades: int = 0) -> li
         raise DiagnosticsError(f"need {min_len} or more distinct sample sizes")
     if max(ns) < min(ns) * 10**decades:  # in ints: a float ratio overflows past 1e308
         raise DiagnosticsError(
-            f"n grid must span at least {decades} decades, got {min(ns)}..{max(ns)}"
+            f"n grid must span at least {decades} decades, got {_echo(min(ns))}..{_echo(max(ns))}"
         )
     return ns
 

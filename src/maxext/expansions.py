@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigurationError, DomainError, _real
+from .errors import ConfigurationError, DomainError, _echo, _real
 from .norming import _GENERAL, _OPTIMAL, _SHIFT, NormingBase, Scheme, validate_scheme
 from .special import _gumbel_cdf, _gumbel_pdf, gumbel_cdf
 
@@ -66,7 +66,7 @@ __all__ = ["cdf_approx", "pdf_approx"]
 
 
 def _order_error(order) -> ConfigurationError:
-    return ConfigurationError(f"expansion order must be 1, 2 or 3, got {order!r}")
+    return ConfigurationError(f"expansion order must be 1, 2 or 3, got {_echo(order)}")
 
 
 def _base_u(base):

@@ -16,17 +16,9 @@ follows; `_survival` uses math.erfc, with the same bits.
 float whenever one is built, `_replace` included.
 
 Everything but sampling runs on the standard library alone, and importing
-this module loads no numpy: `sample` and `row_maxima` work on whatever numpy
-arrays or generator the caller passes. `tail_remainder` forms the quadrature
-nodes it sums on each call, so importing the module does no work for it.
-
-`row_maxima` turns a block of Gamma(3/2) draws into the maxima of Maxwell
-variates: a chi-square(3) variate is twice a Gamma(3/2) variate (numpy draws
-``chisquare(3)`` as ``2.0 * standard_gamma(1.5)``), so a Maxwell variate is
-sigma * sqrt(2 g). Doubling is exact, sqrt is correctly rounded and the
-multiplication by sigma rounds monotonically, so sigma * sqrt(2 max g) has
-exactly the bits of the largest of the n variates, and one root per row
-replaces two passes over all n draws.
+this module loads no numpy: `sample` works on whatever generator the caller
+passes. `tail_remainder` forms the quadrature nodes it sums on each call, so
+importing the module does no work for it.
 """
 from __future__ import annotations
 
@@ -37,7 +29,6 @@ from .errors import DomainError, _domain_error, _integer, _real
 from .special import erfc
 
 if TYPE_CHECKING:
-    import numpy as np
     from numpy.random import Generator
 
 __all__ = [
@@ -48,7 +39,6 @@ __all__ = [
     "tail_expansion",
     "tail_remainder",
     "sample",
-    "row_maxima",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -209,14 +199,3 @@ def sample(rng: Generator, p: MaxwellParams, size=None):
     # numpy evaluates ``array ** 0.5`` with its sqrt loop: the same bits as
     # np.sqrt, without importing numpy here on every call.
     return p.sigma * q ** 0.5
-
-
-def row_maxima(gamma: np.ndarray, p: MaxwellParams) -> np.ndarray:
-    """Per row of a 2-D array of Gamma(3/2) draws, the largest Maxwell variate.
-
-    Bit for bit ``sample(rng, p, n).max()`` for each row drawn with
-    ``rng.standard_gamma(1.5, size=n)`` from the stream `sample` would use
-    (see the module docstring).
-    """
-    # ``** 0.5`` runs numpy's sqrt loop, as in `sample`
-    return p.sigma * (2.0 * gamma.max(axis=1)) ** 0.5

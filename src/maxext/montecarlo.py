@@ -11,13 +11,17 @@ into a row". It repositions a generator to each substream by assigning a
 fresh state whose fields are Python lists (numpy's state setter reads lists
 faster than arrays) rather than jumping a fresh one, and draws the rep's n
 variates as Gamma(3/2) into one row of a reused block. numpy draws
-chi-square(3) as twice Gamma(3/2), so these are the draws `maxwell.sample`
-would make from the same stream. Once per block, `maxwell.row_maxima` roots
-each row's largest draw, which gives the bits of the largest Maxwell
-variate; the power and the norming are then applied to each maximum as a
-Python float, because numpy's array power does not round like the scalar
-power for t != 1 (numpy 2.4). The bytes are those of
-``sample(substream(seed, i), p, n).max()`` for each rep i.
+chi-square(3) as twice Gamma(3/2) (``chisquare(3)`` is ``2.0 *
+standard_gamma(1.5)``), so these are the draws `maxwell.sample` would make
+from the same stream, and a Maxwell variate is sigma * sqrt(2 g). Once per
+block, `_row_maxima` roots each row's largest draw: doubling is exact, sqrt is
+correctly rounded and the multiplication by sigma rounds monotonically, so
+sigma * sqrt(2 max g) has exactly the bits of the largest of the n variates,
+and one root per row replaces two passes over all n draws. The power and the
+norming are then applied to each maximum as a Python float, because numpy's
+array power does not round like the scalar power for t != 1 (numpy 2.4). The
+bytes are those of ``maxwell.sample(substream(seed, i), p, n).max()`` for each
+rep i.
 
 A chunk of reps fills one block, ``_BLOCK_SIZE // (n * workers)`` rows. Where
 n exceeds a worker's share ``_BLOCK_SIZE // workers``, a chunk is one rep,
@@ -42,19 +46,16 @@ importing this module (and the CLI's analytic subcommands) does not load it.
 
 `SimulationConfig` checks reps and seed, and the rest through solve_bn and
 powered_constants, whenever one is built, `_replace` included. A bad field is
-a DomainError (n < 3 a NoRootError, a huge one shortened by reprlib); only a
-scheme that does not fit t is a ConfigurationError.
+a DomainError (n < 3 a NoRootError); only a scheme that does not fit t is a
+ConfigurationError.
 """
 from __future__ import annotations
 
 import os
-import reprlib
 import threading
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from . import maxwell
-from .errors import DomainError, _integer, _real
-from .maxwell import MaxwellParams
+from .errors import DomainError, _domain_error, _integer, _real
 from .norming import Scheme, powered_constants, solve_bn
 
 if TYPE_CHECKING:
@@ -78,9 +79,9 @@ class SimulationConfig(NamedTuple("SimulationConfig", [
                 scheme: Scheme = Scheme.GENERAL_POWER):
         reps, seed = _integer(reps, "reps"), _integer(seed, "seed")
         if reps < 1:
-            raise DomainError(f"reps must be >= 1, got {reprlib.repr(reps)}")
+            raise _domain_error("reps", ">= 1", reps)
         if not 0 <= seed < 2**128:
-            raise DomainError(f"seed must be in [0, 2**128), got {reprlib.repr(seed)}")
+            raise _domain_error("seed", "in [0, 2**128)", seed)
         base = solve_bn(n, sigma)
         pn = powered_constants(base, t, scheme)
         return super().__new__(cls, base.n, pn.t, base.sigma, reps, seed, pn.scheme)
@@ -127,7 +128,13 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_chunks(seed: int, n: int, rows: int, width: int, p: MaxwellParams,
+def _row_maxima(block: np.ndarray, sigma: float) -> np.ndarray:
+    """Per row of a block of Gamma(3/2) draws, the largest Maxwell variate."""
+    # ``** 0.5`` runs numpy's sqrt loop: the bits of np.sqrt, without importing numpy here
+    return sigma * (2.0 * block.max(axis=1)) ** 0.5
+
+
+def _draw_chunks(seed: int, n: int, rows: int, width: int, sigma: float,
                  take: Callable[[], int | None], maxima: list[float]) -> None:
     """Write the largest Maxwell variate of rep i to maxima[i], a chunk at a time.
 
@@ -156,7 +163,7 @@ def _draw_chunks(seed: int, n: int, rows: int, width: int, p: MaxwellParams,
             top = row.max()
             gamma(1.5, out=row[: n - done])  # continues the stream where the last part stopped
             row[0] = max(row[0], top)  # carries the maximum; no stale draw exceeds top
-        maxima[start:stop] = maxwell.row_maxima(block[: stop - start], p).tolist()
+        maxima[start:stop] = _row_maxima(block[: stop - start], sigma).tolist()
 
 
 def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
@@ -164,14 +171,13 @@ def simulate_powered_maxima(cfg: SimulationConfig) -> np.ndarray:
     import numpy as np
 
     pn = powered_constants(solve_bn(cfg.n, cfg.sigma), cfg.t, cfg.scheme)
-    p = MaxwellParams(cfg.sigma)
     n, reps, t, d, c = cfg.n, cfg.reps, cfg.t, pn.d_n, pn.c_n
     workers = (max(1, min(_cpus(), reps, n * reps // _THREAD_MIN_DRAWS))
                if n >= _THREAD_MIN_N else 1)
     budget = _BLOCK_SIZE // workers
     rows = max(1, budget // n)  # n > budget: a chunk is one rep, drawn budget at a time
     maxima, starts = [0.0] * reps, iter(range(0, reps, rows))
-    args = (cfg.seed, n, rows, min(n, budget), p)
+    args = (cfg.seed, n, rows, min(n, budget), cfg.sigma)
     lock = threading.Condition()
     # working: extra threads that may take a chunk. The caller is not counted: an
     # interrupt inside its own count would leave the wait below hanging for ever.

@@ -23,11 +23,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import reprlib
 import sys
 from typing import NamedTuple
 
-from .errors import ConfigurationError, DomainError, NoRootError, _integer, _real
+from .errors import ConfigurationError, DomainError, NoRootError, _echo, _integer, _real
 
 __all__ = [
     "Scheme",
@@ -89,7 +88,7 @@ def _check_n_sigma(n, sigma):
     if not _FLOAT_MIN <= sigma * sigma < math.inf:
         raise DomainError(f"sigma^2 must be a normal finite float, got sigma = {sigma!r}")
     if n < _MIN_N:
-        raise NoRootError(f"no root with b > sigma exists for n = {reprlib.repr(n)}; "
+        raise NoRootError(f"no root with b > sigma exists for n = {_echo(n)}; "
                           f"need n >= {_MIN_N}")
     return n, sigma
 
@@ -119,7 +118,8 @@ def equation_residual(b: float, n: int, sigma: float) -> float:
     except (ValueError, OverflowError):  # log of a value <= 0; exp beyond float range
         residual = math.nan
     if not math.isfinite(residual):
-        raise DomainError(f"no finite norming residual at b = {b!r}, n = {n!r}, sigma = {sigma!r}")
+        raise DomainError(
+            f"no finite norming residual at b = {b!r}, n = {_echo(n)}, sigma = {sigma!r}")
     return residual
 
 
@@ -168,7 +168,7 @@ def _solve_root(n: int, sigma: float) -> NormingBase:
             break
         b = b_new
     if not abs(val) < 1e-9:  # b^2 overflows before the root is reached
-        raise DomainError(f"b_n^2 overflows for n = {n}, sigma = {sigma!r}")
+        raise DomainError(f"b_n^2 overflows for n = {_echo(n)}, sigma = {sigma!r}")
     return NormingBase(n, sigma, b, s2 / b)
 
 
@@ -208,7 +208,7 @@ def validate_scheme(t: float, scheme: Scheme) -> tuple[float, Scheme]:
             scheme = _SCHEMES[scheme]
         except (KeyError, TypeError):
             raise ConfigurationError(
-                f"unknown scheme {scheme!r}; expected one of {', '.join(_SCHEMES)}"
+                f"unknown scheme {_echo(scheme)}; expected one of {', '.join(_SCHEMES)}"
             ) from None
     if (scheme is _GENERAL) == (t == 2.0):  # one test for both misfits
         if scheme is _GENERAL:

@@ -3,7 +3,8 @@
 `maxext` is a lazy namespace: `import maxext` loads no submodule, and each
 CLI subcommand loads only the modules it runs, so no analytic call loads
 `maxext.montecarlo`, and `bn` and `constants` (whose `auto` scheme rule is
-`norming.default_scheme`) load neither it nor `maxext.exact`.
+`norming.default_scheme`) load neither it nor `maxext.exact`. `simulate` roots
+its rows in `montecarlo` itself, so a Monte-Carlo run loads no `maxext.maxwell`.
 
 numpy is needed only for sampling and ks_distance, and is imported on first
 use. scipy is not a dependency: maxext runs where it cannot be imported, and
@@ -120,7 +121,6 @@ for x in (0.5, 3.0, 30.0, 3000.0):
     maxwell.tail_expansion(x, p), maxwell.tail_remainder(x, p)
 rng = np.random.default_rng(1)
 maxwell.sample(rng, p), maxwell.sample(rng, p, 4)
-maxwell.row_maxima(rng.standard_gamma(1.5, size=(3, 5)), p)
 # the README's ten analytic calls
 for argv in (["table", "--kind", "cdf"], ["table", "--kind", "pdf"],
              ["table", "--t", "1", "--convention", "asymptotic"],
@@ -207,6 +207,8 @@ import sys
 from maxext.montecarlo import SimulationConfig, simulate_powered_maxima
 
 simulate_powered_maxima(SimulationConfig(n=10, t=1.0, sigma=1.0, reps=2, seed=1))
+# the rows are rooted in montecarlo itself: the Maxwell layer is never loaded
+assert "maxext.maxwell" not in sys.modules
 before = set(sys.modules)
 # below the thread thresholds on n and on draws per worker: the rep loop
 # runs in the calling thread

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from maxext import MaxextError, maxwell
+from maxext.errors import ConfigurationError, DiagnosticsError, DomainError
 from maxext.exact import (
     ErrorRow,
     adjudicate_density_coeffs,
@@ -140,6 +141,32 @@ def test_accepted_values_convert_exactly():
 def test_rejected_values(call):
     with pytest.raises(MaxextError):
         call()
+
+
+_LONG = "x" * 5000
+LONG_VALUE_CALLS = {
+    "rate_diagnostic-grid": (DiagnosticsError, lambda: rate_diagnostic(
+        "cdf", 1.0, 0.5, 1.0, [10**400, 10**401])),
+    "equation_residual-n": (DomainError, lambda: equation_residual(2.0, -10**400, 1.0)),
+    "exact_powered_cdf-n": (DomainError, lambda: exact_powered_cdf(-10**400, 1.0, 0.7, _PN1, _P)),
+    "solve_bn-overflow": (DomainError, lambda: solve_bn(10**400, 1e153)),
+    "error_table-kind": (ConfigurationError, lambda: error_table(_LONG, 2.0, 0.5, 1.0, [25])),
+    "error_table-convention": (ConfigurationError,
+                               lambda: error_table("cdf", 2.0, 0.5, 1.0, [25], _LONG)),
+    "validate_scheme": (ConfigurationError, lambda: validate_scheme(1.0, _LONG)),
+    "cdf_approx-order": (ConfigurationError, lambda: cdf_approx(_LONG, 1.0, 0.5, _BASE)),
+    "exact_powered_cdf-below_support": (ConfigurationError, lambda: exact_powered_cdf(
+        25, 1.0, -1e300, _PN1, _P, below_support=_LONG)),
+}
+
+
+@pytest.mark.parametrize("error, call", LONG_VALUE_CALLS.values(), ids=LONG_VALUE_CALLS.keys())
+def test_a_huge_value_is_shortened_in_the_message(error, call):
+    # every message shows the caller's value through errors._echo
+    with pytest.raises(MaxextError) as info:
+        call()
+    assert type(info.value) is error
+    assert len(str(info.value)) <= 200
 
 
 # PoweredNorming checks nothing when it is built, so the exact laws check

@@ -12,7 +12,6 @@ from maxext.maxwell import (
     MaxwellParams,
     cdf,
     pdf,
-    row_maxima,
     sample,
     survival,
     tail_expansion,
@@ -269,16 +268,3 @@ def test_sample_ks_against_cdf():
     draws = sample(rng, p, size=100_000)
     stat = kstest(draws, lambda v: np.vectorize(lambda q: cdf(q, p))(v)).statistic
     assert stat <= 1.95 / math.sqrt(draws.size)
-
-
-@pytest.mark.parametrize("sigma", [0.7, 1.0, 2.5, 1e-3])
-@pytest.mark.parametrize("n", [3, 50, 10_000])
-def test_sample_max_is_max_of_sample(n, sigma):
-    # chi-square(3) is twice Gamma(3/2) on the same stream, and the root is
-    # taken after the maximum: same bits as the maximum of `sample`
-    p = MaxwellParams(sigma)
-    seeds = (0, 7, 2**64 + 3)
-    gamma = np.array([np.random.default_rng(s).standard_gamma(1.5, size=n) for s in seeds])
-    got = row_maxima(gamma, p).tolist()
-    assert got == [sample(np.random.default_rng(s), p, size=n).max() for s in seeds]
-    assert all(type(m) is float for m in got)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstwo
 
-from maxext import maxwell, montecarlo
+from maxext import montecarlo
 from maxext.errors import ConfigurationError, DomainError
 from maxext.exact import exact_powered_cdf
 from maxext.maxwell import MaxwellParams, sample
@@ -106,6 +106,19 @@ def test_config_that_cannot_run_is_refused_when_built(n, t, sigma, message):
 def test_config_seed_bounds_inclusive():
     SimulationConfig(n=10, t=1.0, sigma=1.0, reps=1, seed=0)
     SimulationConfig(n=10, t=1.0, sigma=1.0, reps=1, seed=2**128 - 1)
+
+
+@pytest.mark.parametrize("sigma", [0.7, 1.0, 2.5, 1e-3])
+@pytest.mark.parametrize("n", [3, 50, 10_000])
+def test_sample_max_is_max_of_sample(n, sigma):
+    # chi-square(3) is twice Gamma(3/2) on the same stream, and the root is
+    # taken after the maximum: same bits as the maximum of `sample`
+    p = MaxwellParams(sigma)
+    seeds = (0, 7, 2**64 + 3)
+    gamma = np.array([np.random.default_rng(s).standard_gamma(1.5, size=n) for s in seeds])
+    got = montecarlo._row_maxima(gamma, sigma).tolist()
+    assert got == [sample(np.random.default_rng(s), p, size=n).max() for s in seeds]
+    assert all(type(m) is float for m in got)
 
 
 def _jumped_oracle(cfg):
@@ -233,17 +246,17 @@ def test_worker_error_reaches_caller(monkeypatch, capsys, force_workers):
     monkeypatch.setattr(threading, "excepthook", hooked.append)
     lock = threading.Lock()
     calls = []
-    row_maxima = maxwell.row_maxima
+    row_maxima = montecarlo._row_maxima
 
-    def failing(block, p):
+    def failing(block, sigma):
         with lock:
             calls.append(None)
             first = len(calls) == 1
         if first:
             raise RuntimeError("worker failed")
-        return row_maxima(block, p)
+        return row_maxima(block, sigma)
 
-    monkeypatch.setattr(maxwell, "row_maxima", failing)
+    monkeypatch.setattr(montecarlo, "_row_maxima", failing)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="worker failed"):
         simulate_powered_maxima(SimulationConfig(n=1000, t=1.0, sigma=1.0, reps=150, seed=1))
@@ -257,18 +270,18 @@ def test_caller_error_waits_for_the_drawing_worker(monkeypatch, capsys, force_wo
     force_workers(2)
     hooked = []
     monkeypatch.setattr(threading, "excepthook", hooked.append)
-    drawing, raised, row_maxima = threading.Event(), threading.Event(), maxwell.row_maxima
+    drawing, raised, row_maxima = threading.Event(), threading.Event(), montecarlo._row_maxima
 
-    def failing_on_main(block, p):
+    def failing_on_main(block, sigma):
         if threading.current_thread() is threading.main_thread():
             assert drawing.wait(10)
             raised.set()
             raise RuntimeError("caller failed")
         drawing.set()
         raised.wait(10)
-        return row_maxima(block, p)
+        return row_maxima(block, sigma)
 
-    monkeypatch.setattr(maxwell, "row_maxima", failing_on_main)
+    monkeypatch.setattr(montecarlo, "_row_maxima", failing_on_main)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="caller failed"):
         simulate_powered_maxima(SimulationConfig(n=1000, t=1.0, sigma=1.0, reps=150, seed=1))
@@ -284,25 +297,25 @@ def _rooted_chunks(monkeypatch, first):
     The first rooting to start calls first() before it roots its chunk.
     """
     lock, last, started, finished = threading.Lock(), threading.local(), [], []
-    counter, row_maxima = montecarlo._counter, maxwell.row_maxima
+    counter, row_maxima = montecarlo._counter, montecarlo._row_maxima
 
     def spy_counter(rep):
         last.rep = rep
         return counter(rep)
 
-    def spy_row_maxima(block, p):
+    def spy_row_maxima(block, sigma):
         with lock:
             started.append(None)
             is_first = len(started) == 1
         if is_first:
             first()
-        out = row_maxima(block, p)
+        out = row_maxima(block, sigma)
         with lock:
             finished.append(last.rep)
         return out
 
     monkeypatch.setattr(montecarlo, "_counter", spy_counter)
-    monkeypatch.setattr(maxwell, "row_maxima", spy_row_maxima)
+    monkeypatch.setattr(montecarlo, "_row_maxima", spy_row_maxima)
     return finished
 
 
@@ -363,7 +376,7 @@ def test_interrupt_inside_thread_start_waits_for_the_unrecorded_worker(monkeypat
     # records (nor joins) that thread; the call must still wait for the chunk
     force_workers(2)
     lock, taken, inside = threading.Lock(), threading.Event(), []
-    start, row_maxima = threading.Thread.start, maxwell.row_maxima
+    start, row_maxima = threading.Thread.start, montecarlo._row_maxima
 
     def interrupted_start(self):
         start(self)
@@ -371,18 +384,18 @@ def test_interrupt_inside_thread_start_waits_for_the_unrecorded_worker(monkeypat
         taken.wait(10)
         raise KeyboardInterrupt
 
-    def slow_row_maxima(block, p):
+    def slow_row_maxima(block, sigma):
         with lock:
             inside.append(None)
         taken.set()
         time.sleep(0.1)  # the caller, unless it waits, raises well within this
-        out = row_maxima(block, p)
+        out = row_maxima(block, sigma)
         with lock:
             inside.pop()
         return out
 
     monkeypatch.setattr(threading.Thread, "start", interrupted_start)
-    monkeypatch.setattr(maxwell, "row_maxima", slow_row_maxima)
+    monkeypatch.setattr(montecarlo, "_row_maxima", slow_row_maxima)
     before = set(threading.enumerate())
     with pytest.raises(KeyboardInterrupt):
         simulate_powered_maxima(SimulationConfig(n=1000, t=1.0, sigma=1.0, reps=150, seed=1))
