@@ -58,7 +58,7 @@ import re
 import sys
 import types
 
-from .errors import MaxextError
+from .errors import MaxextError, _echo
 from .norming import Scheme, default_scheme, equation_residual, powered_constants, solve_bn
 
 _SCHEMES = [s.value for s in Scheme]
@@ -90,10 +90,10 @@ def _emit(lines, out):
 
 def _usage_error(message: str, grid: str | None = None):
     # imported here, so a call whose values all read loads no argparse; a bad
-    # grid part is named by its reader, with the grid quoted as typed
+    # grid part is named by its reader, with the grid shown by errors._echo
     from argparse import ArgumentTypeError
 
-    return ArgumentTypeError(message if grid is None else f"{message} in {grid!r}")
+    return ArgumentTypeError(message if grid is None else f"{message} in {_echo(grid)}")
 
 
 def _finite_float(text: str, grid: str | None = None) -> float:
@@ -102,7 +102,7 @@ def _finite_float(text: str, grid: str | None = None) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise _usage_error(f"expected a finite number, got {text!r}", grid)
+        raise _usage_error(f"expected a finite number, got {_echo(text)}", grid)
     return value
 
 
@@ -117,7 +117,7 @@ def _exact_int(text: str, grid: str | None = None) -> int:
 
         value = Decimal(text)
     if value != value.to_integral_value():
-        raise _usage_error(f"expected an integer, got {text!r}", grid)
+        raise _usage_error(f"expected an integer, got {_echo(text)}", grid)
     return int(value)
 
 
@@ -126,7 +126,7 @@ def _grid(read):
     def convert(text: str) -> list:
         values = [read(part, text) for part in text.split(",") if part.strip()]
         if not values:  # a grid of no values, such as "" or ","
-            raise _usage_error(f"expected comma-separated finite numbers, got {text!r}")
+            raise _usage_error(f"expected comma-separated finite numbers, got {_echo(text)}")
         return values
 
     return convert

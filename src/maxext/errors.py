@@ -40,7 +40,15 @@ def _domain_error(name: str, rule: str, value) -> DomainError:
 
 def _real(value, name: str, positive: bool = False) -> float:
     """`value` as a float; DomainError unless it is a numbers.Real other than a bool
-    that a float holds, not NaN and, with positive=True, finite and > 0."""
+    that a float holds, not NaN and, with positive=True, finite and > 0.
+
+    A plain float that passes is returned as it is, so a per-point hot path tests
+    that case in-line and calls this only for any other value:
+    `if type(x) is not float or x != x: x = _real(x, name)`, and with
+    positive=True `if type(t) is not float or not 0.0 < t < math.inf`. The x of
+    special.gumbel_cdf, expansions.cdf_approx, expansions.pdf_approx and
+    exact._powered_argument, and the t of norming.validate_scheme and of both
+    exact laws, are tested so."""
     if type(value) is not float:  # skips the abstract-class lookup, the costly part
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise _domain_error(name, "a real number", value)

@@ -19,8 +19,10 @@ Both line fits, the rate slope and the adjudication limits, go through
 `_fit`, which solves least squares exactly in Python ints; no function here
 imports numpy. Each input is checked once, where it enters the package: the
 exact laws and the diagnostics take t and x through errors._real (a numpy
-float32 x is used as its float) and n through errors._integer, then call the
-unchecked kernels maxwell._survival/_survival_pdf and special._gumbel_cdf/_gumbel_pdf.
+float32 x is used as its float; the exact laws pass a plain float in-line)
+and n through errors._integer (`_law_n` passes an int in range at once),
+then call the unchecked kernels maxwell._survival/_survival_pdf and
+special._gumbel_cdf/_gumbel_pdf.
 PoweredNorming checks nothing, so a NaN c_n*x + d_n is a DomainError here.
 Both exact laws take the root (c_n x + d_n)^{1/t} from `_powered_argument`,
 which holds the one far-above-the-mode rule: where the root overflows it is
@@ -111,7 +113,8 @@ def _powered_argument(x: float, t: float, pn: PoweredNorming,
     """
     if t != pn.t:
         raise ConfigurationError(f"power index t = {t} differs from the constants' t = {pn.t}")
-    x = _real(x, "x")
+    if type(x) is not float or x != x:
+        x = _real(x, "x")
     y = pn.c_n * x + pn.d_n
     if not y > 0.0:
         if y != y:  # a NaN c_n or d_n, inf * 0 or inf - inf
@@ -133,6 +136,8 @@ def _powered_argument(x: float, t: float, pn: PoweredNorming,
 
 def _law_n(n) -> int:
     """The sample size of an exact law as an int in [1, float max]; DomainError otherwise."""
+    if type(n) is int and 1 <= n <= _FLOAT_MAX:
+        return n
     n = _integer(n, "n")
     if n < 1:
         raise _domain_error("sample size n", ">= 1", n)
@@ -159,7 +164,9 @@ def exact_powered_cdf(n: int, t: float, x: float, pn: PoweredNorming,
     otherwise). A t other than pn.t, or a below_support other than "error" or
     "zero" (read only below the support edge), is a ConfigurationError.
     """
-    n, t = _law_n(n), _real(t, "power index t", positive=True)
+    n = _law_n(n)
+    if type(t) is not float or not 0.0 < t < math.inf:
+        t = _real(t, "power index t", positive=True)
     delta = _powered_argument(x, t, pn, below_support)[1]
     return _cdf_power(_survival(delta, p.sigma), n)
 
@@ -173,7 +180,9 @@ def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
     at a sigma far from 1, the product is formed in sigma units instead.
     DomainError where y^{1/t-1} overflows (y near 0 at a large t).
     """
-    n, t = _law_n(n), _real(t, "power index t", positive=True)
+    n = _law_n(n)
+    if type(t) is not float or not 0.0 < t < math.inf:
+        t = _real(t, "power index t", positive=True)
     y, delta = _powered_argument(x, t, pn, below_support)
     s = p.sigma
     sf, f_delta = _survival_pdf(delta, s)

@@ -35,13 +35,14 @@ Lambda'(x), and cdf_approx after its Gumbel factor.
 
 Each input is checked once, where it enters the package: the approximations
 validate their (t, scheme) through norming.validate_scheme and take x through
-errors._real, so a numpy float32 x is used as its float; at orders 2-3,
-_base_u checks their base where it forms u = sigma^2 / b_n^2 (a DomainError
-unless sigma > 0, b_n > 0 and u is finite); the Gumbel and the
+errors._real (a plain non-NaN float is tested in-line), so a numpy float32 x
+is used as its float; at orders 2-3, _base_u checks their base where it forms
+u = sigma^2 / b_n^2 (a DomainError unless sigma > 0, b_n > 0 and u is
+finite); the Gumbel and the
 coefficient kernels below run unchecked, as do the three diagnostic kernels,
 whose caller has checked x and n. cdf_approx alone takes Lambda(x)
 from the public gumbel_cdf, a call the benchmark's tracer follows; its check
-of the float x passes at once.
+of the float x is in-line and calls nothing.
 
 Where the Gumbel factor underflows to 0.0 the approximations return it
 as is, before evaluating any exp(-x) coefficient: far below the mode those
@@ -162,8 +163,9 @@ def cdf_approx(order: int, t: float, x: float, base: NormingBase,
     if order not in (1, 2, 3):
         raise _order_error(order)
     t, scheme = validate_scheme(t, scheme)
-    x = _real(x, "x")
-    lam = gumbel_cdf(x)  # checks x again, at once: the call the benchmark's tracer follows
+    if type(x) is not float or x != x:
+        x = _real(x, "x")
+    lam = gumbel_cdf(x)  # checks x again, in-line: the call the benchmark's tracer follows
     if order == 1 or lam == 0.0:
         return lam
     emx = math.exp(-x)
@@ -197,7 +199,8 @@ def pdf_approx(order: int, t: float, x: float, base: NormingBase,
     if order not in (1, 2, 3):
         raise _order_error(order)
     t, scheme = validate_scheme(t, scheme)
-    x = _real(x, "x")
+    if type(x) is not float or x != x:
+        x = _real(x, "x")
     lamp, emx = _gumbel_pdf(x)
     if order == 1 or lamp == 0.0:
         return lamp

@@ -1,14 +1,15 @@
 """Scalar special functions: the complementary error function and the Gumbel law.
 
 Each input is checked once, where it enters the package: the public
-functions take x through errors._real, so NaN, a bool and anything but a real
-number within float range is a DomainError. The kernels `_gumbel_cdf` and
-`_gumbel_pdf` check nothing; the package calls them on a checked float, but
+functions take x through errors._real (gumbel_cdf tests a plain non-NaN
+float in-line), so NaN, a bool and anything but a real number within float
+range is a DomainError. The kernels `_gumbel_cdf` and `_gumbel_pdf` check
+nothing; the package calls them on a checked float, but
 for cdf_approx, which calls gumbel_cdf (a call the benchmark's tracer
 follows). `_gumbel_pdf` returns the pair (Lambda'(x), e^{-x}), so a density
 approximation reuses the e^{-x} it is formed from. All are pure and safe for
 unrestricted concurrent use. The Gumbel functions return 0.0 far below the
-mode, where exp(-x) overflows and the true value underflows to zero.
+mode, where exp(-x) raises OverflowError and the true value underflows to zero.
 """
 from __future__ import annotations
 
@@ -28,28 +29,32 @@ def erfc(x: float) -> float:
     return math.erfc(_real(x, "erfc"))
 
 
-def _exp_neg(x: float) -> float:
-    """exp(-x), saturating to inf instead of raising OverflowError."""
-    try:
-        return math.exp(-x)
-    except OverflowError:
-        return math.inf
-
-
 def _gumbel_cdf(x: float) -> float:
-    return math.exp(-_exp_neg(x))
+    try:
+        return math.exp(-math.exp(-x))
+    except OverflowError:  # exp(-x) beyond float range, far below the mode
+        return 0.0
 
 
 def _gumbel_pdf(x: float) -> tuple[float, float]:
     # (Lambda'(x), e^{-x}): the density and the exp(-x) it is formed from
-    emx = _exp_neg(x)
+    try:
+        emx = math.exp(-x)
+    except OverflowError:
+        return 0.0, math.inf
+    # exp(inf) returns inf without raising: x = -inf needs the test too
     return 0.0 if emx == math.inf else math.exp(-x - emx), emx
 
 
 def gumbel_cdf(x: float) -> float:
     """Gumbel distribution function exp(-exp(-x))."""
+    if type(x) is not float or x != x:
+        x = _real(x, "gumbel_cdf")
     # _gumbel_cdf written out: ks_distance calls this once per sample
-    return math.exp(-_exp_neg(_real(x, "gumbel_cdf")))
+    try:
+        return math.exp(-math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 def gumbel_pdf(x: float) -> float:

@@ -3,15 +3,18 @@
 The public functions of special and maxwell check x, and private kernels of
 a float hold the formulas: `_gumbel_cdf`, `_gumbel_pdf`, `_survival` and
 `_survival_pdf`. The package calls those kernels, not the checking
-functions, so an exact law takes each of its reals through errors._real
-exactly once. Two calls are kept on purpose, since the benchmark's tracer
-follows them: cdf_approx calls special.gumbel_cdf, which checks its x a
-second time, and maxwell.survival calls special.erfc.
+functions, so an exact law checks each of its reals once: a plain float
+in-line, any other real through errors._real. Two calls are kept on purpose,
+since the benchmark's tracer follows them: cdf_approx calls
+special.gumbel_cdf, which tests its float x a second time, in-line, and
+maxwell.survival calls special.erfc.
 """
 import ast
 import math
 import pathlib
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import maxext
@@ -155,25 +158,34 @@ MEMBERS = [(1.0, Scheme.GENERAL_POWER), (3.5, Scheme.GENERAL_POWER),
            (2.0, Scheme.SQUARE_OPTIMAL), (2.0, Scheme.SQUARE_ALTERNATIVE)]
 
 
-@pytest.mark.parametrize("approx, checks", [(expansions.cdf_approx, ["x", "gumbel_cdf"]),
+# the errors._real calls of an x that is not a plain float: one, as cdf_approx
+# hands gumbel_cdf the float that errors._real returned
+@pytest.mark.parametrize("approx, checks", [(expansions.cdf_approx, ["x"]),
                                              (expansions.pdf_approx, ["x"])])
 @pytest.mark.parametrize("t, scheme", MEMBERS)
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_an_approximation_checks_only_x(real_names, approx, checks, t, scheme, order):
+    # a plain float is tested in-line and makes no call
     for x in (-800.0, -2.0, 0.7, 800.0):
-        real_names.clear()
-        approx(order, t, x, _BASE, scheme)
-        assert real_names == checks
+        for value, want in ((x, []), (np.float32(x), checks), (Fraction(x), checks)):
+            real_names.clear()
+            approx(order, t, value, _BASE, scheme)
+            assert real_names == want, value
 
 
 @pytest.mark.parametrize("law", [exact.exact_powered_cdf, exact.exact_powered_pdf])
 @pytest.mark.parametrize("t, scheme", MEMBERS)
 def test_an_exact_law_checks_t_and_x_once(real_names, law, t, scheme):
+    # a plain float t or x is tested in-line; any other reaches errors._real once
     pn = norming.powered_constants(_BASE, t, scheme)
     for x in (-2.0, 0.7, 5.0):
-        real_names.clear()
-        law(500, t, x, pn, _P)
-        assert real_names == ["power index t", "x"]
+        for tv, xv, want in ((t, x, []),
+                             (Fraction(t), x, ["power index t"]),
+                             (t, np.float32(x), ["x"]),
+                             (np.float32(t), Fraction(x), ["power index t", "x"])):
+            real_names.clear()
+            law(500, tv, xv, pn, _P)
+            assert real_names == want, (tv, xv)
 
 
 def test_the_unpowered_law_checks_y_once(real_names):
@@ -182,10 +194,12 @@ def test_the_unpowered_law_checks_y_once(real_names):
 
 
 def test_hall_rate_check_takes_n_through_the_integer_rule_only(real_names):
-    # n is an integer of the grid, checked by errors._integer; x is checked at
-    # the boundary, then by each exact law and once by the order-1 approximation
+    # n is an integer of the grid, checked by errors._integer; x is checked once,
+    # at the boundary, and the exact laws and the order-1 approximation test the
+    # float it became in-line
     ns = [10**3, 10**4, 10**6, 10**8, 10**10]
-    exact.hall_rate_check(0.7, 1.0, ns)
-    assert "n" not in real_names
-    assert real_names.count("x") == 2 + len(ns)
-
+    for x in (0.7, Fraction(7, 10)):
+        real_names.clear()
+        exact.hall_rate_check(x, 1.0, ns)
+        assert "n" not in real_names
+        assert real_names.count("x") == 1, x

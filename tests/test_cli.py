@@ -298,14 +298,16 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert path.read_text() == out
 
 
+_ECHO_10_400 = "'100000000000...0000000000000'"  # str(10**400) as errors._echo shows it
+
 # a grid with a bad part: its first bad part, named by its reader's own rule,
-# then the grid as typed
+# then the grid as typed; errors._echo shortens a long part or grid
 BAD_GRID_PARTS = {
     "0,inf": "expected a finite number, got 'inf' in '0,inf'",
     "0,abc": "expected a finite number, got 'abc' in '0,abc'",
     "abc": "expected a finite number, got 'abc' in 'abc'",
     "1e4,1e400": "expected a finite number, got '1e400' in '1e4,1e400'",
-    str(10**400): f"expected a finite number, got '{10**400}' in '{10**400}'",
+    str(10**400): f"expected a finite number, got {_ECHO_10_400} in {_ECHO_10_400}",
     "1e4,10000.5": "expected an integer, got '10000.5' in '1e4,10000.5'",
     "1e4,1e-99999999": "expected an integer, got '1e-99999999' in '1e4,1e-99999999'",
 }
@@ -549,7 +551,7 @@ def test_sample_size_beyond_float_range_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "plot-data", "--n", str(10**400))
     assert code == 1 and out == ""
     assert err.splitlines()[-1] == ("maxext plot-data: error: argument --n: "
-                                    f"expected a finite number, got '{10**400}'")
+                                    f"expected a finite number, got {_ECHO_10_400}")
 
 
 def test_n_grid_is_read_exactly(capsys):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from maxext import MaxextError, maxwell
 from maxext.errors import ConfigurationError, DiagnosticsError, DomainError
@@ -216,6 +217,62 @@ def test_float32_x_is_used_as_its_float(call):
     # a float32 x must not run the kernels in float32: the same bits and
     # types as the float of its value
     assert repr(call(_X32)) == repr(call(float(_X32)))
+
+
+# the entry points that test a plain float in-line and call errors._real only
+# for any other value: each x, and the t of both exact laws (whose constants
+# carry that same t, so the law is evaluated wherever t passes)
+_EXACT_LAWS = (exact_powered_cdf, exact_powered_pdf)
+IN_LINE_CALLS = {
+    "gumbel_cdf-x": gumbel_cdf,
+    **{f"{fn.__name__}-x": lambda v, fn=fn: fn(3, 1.0, v, _BASE) for fn in (cdf_approx, pdf_approx)},
+    **{f"{law.__name__}-x": lambda v, law=law: law(25, 1.0, v, _PN1, _P) for law in _EXACT_LAWS},
+    **{f"{law.__name__}-t": lambda v, law=law: law(25, v, 0.7, _PN1._replace(t=v), _P)
+       for law in _EXACT_LAWS},
+}
+
+
+def _outcome(call, value):
+    """The bits of what the call returns, or the class and message of what it raises."""
+    try:
+        return call(value).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("call", IN_LINE_CALLS.values(), ids=IN_LINE_CALLS.keys())
+@settings(max_examples=200, deadline=None)
+@given(v=st.floats())
+@example(v=0.0)
+@example(v=-0.0)
+@example(v=-1.0)
+@example(v=math.inf)
+@example(v=-math.inf)
+@example(v=5e-324)
+@example(v=-5e-324)
+@example(v=math.nan)
+def test_the_in_line_float_test_matches_errors_real(call, v):
+    # np.float64 is a float subclass, so it takes errors._real's path
+    assert _outcome(call, v) == _outcome(call, np.float64(v))
+
+
+@pytest.mark.parametrize("name, label", [
+    ("gumbel_cdf-x", "gumbel_cdf"), ("cdf_approx-x", "x"), ("pdf_approx-x", "x"),
+    ("exact_powered_cdf-x", "x"), ("exact_powered_pdf-x", "x"),
+    ("exact_powered_cdf-t", "power index t"), ("exact_powered_pdf-t", "power index t"),
+])
+def test_a_nan_float_keeps_its_message(name, label):
+    with pytest.raises(DomainError) as info:
+        IN_LINE_CALLS[name](math.nan)
+    assert str(info.value) == f"{label}: NaN input"
+
+
+@pytest.mark.parametrize("law", ["exact_powered_cdf", "exact_powered_pdf"])
+@pytest.mark.parametrize("t", [0.0, -1.0, math.inf])
+def test_a_non_positive_or_infinite_float_t_keeps_its_message(law, t):
+    with pytest.raises(DomainError) as info:
+        IN_LINE_CALLS[f"{law}-t"](t)
+    assert str(info.value) == f"power index t must be a positive finite real, got {t!r}"
 
 
 @pytest.mark.parametrize("record, field, bad, good, stored", [
