@@ -21,8 +21,9 @@ imports numpy. Each input is checked once, where it enters the package: the
 exact laws and the diagnostics take t and x through errors._real (a numpy
 float32 x is used as its float; the exact laws pass a plain float in-line)
 and n through errors._integer (`_law_n` passes an int in range at once),
-then call the unchecked kernels maxwell._survival/_survival_pdf and
-special._gumbel_cdf/_gumbel_pdf.
+then call the unchecked pair kernels maxwell._survival_pdf (the distribution
+laws read its survival, the density both values) and special._gumbel_pdf,
+and gumbel_cdf on the checked float, which it tests in-line.
 PoweredNorming checks nothing, so a NaN c_n*x + d_n is a DomainError here.
 Both exact laws take the root (c_n x + d_n)^{1/t} from `_powered_argument`,
 which holds the one far-above-the-mode rule: where the root overflows it is
@@ -52,7 +53,7 @@ from .expansions import (
     cdf_approx,
     pdf_approx,
 )
-from .maxwell import MaxwellParams, _survival, _survival_pdf, _z_density
+from .maxwell import MaxwellParams, _survival_pdf, _z_density
 from .norming import (
     _ALTERNATIVE,
     _OPTIMAL,
@@ -63,7 +64,7 @@ from .norming import (
     solve_bn,
     validate_scheme,
 )
-from .special import _gumbel_cdf, _gumbel_pdf
+from .special import _gumbel_pdf, gumbel_cdf
 
 __all__ = [
     "ErrorRow",
@@ -147,9 +148,9 @@ def _law_n(n) -> int:
 
 
 def _cdf_power(sf: float, m: int) -> float:
-    """F^m = (1 - sf)^m through log1p; 0.0 where the survival sf rounds to 1."""
+    """F^m = (1 - sf)^m through log1p; 0.0 where the survival sf rounds to 1, but F^0 = 1."""
     if sf >= 1.0:
-        return 0.0
+        return 0.0 if m else 1.0
     return math.exp(m * math.log1p(-sf))
 
 
@@ -168,7 +169,7 @@ def exact_powered_cdf(n: int, t: float, x: float, pn: PoweredNorming,
     if type(t) is not float or not 0.0 < t < math.inf:
         t = _real(t, "power index t", positive=True)
     delta = _powered_argument(x, t, pn, below_support)[1]
-    return _cdf_power(_survival(delta, p.sigma), n)
+    return _cdf_power(_survival_pdf(delta, p.sigma)[0], n)
 
 
 def exact_powered_pdf(n: int, t: float, x: float, pn: PoweredNorming,
@@ -218,7 +219,7 @@ class _KindLaws(NamedTuple):
 
 _KINDS = {
     "cdf": _KindLaws(exact_powered_cdf, cdf_approx, _cdf_approx_tabulated, _cdf_coeff1_square,
-                     _cdf_coeff1_general, lambda x: math.exp(-x) * _gumbel_cdf(x)),
+                     _cdf_coeff1_general, lambda x: math.exp(-x) * gumbel_cdf(x)),
     "pdf": _KindLaws(exact_powered_pdf, pdf_approx, _pdf_approx_tabulated,
                      lambda x: _pdf_coeff1_square(x, math.exp(-x)),
                      lambda t, x: _pdf_coeff1_general(t, x, math.exp(-x)),
@@ -419,7 +420,7 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
     law = _KINDS["cdf"]
     squared = _error_walk(law, law.approx, 2.0, _OPTIMAL, x, p,
                           (solve_bn(n, sigma) for n in ns), (1,))
-    lam = _gumbel_cdf(x)
+    lam = gumbel_cdf(x)
     gaps, leads, ratios, powered = [], [], [], []
     for n in ns:
         hall = hall_base(n, sigma)
@@ -439,7 +440,7 @@ def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCh
 
 def exact_unpowered_cdf(n: int, y: float, p: MaxwellParams) -> float:
     """P(M_n <= y) = F(y)^n via the stable log1p route; n as for exact_powered_cdf."""
-    return _cdf_power(_survival(_real(y, "y"), p.sigma), _law_n(n))
+    return _cdf_power(_survival_pdf(_real(y, "y"), p.sigma)[0], _law_n(n))
 
 
 class SchemeComparison(NamedTuple):

@@ -38,11 +38,11 @@ validate their (t, scheme) through norming.validate_scheme and take x through
 errors._real (a plain non-NaN float is tested in-line), so a numpy float32 x
 is used as its float; at orders 2-3, _base_u checks their base where it forms
 u = sigma^2 / b_n^2 (a DomainError unless sigma > 0, b_n > 0 and u is
-finite); the Gumbel and the
-coefficient kernels below run unchecked, as do the three diagnostic kernels,
-whose caller has checked x and n. cdf_approx alone takes Lambda(x)
-from the public gumbel_cdf, a call the benchmark's tracer follows; its check
-of the float x is in-line and calls nothing.
+finite); the coefficient kernels below run unchecked, as do the three
+diagnostic kernels, whose caller has checked x and n. The densities take
+Lambda'(x) from the kernel special._gumbel_pdf; cdf_approx, the tabulated
+distribution kernel and _hall_error_leading take Lambda(x) from the public
+gumbel_cdf, whose test of the float x is in-line and calls nothing.
 
 Where the Gumbel factor underflows to 0.0 the approximations return it
 as is, before evaluating any exp(-x) coefficient: far below the mode those
@@ -61,7 +61,7 @@ import math
 
 from .errors import ConfigurationError, DomainError, _echo, _real
 from .norming import _GENERAL, _OPTIMAL, _SHIFT, NormingBase, Scheme, validate_scheme
-from .special import _gumbel_cdf, _gumbel_pdf, gumbel_cdf
+from .special import _gumbel_pdf, gumbel_cdf
 
 __all__ = ["cdf_approx", "pdf_approx"]
 
@@ -244,7 +244,7 @@ def _cdf_approx_tabulated(order, t, x, base, scheme):
     (see norming.hall_base): the first correction enters with the opposite
     sign to cdf_approx and the second uses the classic coefficient.
     """
-    lam = _gumbel_cdf(x)
+    lam = gumbel_cdf(x)
     if order == 1 or lam == 0.0:
         return lam
     emx = math.exp(-x)
@@ -279,7 +279,7 @@ def _hall_error_leading(n, x):
     Describes the non-powered maximum under the closed-form constants, for
     n >= 3. It is scale-free, so it takes no sigma.
     """
-    lam = _gumbel_cdf(x)
+    lam = gumbel_cdf(x)
     if lam == 0.0:
         return lam
     log_n = math.log(n)

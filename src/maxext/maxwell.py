@@ -5,12 +5,16 @@ relative accuracy deep into the tail; it is never computed as 1 - cdf.
 
 Each input is checked once, where it enters the package: the public
 functions take x through errors._real and sigma through MaxwellParams; the
-kernels `_survival` and `_survival_pdf` of a float x and sigma check nothing.
-The exact laws call `_survival` and, for the density, `_survival_pdf`, which
-returns both from one exp(-z^2/2), the survival with the bits of `_survival`.
-The density is written once, there: `pdf` is its second value.
-survival keeps its formula over special.erfc, a call the benchmark's tracer
-follows; `_survival` uses math.erfc, with the same bits.
+one kernel, `_survival_pdf` of a float x and sigma, checks nothing. It
+returns the pair (survival, density) from one exp(-z^2/2): the exact
+distribution laws read its first value, the exact density both. The density
+is written once, there: `pdf` is its second value. survival keeps its own
+copy of the formula over special.erfc, a call the benchmark's tracer follows;
+the kernel uses math.erfc, with the same bits.
+
+Below x = sigma, `cdf` sums the series of the regularized incomplete gamma
+function P(3/2, z^2/2), whose terms are all positive, rather than forming
+erf - z * density, which cancels to a wrong sign near 0.
 
 `MaxwellParams` is a NamedTuple that stores sigma as a positive finite
 float whenever one is built, `_replace` included.
@@ -78,23 +82,31 @@ def pdf(x: float, p: MaxwellParams) -> float:
 
 
 def cdf(x: float, p: MaxwellParams) -> float:
-    """Distribution function erf(x / sigma sqrt(2)) - sqrt(2/pi)(x/sigma) e^{-x^2/2s^2}."""
+    """Distribution function erf(x / sigma sqrt(2)) - sqrt(2/pi)(x/sigma) e^{-x^2/2s^2}.
+
+    Below x = sigma, where that difference cancels, it is the sum
+    sqrt(2/pi) e^{-z^2/2} sum_k z^(2k+3) / (2k+3)!! at z = x / sigma, which is
+    never negative and within 1e-12 relative of P(3/2, z^2/2) down to where that
+    leaves the normal floats.
+    """
     x = _real(x, "cdf")
     if x <= 0.0:
         return 0.0
     z = x / p.sigma
-    return math.erf(z / _SQRT2) - _z_density(z)
-
-
-def _survival(x: float, s: float) -> float:
-    if x <= 0.0:
-        return 1.0
-    z = x / s
-    return math.erfc(z / _SQRT2) + _z_density(z)
+    if z >= 1.0:
+        return math.erf(z / _SQRT2) - _z_density(z)
+    z2 = z * z
+    term = total = z2 * z / 3.0
+    k = 5.0
+    while term > total * 1e-17:  # the terms fall by z^2 / k < 1/5 or more each
+        term *= z2 / k
+        total += term
+        k += 2.0
+    return _SQRT_2_OVER_PI * math.exp(-0.5 * z2) * total
 
 
 def _survival_pdf(x: float, s: float) -> tuple[float, float]:
-    """(_survival(x, s), density at x) from one exp(-z^2/2); `pdf` returns the second."""
+    """(survival, density) at x from one exp(-z^2/2); `pdf` returns the second."""
     if x <= 0.0:
         return 1.0, 0.0
     z = x / s

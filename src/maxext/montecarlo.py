@@ -114,10 +114,20 @@ def _counter(rep: int) -> list[int]:
 
 
 def substream(seed: int, rep: int) -> np.random.Generator:
-    """The documented substream rule: rep i uses Philox(key=seed) jumped i times."""
+    """The documented substream rule: rep i uses Philox(key=seed) jumped i times.
+
+    seed and rep are integers in [0, 2**128), checked as SimulationConfig checks
+    a seed (DomainError otherwise).
+    """
     import numpy as np
 
-    return np.random.Generator(np.random.Philox(key=seed, counter=_counter(rep)))
+    seed, rep = _integer(seed, "seed"), _integer(rep, "rep")
+    for name, value in (("seed", seed), ("rep", rep)):
+        if not 0 <= value < 2**128:
+            raise _domain_error(name, "in [0, 2**128)", value)
+    # as uint64: numpy reads a list holding a word from 2**63 up through float64
+    counter = np.array(_counter(rep), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def _cpus() -> int:

@@ -1,15 +1,15 @@
 """Scalar special functions: the complementary error function and the Gumbel law.
 
 Each input is checked once, where it enters the package: the public
-functions take x through errors._real (gumbel_cdf tests a plain non-NaN
-float in-line), so NaN, a bool and anything but a real number within float
-range is a DomainError. The kernels `_gumbel_cdf` and `_gumbel_pdf` check
-nothing; the package calls them on a checked float, but
-for cdf_approx, which calls gumbel_cdf (a call the benchmark's tracer
-follows). `_gumbel_pdf` returns the pair (Lambda'(x), e^{-x}), so a density
-approximation reuses the e^{-x} it is formed from. All are pure and safe for
-unrestricted concurrent use. The Gumbel functions return 0.0 far below the
-mode, where exp(-x) raises OverflowError and the true value underflows to zero.
+functions take x through errors._real, and gumbel_cdf tests a plain non-NaN
+float in-line, without a call, so NaN, a bool and anything but a real number
+within float range is a DomainError. gumbel_cdf is the package's one Gumbel
+cdf: the approximations and diagnostics call it on their checked float. The
+one kernel, `_gumbel_pdf`, checks nothing and returns the pair
+(Lambda'(x), e^{-x}), so a density approximation reuses the e^{-x} it is
+formed from. All are pure and safe for unrestricted concurrent use. The
+Gumbel functions return 0.0 far below the mode, where exp(-x) raises
+OverflowError and the true value underflows to zero.
 """
 from __future__ import annotations
 
@@ -29,13 +29,6 @@ def erfc(x: float) -> float:
     return math.erfc(_real(x, "erfc"))
 
 
-def _gumbel_cdf(x: float) -> float:
-    try:
-        return math.exp(-math.exp(-x))
-    except OverflowError:  # exp(-x) beyond float range, far below the mode
-        return 0.0
-
-
 def _gumbel_pdf(x: float) -> tuple[float, float]:
     # (Lambda'(x), e^{-x}): the density and the exp(-x) it is formed from
     try:
@@ -50,10 +43,9 @@ def gumbel_cdf(x: float) -> float:
     """Gumbel distribution function exp(-exp(-x))."""
     if type(x) is not float or x != x:
         x = _real(x, "gumbel_cdf")
-    # _gumbel_cdf written out: ks_distance calls this once per sample
     try:
         return math.exp(-math.exp(-x))
-    except OverflowError:
+    except OverflowError:  # exp(-x) beyond float range, far below the mode
         return 0.0
 
 

@@ -1,13 +1,13 @@
 """Each input is checked once, at the public boundary; the kernels below it check nothing.
 
-The public functions of special and maxwell check x, and private kernels of
-a float hold the formulas: `_gumbel_cdf`, `_gumbel_pdf`, `_survival` and
-`_survival_pdf`. The package calls those kernels, not the checking
-functions, so an exact law checks each of its reals once: a plain float
-in-line, any other real through errors._real. Two calls are kept on purpose,
-since the benchmark's tracer follows them: cdf_approx calls
-special.gumbel_cdf, which tests its float x a second time, in-line, and
-maxwell.survival calls special.erfc.
+The public functions of special and maxwell check x. special.gumbel_cdf
+tests a plain float in-line, without a call, so it is the package's one
+Gumbel cdf, and the package calls it freely. The other formulas live in two
+private pair kernels of a float: `_gumbel_pdf` and `_survival_pdf`. The
+package calls those kernels, not the checking functions, so an exact law
+checks each of its reals once: a plain float in-line, any other real through
+errors._real. One call is kept on purpose, since the benchmark's tracer
+follows it: maxwell.survival calls special.erfc.
 """
 import ast
 import math
@@ -35,9 +35,8 @@ SIGMAS = (1e-150, 0.7, 1.0, 1e150)
 
 
 @pytest.mark.parametrize("kernel, public", [
-    (special._gumbel_cdf, special.gumbel_cdf),
     (lambda x: special._gumbel_pdf(x)[0], special.gumbel_pdf),  # the density of (density, e^{-x})
-], ids=["_gumbel_cdf-gumbel_cdf", "_gumbel_pdf-gumbel_pdf"])
+], ids=["_gumbel_pdf-gumbel_pdf"])
 def test_gumbel_kernels_match_the_public_functions_bit_for_bit(kernel, public):
     for x in X_EDGES:
         assert kernel(x).hex() == public(x).hex(), x
@@ -54,9 +53,9 @@ def _pdf(x, s):
 
 
 @pytest.mark.parametrize("kernel, public", [
-    (maxwell._survival, maxwell.survival),
+    (lambda x, s: maxwell._survival_pdf(x, s)[0], maxwell.survival),
     (_pdf, maxwell.pdf),
-])
+], ids=["_survival_pdf-survival", "_pdf-pdf"])
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_maxwell_kernels_match_the_public_functions_bit_for_bit(kernel, public, sigma):
     p = MaxwellParams(sigma)
@@ -88,12 +87,11 @@ def test_approximations_form_the_gumbel_law_with_its_bits():
 
 # ------------------------------------------------- no checking function inside
 
-CHECKED = {"special": {"erfc", "gumbel_cdf", "gumbel_pdf"},
+# gumbel_cdf is not here: it tests a plain float in-line, without a call
+CHECKED = {"special": {"erfc", "gumbel_pdf"},
            "maxwell": {"survival", "pdf"}}
-# (module, top-level function, name): cli hands gumbel_cdf to ks_distance as
-# the reference; the other two are the calls the benchmark's tracer follows
-ALLOWED = {("cli.py", "_cmd_simulate", "gumbel_cdf"), ("expansions.py", "cdf_approx", "gumbel_cdf"),
-           ("maxwell.py", "survival", "erfc")}
+# (module, top-level function, name): the call the benchmark's tracer follows
+ALLOWED = {("maxwell.py", "survival", "erfc")}
 
 
 def _checked_references(module_name, tree):

@@ -94,6 +94,22 @@ def test_exact_cdf_single_observation():
     assert exact_powered_cdf(1, 2.0, x, pn, P2) == pytest.approx(cdf(delta, P2), rel=1e-14)
 
 
+@pytest.mark.parametrize("t", [1.0, 2.0])
+def test_exact_pdf_single_observation(t):
+    # n = 1: c_n y^{1/t-1} f(delta) / t with F^0 = 1, also where the survival at
+    # delta rounds to 1 (delta below about 1e-6 sigma), which gave 0.0
+    base = solve_bn(25, 1.0)
+    pn = powered_constants(base, t, Scheme.GENERAL_POWER if t == 1.0 else Scheme.SQUARE_OPTIMAL)
+    p = MaxwellParams(1.0)
+    for target in (1e-7, 1e-6, 1e-3, 0.5, 2.0):
+        x = (target ** t - pn.d_n) / pn.c_n
+        y = pn.c_n * x + pn.d_n
+        delta = y ** (1.0 / t)
+        want = pn.c_n / t * y ** (1.0 / t - 1.0) * maxwell.pdf(delta, p)
+        assert want > 0.0
+        assert abs(exact_powered_pdf(1, t, x, pn, p) / want - 1.0) <= 1e-12, target
+
+
 def test_exact_cdf_tabulated_gap_matches_table():
     # golden-table convention: closed-form norming constants
     base = hall_base(25, 2.0)

@@ -92,6 +92,33 @@ def test_cdf_edges():
     assert cdf(50.0 * 1.3, p) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_cdf_below_sigma_is_the_incomplete_gamma_series():
+    # erf - z * density cancels near 0: at x = 1e-8 it gave -1.65e-24, not 2.66e-25.
+    # Below x = sigma the cdf is never negative and within 1e-12 of P(3/2, z^2/2)
+    # wherever that is a normal float; from x = sigma up it keeps the erf form's bits
+    from scipy.special import gammainc
+
+    rng = np.random.default_rng(20)
+    xs = 10.0 ** rng.uniform(-12, -3, 2000)
+    sigmas = 10.0 ** rng.uniform(-12, -3, 2000)
+    zs = list(10.0 ** rng.uniform(-110, 0, 2000)) + [1e-8, 0.5, 0.999999, 1.0 - 2**-53]
+    for x, s in [*zip(xs, sigmas), *((z, 1.0) for z in zs)]:
+        got = cdf(x, MaxwellParams(s))
+        assert got >= 0.0, (x, s)
+        z = x / s
+        ref = gammainc(1.5, z * z / 2)
+        if ref >= 2.2250738585072014e-308:
+            assert abs(got / ref - 1.0) <= 1e-12, (x, s)
+    assert abs(cdf(1e-8, MaxwellParams(1.0)) / 2.659615202676218e-25 - 1.0) <= 1e-14
+    for sigma in (1e-150, 0.7, 1.0, 1e150):
+        for v in (1.0, 1.0 + 2**-52, 1.5, 2.0, 3.0, 8.0, 40.0, 1e10):
+            x = sigma * v
+            z = x / sigma
+            e = math.exp(-0.5 * z * z)
+            want = math.erf(z / math.sqrt(2.0)) - (math.sqrt(2.0 / math.pi) * z * e if e else 0.0)
+            assert cdf(x, MaxwellParams(sigma)).hex() == want.hex(), (x, sigma)
+
+
 def test_survival_values():
     p = MaxwellParams(1.0)
     assert survival(0.0, p) == 1.0

@@ -471,13 +471,43 @@ def test_simulate_draws_a_large_rep_in_chunks_within_budget(monkeypatch, workers
 
 
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**128 - 1])
-@pytest.mark.parametrize("rep", [0, 1, 7, 2**64 + 3])
+# a counter word from 2**63 up was read through float64: rep 2**63 + 1 drew from
+# counter 2**63, and rep 2**64 - 1 from counter 0
+@pytest.mark.parametrize("rep", [0, 1, 7, 2**64 + 3, 2**63 + 1, 2**64 - 1, 2**128 - 1])
 def test_substream_is_jumped_root(seed, rep):
     oracle = np.random.Generator(np.random.Philox(key=seed).jumped(rep))
     rng = substream(seed, rep)
     assert np.array_equal(rng.random(7), oracle.random(7))
     assert np.array_equal(rng.chisquare(3.0, size=5), oracle.chisquare(3.0, size=5))
     assert rng.integers(2**32, size=3).tolist() == oracle.integers(2**32, size=3).tolist()
+
+
+@pytest.mark.parametrize("seed, rep, name, message", [
+    (None, 0, "seed", "an integer, got None"),
+    (1.5, 0, "seed", "an integer, got 1.5"),
+    ("7", 0, "seed", "an integer, got '7'"),
+    (True, 0, "seed", "an integer, got True"),
+    (-1, 0, "seed", r"in \[0, 2\*\*128\), got -1"),
+    (2**128, 0, "seed", r"in \[0, 2\*\*128\), got 3402"),
+    (0, True, "rep", "an integer, got True"),
+    (0, 1.5, "rep", "an integer, got 1.5"),
+    (0, None, "rep", "an integer, got None"),
+    (0, -1, "rep", r"in \[0, 2\*\*128\), got -1"),
+    (0, 2**200, "rep", r"in \[0, 2\*\*128\), got 1606"),
+], ids=["seed-None", "seed-1.5", "seed-str", "seed-True", "seed-negative", "seed-2**128",
+        "rep-True", "rep-1.5", "rep-None", "rep-negative", "rep-2**200"])
+def test_substream_checks_seed_and_rep(seed, rep, name, message):
+    # each was a wrong stream (a None seed drew from fresh entropy, True was rep 1,
+    # rep -1 wrapped the counter) or a raw TypeError, ValueError or OverflowError
+    with pytest.raises(DomainError, match=f"^{name} must be {message}"):
+        substream(seed, rep)
+
+
+def test_substream_takes_integral_values_as_ints():
+    # the integer rule of SimulationConfig's seed: Fraction and integral floats are exact ints
+    want = substream(7, 3).random(3)
+    for seed, rep in ((7.0, 3), (Fraction(7), np.int64(3)), (np.uint8(7), 3.0)):
+        assert np.array_equal(substream(seed, rep).random(3), want)
 
 
 def test_single_rep_finite():
