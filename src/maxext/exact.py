@@ -11,10 +11,11 @@ approximations and first-order coefficients they use. `_KINDS` maps each kind
 to those; any other kind is a ConfigurationError. The grid diagnostics
 convert their n grid through one check, `_check_grid`, so a non-integral n is
 a DomainError and a too poor grid a DiagnosticsError (an n < 3 is its
-solver's NoRootError); all but the adjudication walk it through one helper,
-`_error_walk`, which yields each base's errors |exact - approx_k|. The
-golden-table convention and hall_rate_check take their terms from private
-kernels of a checked x (expansions._*_approx_tabulated, _hall_error_leading).
+solver's NoRootError); error_table, rate_diagnostic and compare_schemes walk
+it through one helper, `_error_walk`, which yields each base's errors
+|exact - approx_k|. The golden-table convention takes its terms from the
+private kernels expansions._*_approx_tabulated of a checked x;
+hall_rate_check forms Hall's leading term from the cdf weight in `_KINDS`.
 Both line fits, the rate slope and the adjudication limits, go through
 `_fit`, which solves least squares exactly in Python ints; no function here
 imports numpy. Each input is checked once, where it enters the package: the
@@ -46,7 +47,6 @@ from .expansions import (
     _cdf_approx_tabulated,
     _cdf_coeff1_general,
     _cdf_coeff1_square,
-    _hall_error_leading,
     _pdf_approx_tabulated,
     _pdf_coeff1_general,
     _pdf_coeff1_square,
@@ -411,29 +411,32 @@ class HallRateCheck(NamedTuple):
 def hall_rate_check(x: float, sigma: float, n_grid: Sequence[int]) -> HallRateCheck:
     """Compare the non-powered error against its leading term and against t = 2.
 
-    The squared maximum under the optimal scheme converges like 1/(log n)^2,
-    so its first-order error must undercut the non-powered one, whose decay
-    is only log(2 log n)^2 / (16 log n).
+    Hall's leading term of the non-powered maximum under the closed-form
+    constants is Lambda(x) e^{-x} log(2 log n)^2 / (16 log n). It is free of
+    sigma, and its x factor, the cdf weight Lambda(x) e^{-x}, is formed once
+    per call. The squared maximum under the optimal scheme converges like
+    1/(log n)^2, so its first-order error |F^n - Lambda(x)| must undercut the
+    non-powered one, which decays only like that leading term.
     """
     ns = _check_grid(n_grid, min_len=1)
     x, p = _real(x, "x"), MaxwellParams(sigma)
-    law = _KINDS["cdf"]
-    squared = _error_walk(law, law.approx, 2.0, _OPTIMAL, x, p,
-                          (solve_bn(n, sigma) for n in ns), (1,))
     lam = gumbel_cdf(x)
+    weight = lam and _KINDS["cdf"].weight(x)  # where lam is 0, exp(-x) can overflow
     gaps, leads, ratios, powered = [], [], [], []
     for n in ns:
         hall = hall_base(n, sigma)
         fn = exact_unpowered_cdf(n, hall.a_n * x + hall.b_n, p)
         gap = fn - lam
-        lead = _hall_error_leading(n, x)
+        log_n = math.log(n)
+        lead = weight * math.log(2.0 * log_n) ** 2 / (16.0 * log_n)
         if lead == 0.0:
             raise DomainError(f"leading error term underflows to 0 at x = {x}; "
                               "the ratio gap / leading is undefined")
         gaps.append(gap)
         leads.append(lead)
         ratios.append(gap / lead)
-        powered.append(next(squared)[1][0])
+        pn = powered_constants(solve_bn(n, sigma), 2.0, _OPTIMAL)
+        powered.append(abs(exact_powered_cdf(n, 2.0, x, pn, p) - lam))
     return HallRateCheck(ns=tuple(ns), gaps=tuple(gaps), leading=tuple(leads),
                          ratios=tuple(ratios), powered_err1=tuple(powered))
 

@@ -17,12 +17,10 @@ A square pair is the general-power pair shifted by s sigma^2 / b_n^2
 (s = -1) uses them in the general-power brackets. The optimal scheme (s = +1,
 where A1 = 0) keeps its own kernels, as its b_n^-6 term needs A3.
 
-Three private kernels serve one diagnostic each, in exact. The
-``_*_approx_tabulated`` pair reproduces the golden reference error tables
-exactly, with the classic second-order pair at t = 2, sign conventions and
-closed-form norming inherited from the original tabulation (see
-exact.error_table); `_hall_error_leading` is Hall's leading error term of
-the non-powered maximum (see exact.hall_rate_check).
+The private ``_*_approx_tabulated`` pair serves one diagnostic,
+exact.error_table: it reproduces the golden reference error tables exactly,
+with the classic second-order pair at t = 2, sign conventions and
+closed-form norming inherited from the original tabulation.
 
 Each coefficient is a private function of (t, x), or of x at t = 2, stated
 at sigma = 1. The coefficient of b_n^-2k carries sigma^2k, so the
@@ -38,11 +36,11 @@ validate their (t, scheme) through norming.validate_scheme and take x through
 errors._real (a plain non-NaN float is tested in-line), so a numpy float32 x
 is used as its float; at orders 2-3, _base_u checks their base where it forms
 u = sigma^2 / b_n^2 (a DomainError unless sigma > 0, b_n > 0 and u is
-finite); the coefficient kernels below run unchecked, as do the three
-diagnostic kernels, whose caller has checked x and n. The densities take
-Lambda'(x) from the kernel special._gumbel_pdf; cdf_approx, the tabulated
-distribution kernel and _hall_error_leading take Lambda(x) from the public
-gumbel_cdf, whose test of the float x is in-line and calls nothing.
+finite); the coefficient kernels below run unchecked, as does the tabulated
+pair, whose caller has checked x. The densities take Lambda'(x) from the
+kernel special._gumbel_pdf; cdf_approx and the tabulated distribution kernel
+take Lambda(x) from the public gumbel_cdf, whose test of the float x is
+in-line and calls nothing.
 
 Where the Gumbel factor underflows to 0.0 the approximations return it
 as is, before evaluating any exp(-x) coefficient: far below the mode those
@@ -270,17 +268,3 @@ def _pdf_approx_tabulated(order, t, x, base, scheme):
         bracket -= _pdf_coeff2_classic(x, emx) * u2 / (z * z)
     return lamp * bracket
 
-
-# ------------------------------------------------------------- diagnostics
-
-def _hall_error_leading(n, x):
-    """Leading error term Lambda(x) e^{-x} log(2 log n)^2 / (16 log n), at a checked float x.
-
-    Describes the non-powered maximum under the closed-form constants, for
-    n >= 3. It is scale-free, so it takes no sigma.
-    """
-    lam = gumbel_cdf(x)
-    if lam == 0.0:
-        return lam
-    log_n = math.log(n)
-    return lam * math.exp(-x) * math.log(2.0 * log_n) ** 2 / (16.0 * log_n)

@@ -82,7 +82,11 @@ def test_approximations_form_the_gumbel_law_with_its_bits():
         lam = special.gumbel_cdf(x)
         want = lam and lam * math.exp(-x) * math.log(2.0 * math.log(1000)) ** 2 / (
             16.0 * math.log(1000))
-        assert expansions._hall_error_leading(1000, x).hex() == want.hex(), x
+        if want:
+            assert exact.hall_rate_check(x, 1.0, [1000]).leading[0].hex() == want.hex(), x
+        else:
+            with pytest.raises(errors.DomainError, match="leading error term underflows"):
+                exact.hall_rate_check(x, 1.0, [1000])
 
 
 # ------------------------------------------------- no checking function inside

@@ -374,6 +374,26 @@ def test_hall_rate_check_behaviour():
     assert all(e < abs(g) for e, g in zip(chk.powered_err1, chk.gaps))
 
 
+def test_hall_leading_term_is_its_closed_form():
+    # Lambda(x) e^{-x} log(2 log n)^2 / (16 log n) at each grid n
+    ns = [10**3, 10**6]
+    for x in (0.0, 0.7, 2.0):
+        for n, lead in zip(ns, hall_rate_check(x, 1.0, ns).leading):
+            ref = (gumbel_cdf(x) * math.exp(-x) * math.log(2 * math.log(n)) ** 2
+                   / (16 * math.log(n)))
+            assert lead == pytest.approx(ref, rel=1e-14), (n, x)
+    assert hall_rate_check(50.0, 1.0, [10**6]).leading[0] < 1e-22
+
+
+@pytest.mark.parametrize("x", [-1.0, 0.7, 3.0])
+def test_hall_leading_term_is_free_of_sigma(x):
+    # Lambda(x) e^{-x} log(2 log n)^2 / (16 log n) has no sigma in it, bit for bit
+    ns = [10**3, 10**6, 10**10]
+    want = hall_rate_check(x, 1.0, ns).leading
+    for sigma in (1e-100, 0.3, 1e100):
+        assert hall_rate_check(x, sigma, ns).leading == want, sigma
+
+
 def test_compare_schemes():
     cmp = compare_schemes(0.7, 1.0, [10**3, 10**4, 10**6, 10**8])
     assert all(o < a for o, a in zip(cmp.optimal, cmp.alternative))

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from maxext.errors import ConfigurationError, DomainError
-from maxext.exact import _pdf_coeff1_classic
+from maxext.exact import _pdf_coeff1_classic, hall_rate_check
 from maxext.expansions import (
     _cdf_approx_tabulated,
     _cdf_coeff1_general,
@@ -35,7 +35,6 @@ from maxext.expansions import (
     _cdf_coeff2_general,
     _cdf_coeff2_square,
     _general_coefficients,
-    _hall_error_leading,
     _pdf_approx_tabulated,
     _pdf_coeff1_general,
     _pdf_coeff1_square,
@@ -325,7 +324,8 @@ def test_approximations_vanish_where_gumbel_underflows(x):
             assert pdf_approx(order, 2.0, x, base, scheme) == 0.0
         assert _tabulated(_cdf_approx_tabulated, order, x, base) == 0.0
         assert _tabulated(_pdf_approx_tabulated, order, x, base) == 0.0
-    assert _hall_error_leading(10**6, x) == 0.0
+    with pytest.raises(DomainError, match="leading error term underflows"):
+        hall_rate_check(x, 1.0, [10**6])
 
 
 @pytest.mark.parametrize("x", [750.0, 1e40, 1e200, 1e300])
@@ -420,15 +420,3 @@ def test_approximations_are_sigma_invariant(sigma):
             for fn in (_cdf_approx_tabulated, _pdf_approx_tabulated):
                 assert _tabulated(fn, order, x, hall) == pytest.approx(
                     _tabulated(fn, order, x, hall_unit), rel=1e-12)
-
-
-def test_hall_error_leading():
-    # at n = e^{e/2} the squared log factor is exactly 1 (the formula, at a real n)
-    n = math.exp(math.e / 2.0)
-    for x in (0.0, 0.7, 2.0):
-        ref = gumbel_cdf(x) * math.exp(-x) / (8.0 * math.e)
-        assert _hall_error_leading(n, x) == pytest.approx(ref, rel=1e-13)
-    assert _hall_error_leading(10**6, 50.0) < 1e-22
-    assert _hall_error_leading(10**6, 0.7) == pytest.approx(
-        gumbel_cdf(0.7) * math.exp(-0.7) * math.log(2 * math.log(10**6)) ** 2
-        / (16 * math.log(10**6)), rel=1e-14)

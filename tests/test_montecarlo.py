@@ -1,5 +1,6 @@
 """Simulation determinism, substream independence, and KS machinery."""
 import math
+import os
 import signal
 import threading
 import time
@@ -404,6 +405,44 @@ def test_interrupt_inside_thread_start_waits_for_the_unrecorded_worker(monkeypat
     for th in set(threading.enumerate()) - before:
         th.join(10)
         assert not th.is_alive()
+
+
+def test_a_thread_started_after_the_queue_halted_takes_no_chunk(monkeypatch, force_workers):
+    # the extra thread runs only once the caller has drawn every chunk and halted
+    # the queue, as a thread the scheduler starts late would: it returns at once
+    force_workers(2)
+    lock, recorded, runs = threading.Lock(), [], []
+    start, join = threading.Thread.start, threading.Thread.join
+    draw_chunks = montecarlo._draw_chunks
+
+    def record(self):
+        recorded.append(self)
+
+    def start_then_join(self, timeout=None):
+        start(self)
+        join(self, timeout)
+
+    def spy_draw_chunks(*args):
+        with lock:
+            runs.append(threading.current_thread() is threading.main_thread())
+        return draw_chunks(*args)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    monkeypatch.setattr(threading.Thread, "join", start_then_join)
+    monkeypatch.setattr(montecarlo, "_draw_chunks", spy_draw_chunks)
+    cfg = SimulationConfig(n=1000, t=2.5, sigma=1.7, reps=150, seed=2**64 + 3)
+    got = simulate_powered_maxima(cfg)
+    assert len(recorded) == 1 and not recorded[0].is_alive()
+    assert runs == [True]  # only the caller drew
+    assert np.array_equal(got, _jumped_oracle(cfg))
+
+
+@pytest.mark.parametrize("count, cpus", [(6, 6), (None, 1)])
+def test_cpus_without_sched_getaffinity_is_the_cpu_count(monkeypatch, count, cpus):
+    # macOS and Windows have no os.sched_getaffinity; os.cpu_count() may be None
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert montecarlo._cpus() == cpus
 
 
 @pytest.mark.parametrize("t, scheme", [
