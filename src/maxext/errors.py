@@ -47,8 +47,8 @@ def _real(value, name: str, positive: bool = False) -> float:
     `if type(x) is not float or x != x: x = _real(x, name)`, and with
     positive=True `if type(t) is not float or not 0.0 < t < math.inf`. The x of
     special.gumbel_cdf, expansions.cdf_approx, expansions.pdf_approx and
-    exact._powered_argument, and the t of norming.validate_scheme and of both
-    exact laws, are tested so."""
+    exact._powered_argument, the t of norming.validate_scheme and of both exact
+    laws, and the sigma of norming._check_n_sigma are tested so."""
     if type(value) is not float:  # skips the abstract-class lookup, the costly part
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise _domain_error(name, "a real number", value)

@@ -7,21 +7,23 @@ Any partitioning of reps across workers therefore produces exactly the serial
 results, and identical configs produce bit-identical output on the same build.
 
 `simulate_powered_maxima` keeps its per-rep work to "reposition, then draw
-into a row". It repositions a generator to each substream by assigning a
-fresh state whose fields are Python lists (numpy's state setter reads lists
-faster than arrays) rather than jumping a fresh one, and draws the rep's n
-variates as Gamma(3/2) into one row of a reused block. numpy draws
-chi-square(3) as twice Gamma(3/2) (``chisquare(3)`` is ``2.0 *
-standard_gamma(1.5)``), so these are the draws `maxwell.sample` would make
-from the same stream, and a Maxwell variate is sigma * sqrt(2 g). Once per
-block, `_row_maxima` roots each row's largest draw: doubling is exact, sqrt is
-correctly rounded and the multiplication by sigma rounds monotonically, so
-sigma * sqrt(2 max g) has exactly the bits of the largest of the n variates,
-and one root per row replaces two passes over all n draws. The power and the
-norming are then applied to each maximum as a Python float, because numpy's
-array power does not round like the scalar power for t != 1 (numpy 2.4). The
-bytes are those of ``maxwell.sample(substream(seed, i), p, n).max()`` for each
-rep i.
+into a row", and makes no list or array per rep. Each worker holds one
+generator and one state dict whose fields are Python lists (numpy's state
+setter reads lists faster than arrays); it repositions the generator to each
+substream by writing word 2 of that dict's counter list in place and
+assigning the dict, rather than jumping a fresh generator, and draws the rep's
+n variates as Gamma(3/2), its shape a 0-d array built once, into one row of a
+reused block. numpy draws chi-square(3) as twice Gamma(3/2) (``chisquare(3)``
+is ``2.0 * standard_gamma(1.5)``), so these are the draws `maxwell.sample`
+would make from the same stream, and a Maxwell variate is sigma * sqrt(2 g).
+Once per block, `_row_maxima` roots each row's largest draw: doubling is
+exact, sqrt is correctly rounded and the multiplication by sigma rounds
+monotonically, so sigma * sqrt(2 max g) has exactly the bits of the largest of
+the n variates, and one root per row replaces two passes over all n draws.
+The power and the norming are then applied to each maximum as a Python float,
+because numpy's array power does not round like the scalar power for t != 1
+(numpy 2.4). The bytes are those of
+``maxwell.sample(substream(seed, i), p, n).max()`` for each rep i.
 
 A chunk of reps fills one block, ``_BLOCK_SIZE // (n * workers)`` rows. Where
 n exceeds a worker's share ``_BLOCK_SIZE // workers``, a chunk is one rep,
@@ -149,29 +151,36 @@ def _draw_chunks(seed: int, n: int, rows: int, width: int, sigma: float,
     """Write the largest Maxwell variate of rep i to maxima[i], a chunk at a time.
 
     A chunk is reps [start, start + rows) for each start `take` returns until
-    None. The generator and the rows-by-`width` block are built once per worker.
+    None. The generator, its state dict with its one counter list, the Gamma
+    shape and the rows-by-`width` block are built once per worker, so a rep
+    allocates no list or array.
     """
     import numpy as np
 
     bits = np.random.Philox(key=seed)
     gamma = np.random.Generator(bits).standard_gamma
+    shape = np.array(1.5)  # numpy would make this array from 1.5 on every call
     # A fresh state also carries an empty output buffer, so assigning it before
-    # each rep starts that rep exactly where substream(seed, i) would.
+    # each rep starts that rep exactly where substream(seed, i) would. The setter
+    # copies the lists, so the one counter list is rewritten in place per rep.
     state = bits.state
     words = state["state"]
     words["key"] = words["key"].tolist()
+    words["counter"] = counter = _counter(0)
     state["buffer"] = state["buffer"].tolist()
     block = np.empty((min(rows, len(maxima)), width))
     block_rows = list(block)  # row views, made once for all chunks
     while (start := take()) is not None:
         stop = min(start + rows, len(maxima))
         for i, row in zip(range(start, stop), block_rows):
-            words["counter"] = _counter(i)
+            # the words of _counter(i): maxima holds reps floats, so i < 2**63 and
+            # word 3 stays 0
+            counter[2] = i
             bits.state = state
-            gamma(1.5, out=row)
+            gamma(shape, out=row)
         for done in range(width, n, width):  # n > width: the chunk's one rep, refilled to n
             top = row.max()
-            gamma(1.5, out=row[: n - done])  # continues the stream where the last part stopped
+            gamma(shape, out=row[: n - done])  # continues the stream where the last part stopped
             row[0] = max(row[0], top)  # carries the maximum; no stale draw exceeds top
         maxima[start:stop] = _row_maxima(block[: stop - start], sigma).tolist()
 
@@ -241,8 +250,8 @@ def ks_distance(samples: Sequence[float], reference: Callable[[float], float]) -
 
     DomainError unless the sample is one-dimensional, nonempty and free of
     NaN, each of its values a real that errors._real accepts, and unless every
-    value of the reference is a float in [0, 1]. A float64 array, as
-    simulate_powered_maxima returns, passes the first check in O(1).
+    value of the reference is a float or an integer in [0, 1]. A float64
+    array, as simulate_powered_maxima returns, passes the first check in O(1).
     """
     import numpy as np
 

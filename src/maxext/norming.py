@@ -82,9 +82,13 @@ class PoweredNorming(NamedTuple):
 def _check_n_sigma(n, sigma):
     """(n, sigma) as (int, float) by the one rule for the root's inputs: DomainError
     unless n is an integer and sigma^2 a normal finite float (a subnormal or
-    overflowing square would wreck the root), then NoRootError unless n >= 3."""
-    n = _integer(n, "n")
-    sigma = _real(sigma, "sigma", positive=True)
+    overflowing square would wreck the root), then NoRootError unless n >= 3.
+    A plain int n and a finite positive plain float sigma, every grid's case,
+    are tested in-line."""
+    if type(n) is not int:
+        n = _integer(n, "n")
+    if type(sigma) is not float or not 0.0 < sigma < math.inf:
+        sigma = _real(sigma, "sigma", positive=True)
     if not _FLOAT_MIN <= sigma * sigma < math.inf:
         raise DomainError(f"sigma^2 must be a normal finite float, got sigma = {sigma!r}")
     if n < _MIN_N:

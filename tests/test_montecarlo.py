@@ -141,6 +141,9 @@ def _jumped_oracle(cfg):
     (3, 1, 3.0, Scheme.GENERAL_POWER, 2**128 - 1),
     (3, 9, 2.0, Scheme.SQUARE_ALTERNATIVE, 0),
     (50, 300, 1.0, Scheme.GENERAL_POWER, 2**63 + 5),
+    # mc-many-reps' shape: blocks of 1310 rows, 1310 + 1310 + 80
+    (50, 2700, 2.0, Scheme.SQUARE_OPTIMAL, 2**63 + 5),
+    (50, 2700, 3.0, Scheme.GENERAL_POWER, 2**128 - 1),
     (1000, 20, 3.0, Scheme.GENERAL_POWER, 2**128 - 1),
     # blocks of 65 rows: 65 + 65 + 20
     (1000, 150, 1.0, Scheme.GENERAL_POWER, 11),
@@ -220,21 +223,23 @@ def test_simulate_matches_jumped_oracle_any_workers(force_workers, n, reps, t, s
 def test_workers_share_the_reps(monkeypatch, n, reps, cpus, workers):
     lock = threading.Lock()
     runs, drawn = [], []
-    draw_chunks, counter = montecarlo._draw_chunks, montecarlo._counter
+    draw_chunks = montecarlo._draw_chunks
 
-    def spy_draw_chunks(*args):
+    def spy_draw_chunks(seed, n, rows, width, sigma, take, maxima):
         with lock:
             runs.append(threading.current_thread() is threading.main_thread())
-        return draw_chunks(*args)
 
-    def spy_counter(rep):
-        with lock:
-            drawn.append(rep)
-        return counter(rep)
+        def spy_take():  # the reps of each chunk handed out
+            start = take()
+            if start is not None:
+                with lock:
+                    drawn.extend(range(start, min(start + rows, len(maxima))))
+            return start
+
+        return draw_chunks(seed, n, rows, width, sigma, spy_take, maxima)
 
     monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
     monkeypatch.setattr(montecarlo, "_draw_chunks", spy_draw_chunks)
-    monkeypatch.setattr(montecarlo, "_counter", spy_counter)
     simulate_powered_maxima(SimulationConfig(n=n, t=1.0, sigma=1.0, reps=reps, seed=5))
     assert sorted(runs) == [False] * (workers - 1) + [True]  # the caller draws too
     assert sorted(drawn) == list(range(reps))  # every rep drawn exactly once
@@ -297,12 +302,17 @@ def _rooted_chunks(monkeypatch, first):
 
     The first rooting to start calls first() before it roots its chunk.
     """
-    lock, last, started, finished = threading.Lock(), threading.local(), [], []
-    counter, row_maxima = montecarlo._counter, montecarlo._row_maxima
+    lock, chunk, started, finished = threading.Lock(), threading.local(), [], []
+    draw_chunks, row_maxima = montecarlo._draw_chunks, montecarlo._row_maxima
 
-    def spy_counter(rep):
-        last.rep = rep
-        return counter(rep)
+    def spy_draw_chunks(*args):
+        *head, take, maxima = args
+
+        def spy_take():  # the start of this thread's chunk in hand
+            chunk.start = take()
+            return chunk.start
+
+        return draw_chunks(*head, spy_take, maxima)
 
     def spy_row_maxima(block, sigma):
         with lock:
@@ -312,10 +322,10 @@ def _rooted_chunks(monkeypatch, first):
             first()
         out = row_maxima(block, sigma)
         with lock:
-            finished.append(last.rep)
+            finished.append(chunk.start + len(block) - 1)
         return out
 
-    monkeypatch.setattr(montecarlo, "_counter", spy_counter)
+    monkeypatch.setattr(montecarlo, "_draw_chunks", spy_draw_chunks)
     monkeypatch.setattr(montecarlo, "_row_maxima", spy_row_maxima)
     return finished
 

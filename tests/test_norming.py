@@ -214,6 +214,28 @@ def test_out_of_range_sigma_raises_on_every_call(sigma):
             solve_bn(1000, sigma)
 
 
+@pytest.mark.parametrize("n, sigma, checked", [
+    (25, 2.0, []),
+    (np.int64(25), 2.0, ["n"]),
+    (25, np.float64(2.0), ["sigma"]),
+    (Fraction(25), Fraction(2), ["n", "sigma"]),
+])
+def test_plain_int_and_float_are_checked_in_line(monkeypatch, n, sigma, checked):
+    # a memoized plain (int, float) pair calls neither rule; any other type still does
+    ref, calls = solve_bn(25, 2.0), []
+
+    def spy(rule):
+        def checking(value, name, *args, **kwargs):
+            calls.append(name)
+            return rule(value, name, *args, **kwargs)
+        return checking
+
+    monkeypatch.setattr(norming, "_integer", spy(norming._integer))
+    monkeypatch.setattr(norming, "_real", spy(norming._real))
+    assert solve_bn(n, sigma) is ref
+    assert calls == checked
+
+
 def test_warm_root_is_the_uncached_root_bit_for_bit():
     rng = random.Random(17)
     pairs = [(int(10 ** rng.uniform(math.log10(3), 300)), 10 ** rng.uniform(-150, 150))
